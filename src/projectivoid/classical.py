@@ -11,9 +11,11 @@ entries are polynomials in s.  Column operations over k[s] then make the
 matrix column-reduced: the matrix of top-degree column coefficients becomes
 nonsingular.  Writing the reduced matrix as C * diag(s^k_j) with k_j the
 column degrees, C has entries in k[1/s] and constant nonzero determinant, so
-V is its adjugate divided by that constant.  Sorting the exponents with a
-permutation on both sides gives the certificate, which is re-multiplied
-exactly before being returned.
+V is its adjugate divided by that constant.  The adjugate comes from the
+characteristic polynomial of C by Cayley-Hamilton, so no step is worse than
+polynomial in the size.  Sorting the exponents with a permutation on both
+sides gives the certificate, which is re-multiplied exactly before being
+returned.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .determinants import leibniz_det
+from .determinants import berkowitz_det, charpoly
 from .errors import (
     DimensionMismatch,
     InvalidAutomorphism,
@@ -43,6 +45,19 @@ class LaurentPoly:
             acc[n] = field.add(acc[n], c) if n in acc else c
         self.field = field
         self.coeffs = {n: c for n, c in acc.items() if not field.is_zero(c)}
+
+    @classmethod
+    def _canonical(cls, field, coeffs: dict) -> "LaurentPoly":
+        """Wrap coefficients that are already canonical field elements.
+
+        Results of the ring operations come out of field operations, so only
+        the zeros need dropping; outside input goes through __init__.
+        """
+        out = object.__new__(cls)
+        out.field = field
+        is_zero = field.is_zero
+        out.coeffs = {n: c for n, c in coeffs.items() if not is_zero(c)}
+        return out
 
     @classmethod
     def zero(cls, field) -> "LaurentPoly":
@@ -80,13 +95,12 @@ class LaurentPoly:
         return 0 if self.is_zero() else self.max_exp() - self.min_exp()
 
     def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly(self.field, {n + k: c for n, c in self.coeffs.items()})
+        return LaurentPoly._canonical(self.field, {n + k: c for n, c in self.coeffs.items()})
 
     def scale(self, c) -> "LaurentPoly":
-        c = self.field.coerce(c)
-        return LaurentPoly(
-            self.field, {n: self.field.mul(a, c) for n, a in self.coeffs.items()}
-        )
+        f = self.field
+        c = f.coerce(c)
+        return LaurentPoly._canonical(f, {n: f.mul(a, c) for n, a in self.coeffs.items()})
 
     def unit_parts(self):
         """(c, n) when the polynomial is the unit c * s^n, else None."""
@@ -102,22 +116,26 @@ class LaurentPoly:
         return all(n <= 0 for n in self.coeffs)
 
     def _check(self, other: "LaurentPoly") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("polynomials over different fields")
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         acc = dict(self.coeffs)
-        f = self.field
+        add = self.field.add
         for n, c in other.coeffs.items():
-            acc[n] = f.add(acc[n], c) if n in acc else c
-        return LaurentPoly(f, acc)
+            acc[n] = add(acc[n], c) if n in acc else c
+        return LaurentPoly._canonical(self.field, acc)
 
     def __neg__(self) -> "LaurentPoly":
         f = self.field
-        return LaurentPoly(f, {n: f.neg(c) for n, c in self.coeffs.items()})
+        return LaurentPoly._canonical(f, {n: f.neg(c) for n, c in self.coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -128,14 +146,20 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
+        if not self.coeffs:
+            return self
+        if not other.coeffs:
+            return other
         f = self.field
+        mul, add = f.mul, f.add
+        right = list(other.coeffs.items())
         acc: dict = {}
         for n1, c1 in self.coeffs.items():
-            for n2, c2 in other.coeffs.items():
+            for n2, c2 in right:
                 n = n1 + n2
-                c = f.mul(c1, c2)
-                acc[n] = f.add(acc[n], c) if n in acc else c
-        return LaurentPoly(f, acc)
+                c = mul(c1, c2)
+                acc[n] = add(acc[n], c) if n in acc else c
+        return LaurentPoly._canonical(f, acc)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -161,7 +185,7 @@ class LMatrix:
             raise DimensionMismatch("matrix must be square and non-empty")
         for r in rows:
             for f in r:
-                if not isinstance(f, LaurentPoly) or f.field != field:
+                if not isinstance(f, LaurentPoly) or (f.field is not field and f.field != field):
                     raise ValueError("entries must be Laurent polynomials over the matrix field")
         self.field = field
         self.rows = rows
@@ -199,9 +223,6 @@ class LMatrix:
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self.rows[i][j]
 
-    def transpose(self) -> "LMatrix":
-        return LMatrix(self.field, list(zip(*self.rows)))
-
     def __mul__(self, other: "LMatrix") -> "LMatrix":
         if not isinstance(other, LMatrix):
             return NotImplemented
@@ -209,20 +230,24 @@ class LMatrix:
             raise ValueError("matrix product over different fields")
         if self.m != other.m:
             raise DimensionMismatch(f"cannot multiply {self.m}x{self.m} by {other.m}x{other.m}")
-        m = self.m
+        zero = LaurentPoly.zero(self.field)
+        cols = list(zip(*other.rows))
         out = []
-        for i in range(m):
+        for r in self.rows:
+            support = [(k, f) for k, f in enumerate(r) if not f.is_zero()]
             row = []
-            for j in range(m):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for k in range(1, m):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
+            for col in cols:
+                acc = zero
+                for k, f in support:
+                    if not col[k].is_zero():
+                        acc = acc + f * col[k]
                 row.append(acc)
             out.append(row)
         return LMatrix(self.field, out)
 
     def det(self) -> LaurentPoly:
-        return leibniz_det(self.rows, LaurentPoly.one(self.field))
+        """Division-free Berkowitz determinant: O(m^4) products of entries."""
+        return berkowitz_det(self.rows, LaurentPoly.one(self.field))
 
     def is_polynomial(self) -> bool:
         return all(f.in_poly_ring() for r in self.rows for f in r)
@@ -317,22 +342,29 @@ def _kernel_vector(rows, field):
 
 
 def _adjugate(M: LMatrix) -> LMatrix:
+    """adj(M) by Cayley-Hamilton, from det(t*I - M) = t^m + c1 t^(m-1) + ...
+
+    M^m + c1 M^(m-1) + ... + c_m I = 0 and c_m = (-1)^m det(M), so
+    adj(M) = (-1)^(m+1) (M^(m-1) + c1 M^(m-2) + ... + c_(m-1) I), evaluated
+    by Horner in m - 2 matrix products.
+    """
     field = M.field
     m = M.m
-    if m == 1:
-        return LMatrix(field, [[LaurentPoly.one(field)]])
     one = LaurentPoly.one(field)
-    out = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            minor = [
-                [M.rows[r][c] for c in range(m) if c != i]
-                for r in range(m)
-                if r != j
-            ]
-            d = leibniz_det(minor, one)
-            out[i][j] = d if (i + j) % 2 == 0 else -d
-    return LMatrix(field, out)
+    if m == 1:
+        return LMatrix(field, [[one]])
+    c = charpoly(M.rows, one)
+
+    def plus_scalar(rows, k):
+        """rows + c_k * I"""
+        return [[f + c[k] if i == j else f for j, f in enumerate(r)] for i, r in enumerate(rows)]
+
+    acc = LMatrix(field, plus_scalar(M.rows, 1))
+    for k in range(2, m):
+        acc = LMatrix(field, plus_scalar((M * acc).rows, k))
+    if m % 2:
+        return acc
+    return LMatrix(field, [[-f for f in r] for r in acc.rows])
 
 
 def _column_degrees(rows, m):
@@ -369,7 +401,7 @@ def split(A: LMatrix, max_iterations: int | None = None):
         ),
     )
     b_rows = [[f.shift(lift) for f in r] for r in A.rows]
-    u_mat = LMatrix.identity(field, m)
+    u_rows = [list(r) for r in LMatrix.identity(field, m).rows]
 
     span_total = sum(f.span() for r in A.rows for f in r if not f.is_zero())
     budget = max_iterations if max_iterations is not None else 10 * m * (span_total + 1)
@@ -390,19 +422,16 @@ def split(A: LMatrix, max_iterations: int | None = None):
         jstar = max(support, key=lambda j: (cdeg[j], j))
         # Column operation col_jstar <- sum_j w_j * s^(k* - k_j) * col_j.
         # The top-degree coefficients cancel, so the degree of that column
-        # strictly drops while the determinant only picks up w_jstar.
-        new_col = []
-        for i in range(m):
+        # strictly drops while the determinant only picks up w_jstar.  U
+        # takes the same operation, which keeps B = s^N * A * U.
+        factors = [
+            (j, LaurentPoly.monomial(field, cdeg[jstar] - cdeg[j], w[j])) for j in support
+        ]
+        for row in b_rows + u_rows:
             acc = LaurentPoly.zero(field)
-            for j in support:
-                acc = acc + b_rows[i][j].shift(cdeg[jstar] - cdeg[j]).scale(w[j])
-            new_col.append(acc)
-        for i in range(m):
-            b_rows[i][jstar] = new_col[i]
-        elem_rows = [list(r) for r in LMatrix.identity(field, m).rows]
-        for j in support:
-            elem_rows[j][jstar] = LaurentPoly.monomial(field, cdeg[jstar] - cdeg[j], w[j])
-        u_mat = u_mat * LMatrix(field, elem_rows)
+            for j, g in factors:
+                acc = acc + row[j] * g
+            row[jstar] = acc
 
     # B is column-reduced: C = B * diag(s^-k_j) lives in k[1/s] and its
     # determinant is the nonzero constant det(top).
@@ -418,16 +447,11 @@ def split(A: LMatrix, max_iterations: int | None = None):
         [[f.scale(field.inv(c_parts[0])) for f in r] for r in _adjugate(c_mat).rows],
     )
 
+    # Sort the exponents: permute the rows of V and the columns of U alike.
     degrees = [k - lift for k in col_deg]
     order = sorted(range(m), key=lambda j: (degrees[j], j))
-    zero = LaurentPoly.zero(field)
-    one = LaurentPoly.one(field)
-    perm = LMatrix(
-        field,
-        [[one if j == order[i] else zero for j in range(m)] for i in range(m)],
-    )
-    v_final = perm * v_mat
-    u_final = u_mat * perm.transpose()
+    v_final = LMatrix(field, [v_mat.rows[j] for j in order])
+    u_final = LMatrix(field, [[r[j] for j in order] for r in u_rows])
     d_final = LMatrix.diagonal_powers(field, [degrees[j] for j in order])
 
     certificate = FactorizationCertificate(v_final, u_final, d_final)

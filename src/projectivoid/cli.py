@@ -209,6 +209,21 @@ def _cmd_verify_split(args):
 # argument parsing
 
 
+def _int_at_least(low):
+    """An argparse type: an integer >= low, else a usage error (exit 2)."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projectivoid",
@@ -239,13 +254,13 @@ def _build_parser() -> argparse.ArgumentParser:
     command("bundle-degree", _cmd_bundle_degree, "degree of the determinant line", "matrix JSON")
     command("act", _cmd_act, "apply the two-sided action V*A*U", 'JSON {"V":..,"A":..,"U":..}')
     sp = command("rand-auto", _cmd_rand_auto, "sample a random one-sided automorphism")
-    sp.add_argument("--rank", type=int, default=2, help="matrix size")
+    sp.add_argument("--rank", type=_int_at_least(1), default=2, help="matrix size")
     sp.add_argument("--side", choices=("nonneg", "nonpos"), required=True)
-    sp.add_argument("--shears", type=int, default=3, help="number of shear factors")
+    sp.add_argument("--shears", type=_int_at_least(0), default=3, help="number of shear factors")
     sp = command("family", _cmd_family, "degree-one diagonal family at a p-power scale")
-    sp.add_argument("--max-pow", type=int, required=True, help="exponent denominator power")
+    sp.add_argument("--max-pow", type=_int_at_least(0), required=True, help="exponent denominator power")
     sp = command("enumerate", _cmd_enumerate, "enumerate nonnegative p-power exponents")
-    sp.add_argument("--count", type=int, default=10, help="how many values")
+    sp.add_argument("--count", type=_int_at_least(1), default=10, help="how many values")
     sp.add_argument("--order", choices=("antidiagonal", "calkin-wilf"), default="antidiagonal")
     sp.add_argument("--filter", action="store_true", help="keep only p-power denominators")
     sp = command("split", _cmd_split, "factor a classical Laurent matrix", "matrix JSON")

@@ -2,8 +2,10 @@
 
 Both routines only use ring addition, negation and multiplication, so they
 apply verbatim to series with fractional exponents and to Laurent
-polynomials.  Leibniz expansion is preferred for small sizes; the Berkowitz
-recursion keeps larger sizes polynomial without ever dividing.
+polynomials.  The Berkowitz recursion costs O(n^4) ring operations and never
+divides; it also yields the whole characteristic polynomial, from which the
+adjugate follows by Cayley-Hamilton.  Leibniz expansion costs n! products:
+it serves small series matrices and is the oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ def _parity(perm) -> int:
 
 
 def leibniz_det(rows, one):
-    """Sum over permutations; fine up to 5x5 or so."""
+    """Sum over permutations: n! products, so only for small n."""
     n = len(rows)
     total = None
     for perm in permutations(range(n)):
@@ -46,8 +48,8 @@ def _matvec(rows, v):
     return [_dot(r, v) for r in rows]
 
 
-def _berkowitz_vector(rows, zero, one):
-    # Coefficients of det(t*I - A), highest power first.
+def charpoly(rows, one):
+    """Coefficients of det(t*I - A), highest power first (Berkowitz 1984)."""
     n = len(rows)
     a = rows[0][0]
     if n == 1:
@@ -57,24 +59,26 @@ def _berkowitz_vector(rows, zero, one):
     body = [r[1:] for r in rows[1:]]
     items = [one, -a]
     t = c_vec
-    for _ in range(n - 1):
+    for k in range(n - 1):
         items.append(-_dot(r_vec, t))
-        t = _matvec(body, t)
-    prev = _berkowitz_vector(body, zero, one)
-    out = []
-    for i in range(n + 1):
-        s = zero
-        for j, pj in enumerate(prev):
-            k = i - j
-            if 0 <= k < len(items):
-                s = s + items[k] * pj
-        out.append(s)
+        if k < n - 2:
+            t = _matvec(body, t)
+    prev = charpoly(body, one)
+    # Lower-triangular Toeplitz product: out[i] = sum over j <= i of
+    # items[i - j] * prev[j].  items[0] and prev[0] are one, so those
+    # products are taken as they stand.
+    out = [one]
+    for i in range(1, n + 1):
+        acc = items[i]
+        for j in range(1, min(i, n - 1) + 1):
+            acc = acc + (prev[j] if j == i else items[i - j] * prev[j])
+        out.append(acc)
     return out
 
 
-def berkowitz_det(rows, zero, one):
+def berkowitz_det(rows, one):
     n = len(rows)
-    vec = _berkowitz_vector(rows, zero, one)
+    vec = charpoly(rows, one)
     constant = vec[-1]
     # det(A) = (-1)^n * [constant coefficient of det(t*I - A)]
     return constant if n % 2 == 0 else -constant

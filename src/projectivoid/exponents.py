@@ -14,16 +14,39 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
+from .errors import ParseError
+
+
+# Miller-Rabin with the first 13 primes as bases has no strong pseudoprime
+# below PRIME_LIMIT (Sorenson and Webster 2015), so the test is exact there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
+    """Deterministic primality test; raises ParseError for n >= PRIME_LIMIT."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= PRIME_LIMIT:
+        raise ParseError(f"{n} is too large to test for primality (limit {PRIME_LIMIT})")
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -126,9 +126,7 @@ class SMatrix:
         self._require_exact()
         if self.m <= 4:
             return leibniz_det(self.rows, PSeries.one(self.prime))
-        return berkowitz_det(
-            self.rows, PSeries.zero(self.prime), PSeries.one(self.prime)
-        )
+        return berkowitz_det(self.rows, PSeries.one(self.prime))
 
     def is_transition(self) -> bool:
         return self.det().is_unit(SubringTag.FULL)

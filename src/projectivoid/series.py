@@ -318,10 +318,16 @@ class PSeries:
         )
 
     def equals_mod(self, other: "PSeries", cutoff) -> bool:
-        """True when self - other has no stored term below the cutoff."""
+        """True when self - other has no term of valuation below the cutoff.
+
+        Raises ValueError when the cutoff exceeds the precision of
+        self - other, since terms there are unknown.
+        """
         if isinstance(cutoff, int):
             cutoff = Valuation(cutoff)
         diff = self - other
+        if diff.precision is not None and diff.precision < cutoff:
+            raise ValueError(f"cutoff {cutoff} exceeds the known precision {diff.precision}")
         return all(not (c.valuation() < cutoff) for c in diff.terms.values())
 
 

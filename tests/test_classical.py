@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projectivoid import (
     DivisionByZero,
@@ -21,10 +22,13 @@ from projectivoid import (
     split,
     splitting_invariance_check,
 )
+from projectivoid.classical import _adjugate
+from projectivoid.determinants import leibniz_det
 from helpers import random_unimodular
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 Q = RationalField()
 
 
@@ -109,6 +113,40 @@ def test_lmatrix_det_examples():
 def test_lmatrix_constant_det():
     assert LMatrix.identity(F2, 3).constant_det() == 1
     assert LMatrix.diagonal_powers(Q, [1, 0]).constant_det() is None
+
+
+def sparse_lmatrices(field):
+    """Square matrices, m = 1..5, whose entries are mostly zero or monomials."""
+    if field == Q:
+        elem = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        elem = st.integers(0, field.p - 1)
+    entry = st.dictionaries(st.integers(-2, 2), elem, max_size=2).map(lambda d: lp(field, d))
+    return st.integers(1, 5).flatmap(
+        lambda m: st.lists(
+            st.lists(st.one_of(st.just(LaurentPoly.zero(field)), entry), min_size=m, max_size=m),
+            min_size=m,
+            max_size=m,
+        ).map(lambda rows: LMatrix(field, rows))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F2, F3, F5, Q]).flatmap(sparse_lmatrices))
+def test_det_and_adjugate_match_leibniz_oracle(M):
+    one, zero, m = LaurentPoly.one(M.field), LaurentPoly.zero(M.field), M.m
+    d = M.det()
+    assert d == leibniz_det(M.rows, one)
+    adj = _adjugate(M)
+    d_eye = LMatrix(M.field, [[d if i == j else zero for j in range(m)] for i in range(m)])
+    assert M * adj == d_eye
+    # Entry by entry too: a singular M satisfies the identity above for
+    # either sign of adj(M).
+    for i in range(m):
+        for j in range(m):
+            minor = [[r[c] for c in range(m) if c != i] for k, r in enumerate(M.rows) if k != j]
+            cofactor = leibniz_det(minor, one)
+            assert adj.entry(i, j) == (cofactor if (i + j) % 2 == 0 else -cofactor)
 
 
 def test_lmatrix_side_predicates():
@@ -213,6 +251,19 @@ def test_split_round_trip_randomized():
             assert t == SplittingType(tuple(degrees))
             assert cert.verify(A)
             assert sum(t.degrees) == A.det().unit_parts()[1]
+
+
+@pytest.mark.parametrize("m", [8, 10])
+@pytest.mark.parametrize("field", [F3, Q], ids=["GF3", "Q"])
+def test_split_large_planted(field, m):
+    rng = random.Random(m)
+    degrees = [rng.randrange(-3, 4) for _ in range(m)]
+    V1 = random_unimodular(rng, field, m, side=-1, factors=m, max_deg=1)
+    U1 = random_unimodular(rng, field, m, side=1, factors=m, max_deg=1)
+    A = V1 * LMatrix.diagonal_powers(field, degrees) * U1
+    t, cert = split(A)
+    assert t == SplittingType(tuple(sorted(degrees)))
+    assert cert.verify(A)
 
 
 def test_invariance_check():

@@ -196,6 +196,36 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--count", "0"],
+        ["family", "--prime", "2", "--max-pow", "-1"],
+        ["rand-auto", "--prime", "2", "--side", "nonneg", "--shears", "-1"],
+        ["rand-auto", "--prime", "2", "--side", "nonneg", "--rank", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_of_range_options_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be at least" in err
+
+
+def test_large_prime_is_decided_quickly(capsys):
+    code, out, _ = run(capsys, "norm", "--prime", str(10**18 + 3), "1")
+    assert (code, out) == (0, "0\n")
+
+
+def test_prime_beyond_exact_range_exits_two(capsys):
+    code, out, err = run(capsys, "norm", "--prime", str(10**25), "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError")
+
+
 def test_split_rational_field_ignores_prime_key(capsys):
     code, out, _ = run(
         capsys,

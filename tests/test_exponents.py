@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from projectivoid import (
     ONE,
     PExp,
+    ParseError,
     ZERO,
     canon,
     enumerate_antidiagonal,
@@ -18,6 +19,7 @@ from projectivoid import (
     exp_sub,
     is_prime,
 )
+from projectivoid.exponents import PRIME_LIMIT
 
 
 def exps(p, bound=40, max_pow=4):
@@ -184,7 +186,36 @@ def test_calkin_wilf_filter_is_a_subsequence():
 
 @pytest.mark.parametrize(
     "n,expected",
-    [(0, False), (1, False), (2, True), (3, True), (4, False), (91, False), (97, True)],
+    [
+        (0, False),
+        (1, False),
+        (2, True),
+        (3, True),
+        (4, False),
+        (41, True),
+        (91, False),
+        (97, True),
+        (10**18 + 3, True),
+        (2**61 - 1, True),
+        # strong pseudoprimes to the first 5 and the first 9 prime bases
+        (3215031751, False),
+        (3825123056546413051, False),
+        (PRIME_LIMIT - 1, False),
+    ],
 )
 def test_is_prime(n, expected):
     assert is_prime(n) is expected
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(is_prime(n) is by_trial_division(n) for n in range(5000))
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    with pytest.raises(ParseError):
+        is_prime(PRIME_LIMIT)
+    with pytest.raises(ParseError):
+        is_prime(2**89 - 1)

@@ -24,6 +24,7 @@ from projectivoid import (
     ZeroSeries,
     canon,
     exp_add,
+    parse_series,
 )
 from helpers import mono, random_multidominant, srs
 
@@ -427,3 +428,12 @@ def test_equals_mod():
     f = srs(2, [(0, 0, 1), (5, 0, 32)])
     assert f.equals_mod(PSeries.one(2), 5)
     assert not f.equals_mod(PSeries.one(2), 6)
+
+
+def test_equals_mod_refuses_cutoff_beyond_precision():
+    known_mod_2 = parse_series("1 (mod val >= 1)", 2)
+    assert known_mod_2.equals_mod(parse_series("1 + 2*v", 2), 1)
+    with pytest.raises(ValueError):
+        known_mod_2.equals_mod(parse_series("1 + 2*v", 2), 10)
+    with pytest.raises(ValueError):
+        PSeries.one(2).equals_mod(known_mod_2, 2)
