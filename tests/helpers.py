@@ -3,14 +3,17 @@
 from fractions import Fraction
 
 from projectivoid import (
+    INFINITY,
     LMatrix,
     LaurentPoly,
     PSeries,
     PrimeField,
     SMatrix,
+    Valuation,
     ZERO,
     canon,
     exp_add,
+    exp_neg,
 )
 
 
@@ -103,6 +106,102 @@ def random_unimodular(rng, field, m, side=1, factors=3, max_deg=2):
         f = LaurentPoly(field, {side * n: field_elem(rng, field) for n in range(max_deg + 1)})
         M = M * LMatrix.shear(field, m, i, j, f)
     return M
+
+
+# ----------------------------------------------------------------------
+# Slow oracle for series arithmetic: the per-term algorithm that the integer
+# kernel in projectivoid.series replaced.  Every exponent sum goes through
+# exp_add, every coefficient operation through PadicCoeff, and every result
+# through the validating PSeries constructor.
+
+
+def _min_precision(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def oracle_add(f, g):
+    acc = dict(f.terms)
+    for e, c in g.terms.items():
+        acc[e] = acc[e] + c if e in acc else c
+    return PSeries(f.prime, acc, _min_precision(f.precision, g.precision))
+
+
+def oracle_neg(f):
+    return PSeries(f.prime, {e: -c for e, c in f.terms.items()}, f.precision)
+
+
+def oracle_sub(f, g):
+    return oracle_add(f, oracle_neg(g))
+
+
+def oracle_gauss(f):
+    return min((c.valuation() for c in f.terms.values()), default=INFINITY)
+
+
+def oracle_dominant(f):
+    gv = oracle_gauss(f)
+    return {e for e, c in f.terms.items() if c.valuation() == gv}
+
+
+def _oracle_effective(f):
+    gv = oracle_gauss(f)
+    return gv if f.precision is None else min(gv, f.precision)
+
+
+def oracle_mul(f, g):
+    acc = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = exp_add(e1, e2, f.prime)
+            c = c1 * c2
+            acc[e] = acc[e] + c if e in acc else c
+    cands = []
+    if f.precision is not None:
+        cands.append(f.precision + _oracle_effective(g))
+    if g.precision is not None:
+        cands.append(g.precision + _oracle_effective(f))
+    return PSeries(f.prime, acc, min(cands) if cands else None)
+
+
+def oracle_scale(f, c):
+    return oracle_mul(f, PSeries(f.prime, {ZERO: c}))
+
+
+def oracle_shift(f, e):
+    if e == ZERO:
+        return f
+    moved = {exp_add(x, e, f.prime): c for x, c in f.terms.items()}
+    return PSeries(f.prime, moved, f.precision)
+
+
+def oracle_truncate(f, cutoff):
+    if isinstance(cutoff, int):
+        cutoff = Valuation(cutoff)
+    prec = cutoff if f.precision is None else min(f.precision, cutoff)
+    return PSeries(f.prime, f.terms, prec)
+
+
+def oracle_inverse(f, target):
+    """Geometric-series inverse of a full-ring unit, one power at a time."""
+    assert f.precision is None and len(oracle_dominant(f)) == 1
+    p = f.prime
+    (e,) = oracle_dominant(f)
+    a0 = f.terms[e]
+    inv_lead = PSeries.monomial(p, exp_neg(e), a0.invert())
+    g = oracle_sub(PSeries.one(p), oracle_scale(oracle_shift(f, exp_neg(e)), a0.invert()))
+    if g.is_zero():
+        return inv_lead
+    w = oracle_gauss(g).v
+    cutoff = target + max(a0.valuation().v, 0)
+    acc = power = PSeries.one(p)
+    for _ in range(-(-cutoff // w)):
+        power = oracle_truncate(oracle_mul(power, g), cutoff)
+        acc = oracle_add(acc, power)
+    return oracle_truncate(oracle_mul(inv_lead, acc), target)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from projectivoid import (
     split,
     splitting_invariance_check,
 )
-from projectivoid.cli import main
+from projectivoid.cli import MAX_PREC, main
 from helpers import GOLDEN_CLI, NONUNIT_DET, OFFDIAG, SPLIT_UPPER
 
 
@@ -213,6 +213,20 @@ def test_out_of_range_options_exit_two(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert "must be at least" in err
+
+
+def test_invert_prec_above_cap_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["invert", "--prime", "2", "--prec", str(MAX_PREC + 1), "1 - 2*v"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"must be at most {MAX_PREC}" in err
+
+
+def test_invert_prec_at_cap_is_accepted(capsys):
+    code, out, _ = run(capsys, "invert", "--prime", "2", "--prec", str(MAX_PREC), "v^(1/2^1)")
+    assert (code, out) == (0, "v^(-1/2^1)\n")
 
 
 def test_large_prime_is_decided_quickly(capsys):

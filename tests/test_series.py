@@ -422,6 +422,11 @@ def test_residue_poly_arithmetic():
     b = ResiduePoly(2, {ZERO: 1, PExp(1, 0): 1})
     assert a + b == ResiduePoly(2, {PExp(1, 0): 1})
     assert b * b == ResiduePoly(2, {ZERO: 1, PExp(2, 0): 1})
+    # over F_3, with exponents on different p-power scales
+    c = ResiduePoly(3, {ZERO: 1, PExp(1, 1): 2})
+    d = ResiduePoly(3, {PExp(2, 1): 2})
+    assert c * d == ResiduePoly(3, {PExp(2, 1): 2, PExp(1, 0): 1})
+    assert c + c == ResiduePoly(3, {ZERO: 2, PExp(1, 1): 1})
 
 
 def test_equals_mod():
