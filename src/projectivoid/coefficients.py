@@ -59,7 +59,7 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PadicCoeff:
     """An exact rational together with the prime weighing it."""
 

@@ -1,11 +1,18 @@
 """Division-free determinants over any commutative ring.
 
-Both routines only use ring addition, negation and multiplication, so they
-apply verbatim to series with fractional exponents and to Laurent
-polynomials.  The Berkowitz recursion costs O(n^4) ring operations and never
-divides; it also yields the whole characteristic polynomial, from which the
-adjugate follows by Cayley-Hamilton.  Leibniz expansion costs n! products:
-it serves small series matrices and is the oracle the tests compare against.
+The routines only use ring addition, negation and multiplication, so they
+apply verbatim to series with fractional exponents, to the integer kernels
+series matrices are reduced to, and to Laurent polynomials.
+
+* Laplace expansion row by row, with the minors memoised by column subset,
+  costs at most n * 2^(n-1) products and skips zero entries.  Series matrices
+  (``SMatrix.det``) use it up to ``matrices.LAPLACE_MAX_M``.
+* The Berkowitz recursion costs O(n^4) ring operations.  Series matrices use
+  it above that size; ``LMatrix`` always does, because ``split`` needs the
+  whole characteristic polynomial, from which the adjugate follows by
+  Cayley-Hamilton.
+* Leibniz expansion costs n! products and is the oracle the tests compare
+  the other two against.
 """
 
 from __future__ import annotations
@@ -13,13 +20,21 @@ from __future__ import annotations
 from itertools import permutations
 
 
-def _parity(perm) -> int:
-    inversions = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inversions += 1
-    return inversions % 2
+def _odd(perm) -> bool:
+    """Parity of a permutation of range(n), in O(n): a cycle of length L is
+    L - 1 transpositions."""
+    seen = [False] * len(perm)
+    odd = False
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        j = perm[start]
+        while j != start:
+            seen[j] = True
+            j = perm[j]
+            odd = not odd
+    return odd
 
 
 def leibniz_det(rows, one):
@@ -30,10 +45,33 @@ def leibniz_det(rows, one):
         prod = one
         for i, j in enumerate(perm):
             prod = prod * rows[i][j]
-        if _parity(perm):
+        if _odd(perm):
             prod = -prod
         total = prod if total is None else total + prod
     return total
+
+
+def laplace_det(rows, one):
+    """Expansion along the rows, top down, minors memoised by column subset.
+
+    After row k, ``minors`` maps each set S of k + 1 columns (a bit mask) to
+    the determinant of rows 0..k and columns S.  Expanding that minor along
+    its last row gives the entry at column j the sign (-1)^(number of columns
+    in S above j).  Zero entries and zero minors are skipped, so the ring
+    zero is returned when the full minor never appears."""
+    minors = {0: one}
+    for row in rows:
+        entries = [(1 << j, a, -a) for j, a in enumerate(row) if not a.is_zero()]
+        nxt = {}
+        for cols, minor in minors.items():
+            for bit, a, neg in entries:
+                if cols & bit:
+                    continue
+                term = minor * (neg if (cols // bit).bit_count() & 1 else a)
+                key = cols | bit
+                nxt[key] = nxt[key] + term if key in nxt else term
+        minors = {cols: minor for cols, minor in nxt.items() if not minor.is_zero()}
+    return minors.get((1 << len(rows)) - 1, one + -one)
 
 
 def _dot(u, v):

@@ -50,7 +50,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PExp:
     """The exponent num / p**pow in canonical form."""
 

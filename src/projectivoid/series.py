@@ -29,6 +29,10 @@ when the exponents are: it merges on the keys and builds new coefficients
 only where terms coincide.  A shift moves the exponents on the p^K scale and
 keeps the coefficients.  Truncation, the Gauss valuation and the dominant
 terms apply the same divisibility test to the numerators over D.
+
+A matrix determinant (``kernel_det``) reads every entry once onto one grid,
+each row over its own denominator, runs a division-free routine on the
+integer kernels and materialises only the determinant.
 """
 
 from __future__ import annotations
@@ -180,6 +184,59 @@ def _convolve(left: dict, right: dict) -> dict:
             n = n1 + n2
             acc[n] = get(n, 0) + a1 * a2
     return acc
+
+
+class _IntPoly:
+    """An integer kernel {n: a} on a grid fixed by the caller, with no zero
+    numerators: the ring a matrix determinant runs in.  It has just what the
+    division-free routines in ``determinants`` use."""
+
+    __slots__ = ("ints",)
+
+    def __init__(self, ints: dict):
+        self.ints = ints
+
+    def is_zero(self) -> bool:
+        return not self.ints
+
+    def __add__(self, other: "_IntPoly") -> "_IntPoly":
+        f, g = self.ints, other.ints
+        if len(g) > len(f):
+            f, g = g, f
+        out = dict(f)
+        for n, a in g.items():
+            s = out.get(n, 0) + a
+            if s:
+                out[n] = s
+            else:
+                del out[n]
+        return _IntPoly(out)
+
+    def __neg__(self) -> "_IntPoly":
+        return _IntPoly({n: -a for n, a in self.ints.items()})
+
+    def __mul__(self, other: "_IntPoly") -> "_IntPoly":
+        return _IntPoly({n: a for n, a in _convolve(self.ints, other.ints).items() if a})
+
+
+def kernel_det(p: int, rows, det) -> "PSeries":
+    """Determinant of a square matrix of exact series, computed by the
+    division-free routine det(rows, one) on integer kernels.
+
+    All entries go on one exponent grid p^K, and row i is scaled by the lcm
+    D_i of its coefficient denominators, so its entries become integer
+    kernels; det(A) = det(A') / prod(D_i) is then materialised once."""
+    K = max(_top_pow(f.terms) for r in rows for f in r)
+    D, scaled = 1, []
+    for r in rows:
+        D_i = 1
+        for f in r:
+            d = _denominator(f.terms)
+            if D_i % d:
+                D_i = lcm(D_i, d)
+        D *= D_i
+        scaled.append([_IntPoly(_ints(f.terms, p, K, D_i)) for f in r])
+    return _series(p, K, D, det(scaled, _IntPoly({0: 1})).ints, None)
 
 
 class PSeries:

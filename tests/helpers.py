@@ -15,6 +15,7 @@ from projectivoid import (
     exp_add,
     exp_neg,
 )
+from projectivoid.determinants import leibniz_det
 
 
 def srs(p, triples, precision=None):
@@ -202,6 +203,12 @@ def oracle_inverse(f, target):
         power = oracle_truncate(oracle_mul(power, g), cutoff)
         acc = oracle_add(acc, power)
     return oracle_truncate(oracle_mul(inv_lead, acc), target)
+
+
+def oracle_det(A):
+    """Determinant of a series matrix by Leibniz expansion over the PSeries
+    entries themselves: every product and sum through the series layer."""
+    return leibniz_det(A.rows, PSeries.one(A.prime))
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from projectivoid import (
     splitting_invariance_check,
 )
 from projectivoid.classical import _adjugate
-from projectivoid.determinants import leibniz_det
+from projectivoid.determinants import berkowitz_det, laplace_det, leibniz_det
 from helpers import random_unimodular
 
 F2 = PrimeField(2)
@@ -147,6 +147,15 @@ def test_det_and_adjugate_match_leibniz_oracle(M):
             minor = [[r[c] for c in range(m) if c != i] for k, r in enumerate(M.rows) if k != j]
             cofactor = leibniz_det(minor, one)
             assert adj.entry(i, j) == (cofactor if (i + j) % 2 == 0 else -cofactor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F2, F3, Q]).flatmap(sparse_lmatrices))
+def test_determinant_strategies_agree(M):
+    one = LaurentPoly.one(M.field)
+    d = leibniz_det(M.rows, one)
+    assert laplace_det(M.rows, one) == d
+    assert berkowitz_det(M.rows, one) == d
 
 
 def test_lmatrix_side_predicates():

@@ -69,7 +69,7 @@ def test_det_multiplicative():
 
 
 def test_det_beyond_leibniz_range():
-    # 5x5 exercises the characteristic-polynomial path
+    # 5x5, upper triangular: the determinant is the product of the diagonal
     rng = random.Random(2)
     m = 5
     rows = [
