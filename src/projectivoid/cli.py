@@ -3,12 +3,21 @@
 Every command reads its input inline or from ``--file``, computes one thing,
 and prints the result; ``--format json`` switches the output to a single JSON
 object per line.  Exit codes: 0 on success, 1 for domain errors (the error
-class name goes to stderr), 2 for unparseable input or bad usage.
+class name goes to stderr), 2 for unparseable input or bad usage, including
+a size above its cap: ``invert --prec`` above ``MAX_PREC``, ``enumerate
+--count`` above ``MAX_COUNT``, ``rand-auto --rank`` above ``MAX_RANK`` and
+``--shears`` above ``MAX_SHEARS``, and a ``family`` of more than
+``MAX_FAMILY`` matrices.
+
+``main(argv)`` can be called any number of times in one process.  The
+argument parser is built on the first call and reused; parsing keeps no
+state in it, so one call cannot change the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -143,7 +152,15 @@ def _cmd_rand_auto(args):
 
 
 def _cmd_family(args):
-    docs = [literals.matrix_to_doc(M) for M in degree_one_family(_require_prime(args), args.max_pow)]
+    p = _require_prime(args)
+    # p >= 2, so p^k exceeds MAX_FAMILY once k reaches its bit length: the
+    # power is never taken of a large k.
+    count = p ** min(args.max_pow, MAX_FAMILY.bit_length()) + 1
+    if count > MAX_FAMILY:
+        raise ParseError(
+            f"--max-pow {args.max_pow} at p = {p} asks for more than {MAX_FAMILY} matrices"
+        )
+    docs = [literals.matrix_to_doc(M) for M in degree_one_family(p, args.max_pow)]
     if args.format == "json":
         return [json.dumps({"matrices": docs})]
     return [json.dumps(doc) for doc in docs]
@@ -215,6 +232,17 @@ def _cmd_verify_split(args):
 # terms, so the cap keeps headroom for slower hosts and longer inputs.
 MAX_PREC = 500
 
+# The other caps, timed the same way at doubling sizes (CPU seconds, worst of
+# p = 2, 3, 5 and of the orders or sides):
+# - enumerate: 0.12 s at --count 20000, 0.25 s at 40000, linear in the count;
+# - rand-auto: 0.16 s at --rank 8 --shears 16, 0.58 s at 8 and 32, 0.95 s at
+#   16 and 16; the work grows with the shears times the cube of the rank;
+# - family: 0.21 s for 4097 matrices, 0.40 s for 8193, linear in the count.
+MAX_COUNT = 20_000
+MAX_RANK = 8
+MAX_SHEARS = 16
+MAX_FAMILY = 2**12 + 1
+
 
 def _bounded_int(low=None, high=None):
     """An argparse type: an integer in [low, high], either end open when None,
@@ -234,6 +262,7 @@ def _bounded_int(low=None, high=None):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projectivoid",
@@ -266,13 +295,15 @@ def _build_parser() -> argparse.ArgumentParser:
     command("bundle-degree", _cmd_bundle_degree, "degree of the determinant line", "matrix JSON")
     command("act", _cmd_act, "apply the two-sided action V*A*U", 'JSON {"V":..,"A":..,"U":..}')
     sp = command("rand-auto", _cmd_rand_auto, "sample a random one-sided automorphism")
-    sp.add_argument("--rank", type=_bounded_int(low=1), default=2, help="matrix size")
+    sp.add_argument("--rank", type=_bounded_int(1, MAX_RANK), default=2, help="matrix size")
     sp.add_argument("--side", choices=("nonneg", "nonpos"), required=True)
-    sp.add_argument("--shears", type=_bounded_int(low=0), default=3, help="number of shear factors")
+    sp.add_argument(
+        "--shears", type=_bounded_int(0, MAX_SHEARS), default=3, help="number of shear factors"
+    )
     sp = command("family", _cmd_family, "degree-one diagonal family at a p-power scale")
     sp.add_argument("--max-pow", type=_bounded_int(low=0), required=True, help="exponent denominator power")
     sp = command("enumerate", _cmd_enumerate, "enumerate nonnegative p-power exponents")
-    sp.add_argument("--count", type=_bounded_int(low=1), default=10, help="how many values")
+    sp.add_argument("--count", type=_bounded_int(1, MAX_COUNT), default=10, help="how many values")
     sp.add_argument("--order", choices=("antidiagonal", "calkin-wilf"), default="antidiagonal")
     sp.add_argument("--filter", action="store_true", help="keep only p-power denominators")
     sp = command("split", _cmd_split, "factor a classical Laurent matrix", "matrix JSON")

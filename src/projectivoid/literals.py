@@ -15,6 +15,17 @@ exponent, keeps coefficients in lowest terms, and appends the suffix
 suffix back, as well as a redundant leading sign.  The classical Laurent side
 uses the same grammar restricted to integer exponents, with 's' accepted as
 an alias for 'v' on input.
+
+Two readers share the grammar.  ``_scan`` reads a literal with one regular
+expression match per term; it covers the forms the printer writes, with any
+whitespace between tokens: an optional sign, a coefficient ``n`` or ``n/d``,
+an optional ``*`` before ``v`` or ``s``, an exponent ``e``, ``-e`` or
+``e/p^k`` with or without parentheses, and the precision suffix.  Text it
+does not consume completely, or that names a zero denominator, a wrong
+exponent base or a fractional exponent in Laurent mode, goes unchanged to
+the recursive-descent ``_Parser``.  That parser reads the whole grammar
+(also ``v^+3`` or ``v^(- 3)``), raises every ``ParseError`` with its
+position, and is the oracle that the tests compare the scanner against.
 """
 
 from __future__ import annotations
@@ -195,19 +206,90 @@ class _Parser:
 
 
 # ----------------------------------------------------------------------
+# the one-match-per-term scanner
+
+# One term: sign (1), coefficient numerator (2) and denominator (3), '*' (4),
+# variable (5), '(' around the exponent (6), exponent numerator (7), base (8)
+# and power (9).  Every part is optional, so the match never fails; _scan
+# decides whether what it matched is a term.
+_TERM_RE = re.compile(
+    r"\s*([+-]?)\s*"
+    r"(?:([0-9]+)(?:\s*/\s*([0-9]+))?)?"
+    r"(\s*\*\s*)?"
+    r"(?:([vs])(?:\s*\^\s*(\()?\s*(-?[0-9]+)"
+    r"(?:\s*/\s*([0-9]+)\s*\^\s*([0-9]+))?(?(6)\s*\)))?)?"
+)
+_TAIL_RE = re.compile(r"\s*(?:\(\s*mod\s+val\s*>=\s*(-?[0-9]+)\s*\)\s*)?")
+
+
+def _scan(text: str, prime: int | None):
+    """``_Parser(text, prime).parse()`` for the forms the scanner reads, else
+    None.  Integers are converted only once the whole text has matched, and in
+    the parser's order, so an oversized integer fails as it does there."""
+    matches = []
+    pos = 0
+    while True:
+        m = _TERM_RE.match(text, pos)
+        sign, num, star, var = m.group(1, 2, 4, 5)
+        # A term is a coefficient, a monomial, or both joined by '*'; every
+        # term after the first starts with its sign.
+        if num is None and var is None:
+            break
+        if (star is not None) != (num is not None and var is not None):
+            break
+        if matches and not sign:
+            break
+        matches.append(m.groups())
+        pos = m.end()
+    tail = _TAIL_RE.fullmatch(text, pos)
+    if not matches or tail is None:
+        return None
+    terms = []
+    for sign, num, den, _, var, _, exp, base, pw in matches:
+        coeff = int(num) if num is not None else 1
+        if sign == "-":
+            coeff = -coeff
+        if den is None:
+            coeff = Fraction(coeff)
+        else:
+            den = int(den)
+            if den == 0:
+                return None
+            coeff = Fraction(coeff, den)
+        if var is None:
+            terms.append((coeff, 0, 0))
+        elif exp is None:
+            terms.append((coeff, 1, 0))
+        elif base is None:
+            terms.append((coeff, int(exp), 0))
+        else:
+            exp = int(exp)
+            if prime is None or int(base) != prime:
+                return None
+            terms.append((coeff, exp, int(pw)))
+    precision = tail.group(1)
+    return terms, None if precision is None else int(precision)
+
+
+def _parse_terms(text: str, prime: int | None):
+    scanned = _scan(text, prime)
+    return scanned if scanned is not None else _Parser(text, prime).parse()
+
+
+# ----------------------------------------------------------------------
 # parsing entry points
 
 
 def parse_series(text: str, prime: int) -> PSeries:
     if not is_prime(prime):
         raise ParseError(f"{prime} is not a prime")
-    terms, precision = _Parser(text, prime).parse()
+    terms, precision = _parse_terms(text, prime)
     pairs = [(canon(num, pw, prime), coeff) for coeff, num, pw in terms]
     return PSeries(prime, pairs, precision)
 
 
 def parse_laurent(text: str, field) -> LaurentPoly:
-    terms, precision = _Parser(text, None).parse()
+    terms, precision = _parse_terms(text, None)
     if precision is not None:
         raise ParseError("precision tags are not allowed on Laurent polynomials")
     return LaurentPoly(field, [(num, coeff) for coeff, num, _ in terms])
@@ -310,7 +392,8 @@ def _doc_prime(doc: dict, prime: int | None) -> int:
 
 def _doc_grid(doc: dict):
     m = doc.get("m")
-    if not isinstance(m, int) or m < 1:
+    # JSON true loads as a bool, which is an int subclass.
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ParseError("'m' must be a positive integer")
     entries = doc.get("entries")
     if (

@@ -27,6 +27,14 @@ def mono(p, num, pow=0, coeff=1):
     return srs(p, [(num, pow, coeff)])
 
 
+def mutate(text, i, op, c):
+    """text with c inserted at i ("insert"), or text[i] deleted ("delete")
+    or replaced by c ("replace")."""
+    if op == "insert":
+        return text[:i] + c + text[i:]
+    return text[:i] + ("" if op == "delete" else c) + text[i + 1:]
+
+
 def random_exponent(rng, p, lo=-6, hi=7, max_pow=2):
     return canon(rng.randrange(lo, hi), rng.randrange(0, max_pow + 1), p)
 

@@ -1,9 +1,14 @@
 """Command-line contract: golden outputs, determinism, file input, JSON
 mode, and the exit-code scheme (0 ok / 1 domain error / 2 parse error)."""
 
+import contextlib
+import io
 import json
+import re
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projectivoid import (
     SubringTag,
@@ -12,8 +17,18 @@ from projectivoid import (
     split,
     splitting_invariance_check,
 )
-from projectivoid.cli import MAX_PREC, main
-from helpers import GOLDEN_CLI, NONUNIT_DET, OFFDIAG, SPLIT_UPPER
+from projectivoid.cli import MAX_COUNT, MAX_FAMILY, MAX_PREC, MAX_RANK, MAX_SHEARS, main
+from helpers import (
+    ACT_TRIPLE,
+    GOLDEN_CLI,
+    MIXED_DIAG,
+    NONUNIT_DET,
+    OFFDIAG,
+    SPLIT_DIAG,
+    SPLIT_UPPER,
+    VERIFY_TRIPLE,
+    mutate,
+)
 
 
 def run(capsys, *argv):
@@ -176,6 +191,7 @@ def test_act_side_violation_exits_one(capsys):
         (["det", "--prime", "2", "not json"], "ParseError"),
         (["act", "--prime", "2", '{"A": {"p": 2, "m": 1, "entries": [["v"]]}}'], "ParseError"),
         (["split", '{"m": 1, "entries": [["v"]]}'], "ParseError"),
+        (["det", "--prime", "2", '{"p": 2, "m": true, "entries": [["1"]]}'], "ParseError"),
     ],
 )
 def test_parse_errors_exit_two(capsys, argv, error):
@@ -224,6 +240,44 @@ def test_invert_prec_above_cap_exits_two(capsys):
     assert f"must be at most {MAX_PREC}" in err
 
 
+@pytest.mark.parametrize(
+    "argv,cap",
+    [
+        (["enumerate", "--count", str(MAX_COUNT + 1)], MAX_COUNT),
+        (["rand-auto", "--prime", "2", "--side", "nonneg", "--rank", str(MAX_RANK + 1)], MAX_RANK),
+        (["rand-auto", "--prime", "2", "--side", "nonpos", "--shears", str(MAX_SHEARS + 1)], MAX_SHEARS),
+    ],
+    ids=lambda x: x[-2] if isinstance(x, list) else None,
+)
+def test_options_above_cap_exit_two(capsys, argv, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"must be at most {cap}" in err
+
+
+def test_options_at_cap_are_accepted(capsys):
+    code, out, _ = run(capsys, "enumerate", "--prime", "2", "--count", str(MAX_COUNT))
+    assert code == 0 and out.count("\n") == MAX_COUNT
+    code, out, _ = run(
+        capsys, "rand-auto", "--prime", "5", "--side", "nonneg",
+        "--rank", str(MAX_RANK), "--shears", str(MAX_SHEARS),
+    )
+    assert code == 0 and doc_to_matrix(out, 5).m == MAX_RANK
+
+
+def test_family_size_cap(capsys):
+    assert MAX_FAMILY == 2**12 + 1
+    code, out, _ = run(capsys, "family", "--prime", "2", "--max-pow", "12")
+    assert code == 0 and out.count("\n") == MAX_FAMILY
+    for prime, max_pow in (("2", "13"), ("3", "8"), ("2", str(10**9))):
+        code, out, err = run(capsys, "family", "--prime", prime, "--max-pow", max_pow)
+        assert (code, out) == (2, "")
+        assert err.startswith("ParseError") and f"more than {MAX_FAMILY} matrices" in err
+
+
 def test_invert_prec_at_cap_is_accepted(capsys):
     code, out, _ = run(capsys, "invert", "--prime", "2", "--prec", str(MAX_PREC), "v^(1/2^1)")
     assert (code, out) == (0, "v^(-1/2^1)\n")
@@ -250,3 +304,65 @@ def test_split_rational_field_ignores_prime_key(capsys):
     )
     assert code == 0
     assert out == "(1, 1)\n"
+
+
+# ----------------------------------------------------------------------
+# fuzzing main() on mutated literals and documents
+
+_FUZZ_BASES = [
+    ["norm", "--prime", "2", "1 + 2*v^(1/2^1) - v^(-3/2^2) (mod val >= 3)"],
+    ["reduce", "--prime", "3", "1 + v^(1/3^1) - 2/5*v^-2"],
+    ["invert", "--prime", "2", "--prec", "4", "1 - 2*v + 4*v^(1/2^2)"],
+    ["det", "--prime", "2", MIXED_DIAG],
+    ["act", "--prime", "2", ACT_TRIPLE],
+    ["split", SPLIT_DIAG],
+    ["split", "--field", "rational", '{"m": 2, "entries": [["1/2*s", "1"], ["0", "s^2"]]}'],
+    ["verify-split", VERIFY_TRIPLE],
+]
+_FUZZ_CHARS = '0123456789+-*/^() vs,:"[]{}pmentrisx.\\'
+_ERROR_LINE = re.compile(r"[A-Z][A-Za-z]*: [^\n]*\n")
+
+
+@st.composite
+def _mutated_argv(draw):
+    """A base call with one to three characters inserted, deleted or replaced,
+    mostly in the input, sometimes in the command or a flag."""
+    argv = list(draw(st.sampled_from(_FUZZ_BASES)))
+    k = len(argv) - 1 if draw(st.integers(0, 5)) else draw(st.integers(0, len(argv) - 1))
+    text = argv[k]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        text = mutate(text, i, op, draw(st.sampled_from(_FUZZ_CHARS)))
+    argv[k] = text
+    return argv
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.process_time()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, usage = main(list(argv)), False
+        except SystemExit as exc:
+            code, usage = exc.code, True
+    return code, usage, out.getvalue(), err.getvalue(), time.process_time() - start
+
+
+@settings(max_examples=250, deadline=None)
+@given(_mutated_argv(), st.sampled_from(GOLDEN_CLI))
+def test_fuzzed_calls_exit_cleanly(argv, golden):
+    code, usage, out, err, cpu = _call(argv)
+    assert cpu <= 2.0, argv
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert out == "", argv
+        if usage:
+            assert code == 2 and err.startswith("usage: ") and "error: " in err, argv
+        else:
+            assert _ERROR_LINE.fullmatch(err), (argv, err)
+    # The parser is shared between calls: the next call must not see this one.
+    golden_argv, expected = golden
+    assert _call(golden_argv)[:4] == (0, False, expected, "")

@@ -2,9 +2,12 @@
 matrix documents."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from projectivoid import literals
 from projectivoid import (
     LMatrix,
     LaurentPoly,
@@ -29,7 +32,7 @@ from projectivoid import (
     parse_laurent,
     parse_series,
 )
-from helpers import LITERAL_CORPUS, mono, srs
+from helpers import LITERAL_CORPUS, mono, mutate, srs
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -242,3 +245,110 @@ def test_laurent_doc_prime_mismatch():
     doc = {"p": 3, "m": 1, "entries": [["v"]]}
     with pytest.raises(PrimeMismatch):
         doc_to_laurent_matrix(doc, F2)
+
+
+# ----------------------------------------------------------------------
+# the term scanner against the recursive-descent parser
+
+
+def test_scanner_reads_the_corpus_and_printed_literals():
+    for text in LITERAL_CORPUS:
+        assert literals._scan(text, 2) is not None, text
+        assert literals._scan(format_series(parse_series(text, 2)), 2) is not None, text
+
+
+def _outcome(parse, text, arg):
+    try:
+        return "ok", parse(text, arg)
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+
+
+def _both_paths(parse, text, arg):
+    fast = _outcome(parse, text, arg)
+    with mock.patch.object(literals, "_scan", lambda text, prime: None):
+        slow = _outcome(parse, text, arg)
+    return fast, slow
+
+
+_SPACE = st.sampled_from(["", "", "", " ", "  ", "\t"])
+_MUTATION_CHARS = "0123456789+-*/^() \tvsmodal>=w#.\u0663"
+
+
+@st.composite
+def _exponent_text(draw, prime):
+    sp = lambda: draw(_SPACE)
+    num = draw(st.sampled_from(["", "-", "-", "-", "- ", "+"])) + str(draw(st.integers(0, 40)))
+    if draw(st.booleans()):
+        base = prime if draw(st.integers(0, 5)) else draw(st.sampled_from([2, 3, 4, 5, 7]))
+        num += sp() + "/" + sp() + str(base) + sp() + "^" + sp() + str(draw(st.integers(0, 5)))
+        parens = draw(st.integers(0, 4)) > 0
+    else:
+        parens = draw(st.booleans())
+    return "(" + sp() + num + sp() + ")" if parens else num
+
+
+@st.composite
+def _literal_text(draw, prime):
+    """A literal from the grammar, with some of the forms the descent parser
+    alone reads (v^+3, a space after an exponent sign) and some that it
+    rejects (zero denominators, wrong bases, fractional Laurent exponents)."""
+    sp = lambda: draw(_SPACE)
+    out = []
+    for i in range(draw(st.integers(1, 5))):
+        out.append(sp() + draw(st.sampled_from(["", "-", "+"] if i == 0 else ["+", "-"])) + sp())
+        coeff = str(draw(st.integers(0, 60)))
+        if draw(st.integers(0, 3)) == 0:
+            coeff += sp() + "/" + sp() + str(draw(st.integers(0, 12)))
+        mono = draw(st.sampled_from("vs"))
+        if draw(st.integers(0, 3)):
+            mono += sp() + "^" + sp() + draw(_exponent_text(prime))
+        shape = draw(st.sampled_from(["coeff", "mono", "both", "one"]))
+        out.append(
+            {"coeff": coeff, "mono": mono, "both": coeff + sp() + "*" + sp() + mono,
+             "one": "1" + sp() + "*" + sp() + mono}[shape]
+        )
+    if draw(st.integers(0, 3)) == 0:
+        value = draw(st.sampled_from(["", "-"])) + str(draw(st.integers(0, 9)))
+        out.append(f"{sp()} ({sp()}mod val{sp()} >={sp()}{value}{sp()}){sp()}")
+    text = "".join(out)
+    if draw(st.integers(0, 2)) == 0:
+        # Half of the mutations hit an operator, where a scanner that skipped
+        # a check would go wrong.
+        ops = [i for i, c in enumerate(text) if c in "+-*/^()"]
+        i = draw(st.sampled_from(ops) if ops and draw(st.booleans()) else st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        text = mutate(text, i, op, draw(st.sampled_from(_MUTATION_CHARS)))
+    return text
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(st.just(p), _literal_text(p))))
+def test_parse_series_scanner_matches_descent_parser(case):
+    p, text = case
+    fast, slow = _both_paths(parse_series, text, p)
+    assert fast == slow, text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([F2, Q]), _literal_text(2))
+def test_parse_laurent_scanner_matches_descent_parser(field, text):
+    fast, slow = _both_paths(parse_laurent, text, field)
+    assert fast == slow, text
+
+
+@pytest.mark.parametrize(
+    "text,same_as", [("v^+3", "v^3"), ("v^(- 3)", "v^-3"), ("v^2 (mod val >= +1)", "v^2 (mod val >= 1)")]
+)
+def test_forms_left_to_the_descent_parser(text, same_as):
+    assert literals._scan(text, 2) is None
+    assert parse_series(text, 2) == parse_series(same_as, 2)
+
+
+def test_oversized_integer_fails_as_in_the_descent_parser():
+    text = "1 + " + "7" * 5000 + "*v"
+    fast, slow = _both_paths(parse_series, text, 2)
+    assert fast == slow and fast[1] is ValueError
+    # A character the tokenizer rejects later in the text wins over the integer.
+    fast, slow = _both_paths(parse_series, text + " # 2", 2)
+    assert fast == slow and fast[1] is ParseError
