@@ -11,11 +11,14 @@ entries are polynomials in s.  Column operations over k[s] then make the
 matrix column-reduced: the matrix of top-degree column coefficients becomes
 nonsingular.  Writing the reduced matrix as C * diag(s^k_j) with k_j the
 column degrees, C has entries in k[1/s] and constant nonzero determinant, so
-V is its adjugate divided by that constant.  The adjugate comes from the
-characteristic polynomial of C by Cayley-Hamilton, so no step is worse than
-polynomial in the size.  Sorting the exponents with a permutation on both
-sides gives the certificate, which is re-multiplied exactly before being
-returned.
+V is its adjugate divided by that constant.  One characteristic polynomial
+of C gives both: the adjugate by Cayley-Hamilton and the constant as its last
+coefficient, so no step is worse than polynomial in the size.  Sorting the
+exponents with a permutation on both sides gives the certificate, which is
+re-multiplied exactly before being returned.
+
+``LMatrix`` is the ``determinants.SquareMatrix`` over Laurent polynomials,
+with the polynomial-side predicates that the certificate checks use.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .determinants import berkowitz_det, charpoly
+from .determinants import SquareMatrix, charpoly, det
 from .errors import (
-    DimensionMismatch,
     InvalidAutomorphism,
     IterationLimitExceeded,
     NotInvertibleOverRing,
@@ -173,81 +175,34 @@ class LaurentPoly:
         return f"LaurentPoly({body or '0'})"
 
 
-class LMatrix:
+class LMatrix(SquareMatrix):
     """A square matrix of Laurent polynomials over one field."""
 
-    __slots__ = ("field", "rows")
+    __slots__ = ()
+    _BASE = "field"
+    _Mismatch = ValueError
+    _one = staticmethod(LaurentPoly.one)
+    _zero = staticmethod(LaurentPoly.zero)
+    _skip = staticmethod(LaurentPoly.is_zero)
 
-    def __init__(self, field, rows):
-        rows = tuple(tuple(r) for r in rows)
-        m = len(rows)
-        if m == 0 or any(len(r) != m for r in rows):
-            raise DimensionMismatch("matrix must be square and non-empty")
+    @staticmethod
+    def _check(field, rows) -> None:
         for r in rows:
             for f in r:
                 if not isinstance(f, LaurentPoly) or (f.field is not field and f.field != field):
                     raise ValueError("entries must be Laurent polynomials over the matrix field")
-        self.field = field
-        self.rows = rows
 
     @property
-    def m(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def identity(cls, field, m: int) -> "LMatrix":
-        one = LaurentPoly.one(field)
-        zero = LaurentPoly.zero(field)
-        return cls(field, [[one if i == j else zero for j in range(m)] for i in range(m)])
+    def field(self):
+        return self.base
 
     @classmethod
     def diagonal_powers(cls, field, degrees) -> "LMatrix":
-        zero = LaurentPoly.zero(field)
-        m = len(degrees)
-        return cls(
-            field,
-            [
-                [LaurentPoly.monomial(field, degrees[i]) if i == j else zero for j in range(m)]
-                for i in range(m)
-            ],
-        )
-
-    @classmethod
-    def shear(cls, field, m: int, i: int, j: int, f: LaurentPoly) -> "LMatrix":
-        if i == j:
-            raise ValueError("shear position must be off the diagonal")
-        rows = [list(r) for r in cls.identity(field, m).rows]
-        rows[i][j] = f
-        return cls(field, rows)
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.rows[i][j]
-
-    def __mul__(self, other: "LMatrix") -> "LMatrix":
-        if not isinstance(other, LMatrix):
-            return NotImplemented
-        if self.field != other.field:
-            raise ValueError("matrix product over different fields")
-        if self.m != other.m:
-            raise DimensionMismatch(f"cannot multiply {self.m}x{self.m} by {other.m}x{other.m}")
-        zero = LaurentPoly.zero(self.field)
-        cols = list(zip(*other.rows))
-        out = []
-        for r in self.rows:
-            support = [(k, f) for k, f in enumerate(r) if not f.is_zero()]
-            row = []
-            for col in cols:
-                acc = zero
-                for k, f in support:
-                    if not col[k].is_zero():
-                        acc = acc + f * col[k]
-                row.append(acc)
-            out.append(row)
-        return LMatrix(self.field, out)
+        return cls.diagonal(field, [LaurentPoly.monomial(field, d) for d in degrees])
 
     def det(self) -> LaurentPoly:
-        """Division-free Berkowitz determinant: O(m^4) products of entries."""
-        return berkowitz_det(self.rows, LaurentPoly.one(self.field))
+        """Division-free determinant through ``determinants.det``."""
+        return det(self.rows, LaurentPoly.one(self.field))
 
     def is_polynomial(self) -> bool:
         return all(f.in_poly_ring() for r in self.rows for f in r)
@@ -273,15 +228,14 @@ class LMatrix:
                     return False
         return True
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LMatrix):
-            return NotImplemented
-        return self.field == other.field and self.rows == other.rows
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"LMatrix(field={self.field!r}, m={self.m})"
+
+
+def _unimodular(M: LMatrix, on_side) -> bool:
+    """Whether M lies over the one-sided ring that on_side tests for (k[s] or
+    k[1/s]) and has a nonzero constant determinant, so is invertible there."""
+    return on_side(M) and M.constant_det() is not None
 
 
 @dataclass(frozen=True)
@@ -303,9 +257,9 @@ class FactorizationCertificate:
     D: LMatrix
 
     def verify(self, A: LMatrix) -> bool:
-        if not (self.U.is_polynomial() and self.U.constant_det() is not None):
+        if not _unimodular(self.U, LMatrix.is_polynomial):
             return False
-        if not (self.V.is_inverse_polynomial() and self.V.constant_det() is not None):
+        if not _unimodular(self.V, LMatrix.is_inverse_polynomial):
             return False
         if not self.D.is_diagonal_of_powers():
             return False
@@ -341,8 +295,9 @@ def _kernel_vector(rows, field):
     return x
 
 
-def _adjugate(M: LMatrix) -> LMatrix:
-    """adj(M) by Cayley-Hamilton, from det(t*I - M) = t^m + c1 t^(m-1) + ...
+def _adjugate(M: LMatrix):
+    """(adj(M), det(M)) by Cayley-Hamilton, from det(t*I - M) = t^m + c1
+    t^(m-1) + ... + c_m.
 
     M^m + c1 M^(m-1) + ... + c_m I = 0 and c_m = (-1)^m det(M), so
     adj(M) = (-1)^(m+1) (M^(m-1) + c1 M^(m-2) + ... + c_(m-1) I), evaluated
@@ -352,7 +307,7 @@ def _adjugate(M: LMatrix) -> LMatrix:
     m = M.m
     one = LaurentPoly.one(field)
     if m == 1:
-        return LMatrix(field, [[one]])
+        return LMatrix(field, [[one]]), M.rows[0][0]
     c = charpoly(M.rows, one)
 
     def plus_scalar(rows, k):
@@ -363,8 +318,8 @@ def _adjugate(M: LMatrix) -> LMatrix:
     for k in range(2, m):
         acc = LMatrix(field, plus_scalar((M * acc).rows, k))
     if m % 2:
-        return acc
-    return LMatrix(field, [[-f for f in r] for r in acc.rows])
+        return acc, -c[m]
+    return LMatrix(field, [[-f for f in r] for r in acc.rows]), c[m]
 
 
 def _column_degrees(rows, m):
@@ -439,13 +394,12 @@ def split(A: LMatrix, max_iterations: int | None = None):
     c_mat = LMatrix(
         field, [[b_rows[i][j].shift(-col_deg[j]) for j in range(m)] for i in range(m)]
     )
-    c_parts = c_mat.det().unit_parts()
+    adj, c_det = _adjugate(c_mat)
+    c_parts = c_det.unit_parts()
     if c_parts is None or c_parts[1] != 0:
         raise RuntimeError("internal error: reduced matrix is not constant-determinant")
-    v_mat = LMatrix(
-        field,
-        [[f.scale(field.inv(c_parts[0])) for f in r] for r in _adjugate(c_mat).rows],
-    )
+    inv = field.inv(c_parts[0])
+    v_mat = LMatrix(field, [[f.scale(inv) for f in r] for r in adj.rows])
 
     # Sort the exponents: permute the rows of V and the columns of U alike.
     degrees = [k - lift for k in col_deg]
@@ -468,9 +422,9 @@ def splitting_invariance_check(A: LMatrix, U: LMatrix, V: LMatrix) -> bool:
     U must be unimodular over k[s] and V over k[1/s], both with constant
     nonzero determinant; anything else raises InvalidAutomorphism.
     """
-    if not (U.is_polynomial() and U.constant_det() is not None):
+    if not _unimodular(U, LMatrix.is_polynomial):
         raise InvalidAutomorphism("k[s]", "right factor is not unimodular over k[s]")
-    if not (V.is_inverse_polynomial() and V.constant_det() is not None):
+    if not _unimodular(V, LMatrix.is_inverse_polynomial):
         raise InvalidAutomorphism("k[1/s]", "left factor is not unimodular over k[1/s]")
     base, _ = split(A)
     moved, _ = split(V * A * U)

@@ -280,10 +280,19 @@ def _parse_terms(text: str, prime: int | None):
 # parsing entry points
 
 
+# Cap on the exponent denominators p^k of a series literal, in bits counted
+# as k * ceil(log2 p): the work grows with the bits, not with k alone, and a
+# result that mixes scales prints numerators of about that many bits.
+MAX_EXP_BITS = 2**12
+
+
 def parse_series(text: str, prime: int) -> PSeries:
     if not is_prime(prime):
         raise ParseError(f"{prime} is not a prime")
     terms, precision = _parse_terms(text, prime)
+    top = MAX_EXP_BITS // (prime - 1).bit_length()
+    if any(pw > top for _, _, pw in terms):
+        raise ParseError(f"exponent denominators above {prime}^{top} are not accepted")
     pairs = [(canon(num, pw, prime), coeff) for coeff, num, pw in terms]
     return PSeries(prime, pairs, precision)
 

@@ -5,27 +5,24 @@ is a unit there.  Its bundle degree is the exponent of the monomial factor of
 the determinant, an invariant of the equivalence A -> V * A * U by one-sided
 automorphisms: U over the non-negative subring, V over the non-positive one,
 each with a determinant dominated by its constant term.
+
+``SMatrix`` is the ``determinants.SquareMatrix`` over series; its determinant
+runs the shared size dispatch on integer kernels.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .determinants import berkowitz_det, laplace_det
+from .determinants import SquareMatrix, det
 from .errors import (
-    DimensionMismatch,
     InvalidAutomorphism,
     NotATransitionMatrix,
     PrimeMismatch,
 )
 from .exponents import PExp, ZERO, canon, exp_neg
 from .series import PSeries, SubringTag, kernel_det
-
-# Largest size at which SMatrix.det expands by memoised minors; Berkowitz
-# takes over above it.  Measured on planted matrices, m = 6..10.
-LAPLACE_MAX_M = 8
 
 
 @dataclass(frozen=True)
@@ -35,103 +32,52 @@ class BundleDegree:
     value: PExp
 
 
-class SMatrix:
+class SMatrix(SquareMatrix):
     """An m x m matrix with PSeries entries, all over one prime."""
 
-    __slots__ = ("prime", "rows")
+    __slots__ = ()
+    _BASE = "prime"
+    _Mismatch = PrimeMismatch
+    _one = staticmethod(PSeries.one)
+    _zero = staticmethod(PSeries.zero)
+    # The benchmark tracer wraps SMatrix.__dict__["__mul__"], so the shared
+    # product is bound here by name.
+    __mul__ = SquareMatrix.__mul__
 
-    def __init__(self, prime: int, rows):
-        rows = tuple(tuple(r) for r in rows)
-        m = len(rows)
-        if m == 0 or any(len(r) != m for r in rows):
-            raise DimensionMismatch("matrix must be square and non-empty")
+    @staticmethod
+    def _check(prime: int, rows) -> None:
         for r in rows:
             for f in r:
                 if not isinstance(f, PSeries):
                     raise TypeError("matrix entries must be PSeries")
                 if f.prime != prime:
-                    raise PrimeMismatch(
-                        f"entry over p={f.prime} in a matrix over p={prime}"
-                    )
-        self.prime = prime
-        self.rows = rows
+                    raise PrimeMismatch(f"entry over p={f.prime} in a matrix over p={prime}")
+
+    @staticmethod
+    def _skip(f: PSeries) -> bool:
+        # A zero known only modulo a precision still bounds the precision of
+        # a product it enters, so only exact zeros are skipped.
+        return not f.terms and f.precision is None
 
     @property
-    def m(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def identity(cls, prime: int, m: int) -> "SMatrix":
-        one = PSeries.one(prime)
-        zero = PSeries.zero(prime)
-        return cls(prime, [[one if i == j else zero for j in range(m)] for i in range(m)])
+    def prime(self) -> int:
+        return self.base
 
     @classmethod
     def diagonal(cls, prime: int, entries) -> "SMatrix":
         """Diagonal matrix from PSeries entries or bare exponents (monomials)."""
-        series = [
-            e if isinstance(e, PSeries) else PSeries.monomial(prime, e)
-            for e in entries
-        ]
-        zero = PSeries.zero(prime)
-        m = len(series)
-        return cls(
-            prime,
-            [[series[i] if i == j else zero for j in range(m)] for i in range(m)],
+        return super().diagonal(
+            prime, [e if isinstance(e, PSeries) else PSeries.monomial(prime, e) for e in entries]
         )
-
-    @classmethod
-    def shear(cls, prime: int, m: int, i: int, j: int, f: PSeries) -> "SMatrix":
-        """Elementary matrix: identity plus f in position (i, j), i != j."""
-        if i == j:
-            raise ValueError("shear position must be off the diagonal")
-        rows = [list(r) for r in cls.identity(prime, m).rows]
-        rows[i][j] = f
-        return cls(prime, rows)
-
-    def entry(self, i: int, j: int) -> PSeries:
-        return self.rows[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SMatrix):
-            return NotImplemented
-        return self.prime == other.prime and self.rows == other.rows
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"SMatrix(p={self.prime}, m={self.m})"
 
-    def __mul__(self, other: "SMatrix") -> "SMatrix":
-        if not isinstance(other, SMatrix):
-            return NotImplemented
-        if self.prime != other.prime:
-            raise PrimeMismatch("matrix product over different primes")
-        if self.m != other.m:
-            raise DimensionMismatch(f"cannot multiply {self.m}x{self.m} by {other.m}x{other.m}")
-        m = self.m
-        out = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = self.rows[i][0] * other.rows[0][j]
-                for k in range(1, m):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return SMatrix(self.prime, out)
-
-    def _require_exact(self) -> None:
+    def det(self) -> PSeries:
+        """Exact determinant: ``determinants.det`` run on integer kernels and
+        materialised once (see ``series.kernel_det``)."""
         if any(not f.is_exact() for r in self.rows for f in r):
             raise ValueError("operation requires exact matrix entries")
-
-    def det(self) -> PSeries:
-        """Exact determinant, computed on integer kernels and materialised once.
-
-        Laplace expansion over memoised minors up to LAPLACE_MAX_M x
-        LAPLACE_MAX_M, Berkowitz beyond (see ``series.kernel_det``)."""
-        self._require_exact()
-        det = laplace_det if self.m <= LAPLACE_MAX_M else berkowitz_det
         return kernel_det(self.prime, self.rows, det)
 
     def is_transition(self) -> bool:

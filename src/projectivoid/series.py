@@ -80,9 +80,9 @@ def _top_pow(exps) -> int:
 
 
 def _grid(exps, p: int, K: int) -> list[int]:
-    """Numerators of the exponents on the common scale p^K."""
-    scale = [p ** (K - b) for b in range(K + 1)]
-    return [e.num * scale[e.pow] for e in exps]
+    """Numerators of the exponents on the common scale p^K.  Each term builds
+    its own power: a table of all of p^0 .. p^K would be O(K^2) bits."""
+    return [e.num * p ** (K - e.pow) for e in exps]
 
 
 # gcd and lcm are folded pairwise: unpacking many values into one call

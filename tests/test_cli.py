@@ -17,6 +17,7 @@ from projectivoid import (
     split,
     splitting_invariance_check,
 )
+from projectivoid.literals import MAX_EXP_BITS
 from projectivoid.cli import MAX_COUNT, MAX_FAMILY, MAX_PREC, MAX_RANK, MAX_SHEARS, main
 from helpers import (
     ACT_TRIPLE,
@@ -281,6 +282,34 @@ def test_family_size_cap(capsys):
 def test_invert_prec_at_cap_is_accepted(capsys):
     code, out, _ = run(capsys, "invert", "--prime", "2", "--prec", str(MAX_PREC), "v^(1/2^1)")
     assert (code, out) == (0, "v^(-1/2^1)\n")
+
+
+def _exponent_cap_calls(p, k):
+    """invert on a three-term unit and transition on a 2 x 2 matrix, both
+    with exponent denominator p^k."""
+    unit = f"1 + {p}*v^(1/{p}^{k}) - {p}*v^(-1/{p}^{k})"
+    doc = {"p": p, "m": 2, "entries": [[f"v^(1/{p}^{k})", "1"], ["0", f"1 + v^(-1/{p}^{k})"]]}
+    return [
+        ["invert", "--prime", str(p), "--prec", "50", unit],
+        ["transition", "--prime", str(p), json.dumps(doc)],
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000003])
+def test_exponent_denominator_cap(capsys, p):
+    k = MAX_EXP_BITS // (p - 1).bit_length()
+    for argv in _exponent_cap_calls(p, k):
+        start = time.process_time()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        assert time.process_time() - start < 1.0
+    # Both readers: the scanner takes "1/p^k", "+1/p^k" goes to the
+    # descent parser.
+    calls = _exponent_cap_calls(p, k + 1) + [["norm", "--prime", str(p), f"v^(+1/{p}^{k + 1})"]]
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("ParseError") and f"above {p}^{k} are not accepted" in err
 
 
 def test_large_prime_is_decided_quickly(capsys):

@@ -1,5 +1,6 @@
 """Series-matrix determinants on the integer kernel against the per-entry
-Leibniz oracle, and the size dispatch between Laplace and Berkowitz."""
+Leibniz oracle, and the size dispatch between Laplace and Berkowitz for both
+matrix types."""
 
 import itertools
 import random
@@ -8,10 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projectivoid import PSeries, SMatrix, canon
-from projectivoid import matrices
-from projectivoid.determinants import _odd
-from helpers import mono, oracle_det
+from projectivoid import LMatrix, LaurentPoly, PSeries, PrimeField, RationalField, SMatrix, canon
+from projectivoid import determinants
+from projectivoid.determinants import LAPLACE_MAX_M, _odd
+from helpers import mono, oracle_det, random_unimodular
 
 
 def coeffs(p, row_den):
@@ -107,12 +108,35 @@ def _refuse(rows, one):
     raise AssertionError(f"this strategy must not run at m = {len(rows)}")
 
 
-@pytest.mark.parametrize("m", [matrices.LAPLACE_MAX_M, 10, 12])
+def _only(monkeypatch, m):
+    """Let det run just the strategy it must pick at size m.  The dispatch
+    reads the routines from the globals of ``determinants``, so they are
+    patched there."""
+    # Laplace's 2^m minors must never be built above the crossover, and
+    # Berkowitz must not run at or below it.
+    other = "laplace_det" if m > LAPLACE_MAX_M else "berkowitz_det"
+    monkeypatch.setattr(determinants, other, _refuse)
+
+
+@pytest.mark.parametrize("m", [LAPLACE_MAX_M, 10, 12])
 @pytest.mark.parametrize("p", [2, 3])
 def test_det_dispatch_on_planted_matrices(monkeypatch, p, m):
     A, want = _planted(random.Random(m), p, m)
-    # Laplace's 2^m minors must never be built above the crossover, and
-    # Berkowitz must not run at or below it.
-    other = "laplace_det" if m > matrices.LAPLACE_MAX_M else "berkowitz_det"
-    monkeypatch.setattr(matrices, other, _refuse)
+    _only(monkeypatch, m)
     assert A.det() == want
+
+
+@pytest.mark.parametrize("m", [LAPLACE_MAX_M, 10])
+@pytest.mark.parametrize("field", [PrimeField(3), RationalField()], ids=["GF3", "Q"])
+def test_lmatrix_det_dispatch_on_planted_matrices(monkeypatch, field, m):
+    # V1 * diag(s^d) * U1 with V1 and U1 products of shears, so of
+    # determinant 1: det = s^(sum of d).
+    rng = random.Random(m)
+    degrees = [rng.randint(-2, 2) for _ in range(m)]
+    A = (
+        random_unimodular(rng, field, m, side=-1, factors=m)
+        * LMatrix.diagonal_powers(field, degrees)
+        * random_unimodular(rng, field, m, side=1, factors=m)
+    )
+    _only(monkeypatch, m)
+    assert A.det() == LaurentPoly.monomial(field, sum(degrees))

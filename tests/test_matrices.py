@@ -43,6 +43,22 @@ def test_shear_inverse():
     assert E * SMatrix.shear(2, 3, 0, 2, -f) == SMatrix.identity(2, 3)
 
 
+def test_product_keeps_the_precision_of_inexact_zeros():
+    # 0 (mod val >= 3) bounds the precision of every product it enters, so
+    # the matrix product may skip exact zeros only.
+    p = 2
+    z = PSeries(p, {}, 3)
+    A = SMatrix(p, [[z, mono(p, 1)], [PSeries.one(p), PSeries.zero(p)]])
+    B = SMatrix(p, [[srs(p, [(1, 1, 3)]), PSeries.one(p)], [mono(p, -1), srs(p, [(0, 0, 5), (2, 1, 1)])]])
+    got = A * B
+    for i in range(2):
+        for j in range(2):
+            want = A.entry(i, 0) * B.entry(0, j) + A.entry(i, 1) * B.entry(1, j)
+            assert got.entry(i, j) == want
+            assert got.entry(i, j).precision == want.precision
+    assert got.entry(0, 0).precision is not None
+
+
 def test_shape_and_prime_validation():
     with pytest.raises(DimensionMismatch):
         SMatrix(2, [[PSeries.one(2)], [PSeries.one(2), PSeries.one(2)]])
