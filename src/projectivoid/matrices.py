@@ -57,7 +57,7 @@ class SMatrix(SquareMatrix):
     def _skip(f: PSeries) -> bool:
         # A zero known only modulo a precision still bounds the precision of
         # a product it enters, so only exact zeros are skipped.
-        return not f.terms and f.precision is None
+        return not f.ints and f.precision is None
 
     @property
     def prime(self) -> int:
@@ -75,7 +75,7 @@ class SMatrix(SquareMatrix):
 
     def det(self) -> PSeries:
         """Exact determinant: ``determinants.det`` run on integer kernels and
-        materialised once (see ``series.kernel_det``)."""
+        normalised once (see ``series.kernel_det``)."""
         if any(not f.is_exact() for r in self.rows for f in r):
             raise ValueError("operation requires exact matrix entries")
         return kernel_det(self.prime, self.rows, det)

@@ -12,27 +12,28 @@ propagated through sums (minimum of the cutoffs) and products (for f * g the
 cutoff is min(V_f + nu(g), V_g + nu(f)) where nu is the Gauss valuation and a
 missing cutoff counts as infinity).
 
-The public view of a series is ``terms``, a dict from canonical ``PExp`` to
-``PadicCoeff``; arithmetic does not work term by term on that view.  A
-product, a scaling or an inversion reads its operands' terms once into an
-integer kernel ``(K, D, {n: a})``: the term (a / D) * v^(n / p^K), with K the
-largest exponent denominator power of the operands and D a common
-coefficient denominator.  Exponents then add as integers and coefficients
-multiply as integers over D1 * D2.  The result is normalised once: zero
-numerators go, a term lies at or above the cutoff V exactly when
-p^(V + v_p(D)) divides its numerator, and D is divided by the gcd of itself
-and the numerators.  Its ``terms`` are then built in one pass, each exponent
-n / p^K brought to lowest terms, through a constructor that trusts its
-input; the public constructor still canonicalises and validates.  A sum
-needs no exponent arithmetic, since canonical exponents are equal exactly
-when the exponents are: it merges on the keys and builds new coefficients
-only where terms coincide.  A shift moves the exponents on the p^K scale and
-keeps the coefficients.  Truncation, the Gauss valuation and the dominant
-terms apply the same divisibility test to the numerators over D.
+A series is stored as an integer kernel ``(K, D, {n: a})``: the sum of the
+terms (a / D) * v^(n / p^K).  The kernel is kept in a normal form, so equal
+series have equal kernels and equality compares the stored fields:
 
-A matrix determinant (``kernel_det``) reads every entry once onto one grid,
+* K is as small as the exponents allow: K = 0, or some n is prime to p;
+* D > 0 and D is coprime to the numerators taken together;
+* no numerator is zero, and no term lies at or above the precision, which
+  holds exactly when p^(V + v_p(D)) does not divide its numerator.
+
+Every operation reads and writes kernels.  A sum lifts both operands onto
+the finer grid and the common denominator; a product adds exponents as
+integers and multiplies numerators over D1 * D2; truncation, the Gauss
+valuation and the dominant terms test the numerators for divisibility by
+powers of p; the subring tests read the signs of the n.  Each result goes
+through one constructor, ``_series``, which drops zero and truncated terms,
+divides out the gcd of D and the numerators and coarsens the grid.  The
+public view ``terms``, a dict from canonical ``PExp`` to ``PadicCoeff``, is
+built from the kernel on every access and is not kept.
+
+A matrix determinant (``kernel_det``) lifts every entry once onto one grid,
 each row over its own denominator, runs a division-free routine on the
-integer kernels and materialises only the determinant.
+integer kernels and normalises only the determinant.
 """
 
 from __future__ import annotations
@@ -61,13 +62,6 @@ class SubringTag(Enum):
     NONNEG = "nonneg"
     NONPOS = "nonpos"
     FULL = "full"
-
-    def admits(self, e: PExp) -> bool:
-        if self is SubringTag.NONNEG:
-            return e.num >= 0
-        if self is SubringTag.NONPOS:
-            return e.num <= 0
-        return True
 
 
 # ----------------------------------------------------------------------
@@ -98,26 +92,8 @@ def _gcd(g: int, nums) -> int:
     return g
 
 
-def _denominator(terms) -> int:
-    D = 1
-    for c in terms.values():
-        d = c.value.denominator
-        if D % d:
-            D = lcm(D, d)
-    return D
-
-
-def _numerators(terms, D: int) -> list[int]:
-    """Coefficient numerators over the common denominator D."""
-    return [c.value.numerator * (D // c.value.denominator) for c in terms.values()]
-
-
-def _ints(terms, p: int, K: int, D: int) -> dict[int, int]:
-    return dict(zip(_grid(terms, p, K), _numerators(terms, D)))
-
-
 def _gauss(p: int, D: int, nums) -> Valuation:
-    """Minimum valuation of the coefficients a / D, a in nums."""
+    """Minimum valuation of the coefficients a / D, a in nums (none zero)."""
     if not nums:
         return INFINITY
     return Valuation(_int_valuation(_gcd(0, nums), p) - _int_valuation(D, p))
@@ -155,24 +131,40 @@ def _normalise(p: int, D: int, acc: dict, cutoff: int | None):
     return D, acc
 
 
-def _below(terms: dict, p: int, cutoff: int) -> dict:
-    """The terms of valuation below the cutoff, as they stand."""
-    D = _denominator(terms)
-    q = _modulus(p, D, cutoff)
-    if q is None:
-        return {}
-    return {e: c for (e, c), a in zip(terms.items(), _numerators(terms, D)) if a % q}
+def _coarsen(p: int, K: int, acc: dict):
+    """Move a kernel whose n are all divisible by p to the coarsest grid."""
+    g = _gcd(0, acc)
+    j = min(K, _int_valuation(g, p)) if g else K
+    q = p ** j
+    return K - j, {n // q: a for n, a in acc.items()}
+
+
+def _lift(ints: dict, q: int, u: int) -> dict:
+    """The kernel with exponents times q and numerators times u."""
+    if q == 1 and u == 1:
+        return ints
+    return {n * q: a * u for n, a in ints.items()}
 
 
 def _finite(v: Valuation | None) -> Valuation | None:
     return None if v is None or v.is_infinite else v
 
 
+def _rational(c, p: int):
+    """A coefficient as an int or a Fraction; a PadicCoeff must be over p."""
+    if isinstance(c, PadicCoeff):
+        if c.prime != p:
+            raise PrimeMismatch(f"coefficient over p={c.prime} in a series over p={p}")
+        return c.value
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+
+
 def _series(p: int, K: int, D: int, acc: dict, precision) -> "PSeries":
-    """Normalise a kernel result and materialise it as a series."""
-    D, acc = _normalise(p, D, acc, None if precision is None else precision.v)
-    terms = {_exponent(n, K, p): PadicCoeff(Fraction(a, D), p) for n, a in acc.items()}
-    return PSeries._canonical(p, terms, precision)
+    """The series of the kernel (K, D, acc), brought to normal form.  The
+    precision must be a finite Valuation or None; nothing is validated."""
+    s = object.__new__(PSeries)
+    s._store(p, K, D, acc, precision)
+    return s
 
 
 def _convolve(left: dict, right: dict) -> dict:
@@ -225,24 +217,28 @@ def kernel_det(p: int, rows, det) -> "PSeries":
 
     All entries go on one exponent grid p^K, and row i is scaled by the lcm
     D_i of its coefficient denominators, so its entries become integer
-    kernels; det(A) = det(A') / prod(D_i) is then materialised once."""
-    K = max(_top_pow(f.terms) for r in rows for f in r)
+    kernels; det(A) = det(A') / prod(D_i) is then normalised once."""
+    K = max(f.K for r in rows for f in r)
     D, scaled = 1, []
     for r in rows:
         D_i = 1
         for f in r:
-            d = _denominator(f.terms)
-            if D_i % d:
-                D_i = lcm(D_i, d)
+            if D_i % f.D:
+                D_i = lcm(D_i, f.D)
         D *= D_i
-        scaled.append([_IntPoly(_ints(f.terms, p, K, D_i)) for f in r])
+        scaled.append([_IntPoly(_lift(f.ints, p ** (K - f.K), D_i // f.D)) for f in r])
     return _series(p, K, D, det(scaled, _IntPoly({0: 1})).ints, None)
 
 
 class PSeries:
-    """A finite-support series over Q with p-adic coefficient arithmetic."""
+    """A finite-support series over Q with p-adic coefficient arithmetic.
 
-    __slots__ = ("prime", "terms", "precision")
+    The state is the normal-form kernel: the terms (a / D) * v^(n / p^K) for
+    n, a in ``ints``, with ``precision`` a finite Valuation or None.  The
+    constructor validates and merges outside input; ``terms`` builds the
+    dict from canonical exponent to coefficient on each access."""
+
+    __slots__ = ("prime", "K", "D", "ints", "precision")
 
     def __init__(self, prime, terms: Mapping | Iterable = (), precision=None):
         if not is_prime(prime):
@@ -251,35 +247,34 @@ class PSeries:
             precision = Valuation(precision)
         if isinstance(precision, Valuation) and precision.is_infinite:
             precision = None
-        acc: dict[PExp, PadicCoeff] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for e, c in items:
-            e = canon(e.num, e.pow, prime)
-            if not isinstance(c, PadicCoeff):
-                c = PadicCoeff(Fraction(c), prime)
-            elif c.prime != prime:
-                raise PrimeMismatch(
-                    f"coefficient over p={c.prime} in a series over p={prime}"
-                )
-            acc[e] = acc[e] + c if e in acc else c
-        clean = {
-            e: c
-            for e, c in acc.items()
-            if c and (precision is None or c.valuation() < precision)
-        }
-        self.prime = prime
-        self.terms = clean
-        self.precision = precision
+        exps, coeffs = [], []
+        for e, c in terms.items() if isinstance(terms, Mapping) else terms:
+            if e.pow < 0:
+                raise ValueError("denominator exponent must be non-negative")
+            exps.append(e)
+            coeffs.append(_rational(c, prime))
+        K, D = _top_pow(exps), 1
+        for c in coeffs:
+            if D % c.denominator:
+                D = lcm(D, c.denominator)
+        acc: dict[int, int] = {}
+        for n, c in zip(_grid(exps, prime, K), coeffs):
+            acc[n] = acc.get(n, 0) + c.numerator * (D // c.denominator)
+        self._store(prime, K, D, acc, precision)
 
-    @classmethod
-    def _canonical(cls, prime: int, terms: dict, precision) -> "PSeries":
-        """Wrap terms already in normal form: canonical exponents, nonzero
-        coefficients below the precision, which is a finite Valuation or None."""
-        s = object.__new__(cls)
-        s.prime = prime
-        s.terms = terms
-        s.precision = precision
-        return s
+    def _store(self, prime: int, K: int, D: int, acc: dict, precision) -> None:
+        """Keep the kernel (K, D, acc) in normal form."""
+        D, acc = _normalise(prime, D, acc, None if precision is None else precision.v)
+        if K and not any(n % prime for n in acc):
+            K, acc = _coarsen(prime, K, acc)
+        self.prime, self.K, self.D, self.ints, self.precision = prime, K, D, acc, precision
+
+    @property
+    def terms(self) -> dict[PExp, PadicCoeff]:
+        """A new dict from canonical exponent to coefficient: one PExp, one
+        Fraction and one PadicCoeff per term, built on each access."""
+        p, K, D = self.prime, self.K, self.D
+        return {_exponent(n, K, p): PadicCoeff(Fraction(a, D), p) for n, a in self.ints.items()}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -304,34 +299,36 @@ class PSeries:
     # basic queries
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def is_exact(self) -> bool:
         return self.precision is None
 
     def coefficient(self, e: PExp) -> PadicCoeff:
-        return self.terms.get(e, PadicCoeff(Fraction(0), self.prime))
+        p = self.prime
+        n, r = divmod(e.num * p ** self.K, p ** e.pow)
+        return PadicCoeff(Fraction(0 if r else self.ints.get(n, 0), self.D), p)
 
     def support(self) -> list[PExp]:
-        return sorted(self.terms, key=lambda e: e.as_fraction(self.prime))
+        return [_exponent(n, self.K, self.prime) for n in sorted(self.ints)]
+
+    def ordered_terms(self) -> list[tuple[PExp, Fraction]]:
+        """(exponent, coefficient) pairs by ascending exponent."""
+        p, K, D = self.prime, self.K, self.D
+        return [(_exponent(n, K, p), Fraction(a, D)) for n, a in sorted(self.ints.items())]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PSeries):
             return NotImplemented
-        return (
-            self.prime == other.prime
-            and self.terms == other.terms
-            and self.precision == other.precision
-        )
+        # In normal form, equal series have equal kernels.
+        return all(getattr(self, k) == getattr(other, k) for k in PSeries.__slots__)
 
     __hash__ = None
 
     def __repr__(self) -> str:
         body = ", ".join(
-            f"{e.num}/{self.prime}^{e.pow}: {c.value}" if e.pow else f"{e.num}: {c.value}"
-            for e, c in sorted(
-                self.terms.items(), key=lambda it: it[0].as_fraction(self.prime)
-            )
+            f"{e.num}/{self.prime}^{e.pow}: {c}" if e.pow else f"{e.num}: {c}"
+            for e, c in self.ordered_terms()
         )
         tail = "" if self.precision is None else f"; O(val {self.precision})"
         return f"PSeries(p={self.prime}, {{{body}}}{tail})"
@@ -347,29 +344,22 @@ class PSeries:
 
     def _plus(self, other: "PSeries", sign: int) -> "PSeries":
         self._check_prime(other)
-        p, f, g = self.prime, self.terms, other.terms
-        if sign > 0 and len(g) > len(f):
+        p = self.prime
+        K, D = max(self.K, other.K), lcm(self.D, other.D)
+        f = _lift(self.ints, p ** (K - self.K), D // self.D)
+        g = _lift(other.ints, p ** (K - other.K), sign * (D // other.D))
+        if len(g) > len(f):
             f, g = g, f
         out = dict(f)
-        for e, c in g.items():
-            old = out.get(e)
-            if old is None:
-                out[e] = c if sign > 0 else -c
-                continue
-            s = old.value + c.value if sign > 0 else old.value - c.value
-            if s:
-                out[e] = PadicCoeff(s, p)
-            else:
-                del out[e]
+        for n, a in g.items():
+            out[n] = out.get(n, 0) + a
         if self.precision is None:
             prec = other.precision
         elif other.precision is None:
             prec = self.precision
         else:
             prec = min(self.precision, other.precision)
-        if prec is not None:
-            out = _below(out, p, prec.v)
-        return PSeries._canonical(p, out, prec)
+        return _series(p, K, D, out, prec)
 
     def __add__(self, other: "PSeries") -> "PSeries":
         if not isinstance(other, PSeries):
@@ -382,9 +372,7 @@ class PSeries:
         return self._plus(other, -1)
 
     def __neg__(self) -> "PSeries":
-        return PSeries._canonical(
-            self.prime, {e: -c for e, c in self.terms.items()}, self.precision
-        )
+        return _series(self.prime, self.K, self.D, _lift(self.ints, 1, -1), self.precision)
 
     def _effective_valuation(self) -> Valuation:
         # Lower bound for the valuation of whatever this series stands for,
@@ -398,76 +386,63 @@ class PSeries:
         if not isinstance(other, PSeries):
             return NotImplemented
         self._check_prime(other)
-        p, f, g = self.prime, self.terms, other.terms
-        K = max(_top_pow(f), _top_pow(g))
-        D1, D2 = _denominator(f), _denominator(g)
+        p, K = self.prime, max(self.K, other.K)
         cands = []
         if self.precision is not None:
             cands.append(self.precision + other._effective_valuation())
         if other.precision is not None:
             cands.append(other.precision + self._effective_valuation())
         prec = _finite(min(cands)) if cands else None
-        acc = _convolve(_ints(f, p, K, D1), _ints(g, p, K, D2))
-        return _series(p, K, D1 * D2, acc, prec)
+        acc = _convolve(
+            _lift(self.ints, p ** (K - self.K), 1), _lift(other.ints, p ** (K - other.K), 1)
+        )
+        return _series(p, K, self.D * other.D, acc, prec)
 
     def scale(self, c) -> "PSeries":
-        if isinstance(c, PadicCoeff):
-            if c.prime != self.prime:
-                raise PrimeMismatch(
-                    f"coefficient over p={c.prime} in a series over p={self.prime}"
-                )
-            c = c.value
-        c = Fraction(c)
-        p, f = self.prime, self.terms
+        c = _rational(c, self.prime)
+        p, u, d = self.prime, c.numerator, c.denominator
         prec = None
         if self.precision is not None:
-            prec = _finite(self.precision + PadicCoeff(c, p).valuation())
-        K, D = _top_pow(f), _denominator(f)
-        u = c.numerator
-        acc = {n: a * u for n, a in _ints(f, p, K, D).items()}
-        return _series(p, K, D * c.denominator, acc, prec)
+            prec = _finite(self.precision + _gauss(p, d, [u] if u else []))
+        return _series(p, self.K, self.D * d, _lift(self.ints, 1, u), prec)
 
     def shift(self, e: PExp) -> "PSeries":
         """Multiply by the monomial v^e (coefficient valuations untouched)."""
         if e == ZERO:
             return self
-        p, f = self.prime, self.terms
-        K = max(_top_pow(f), e.pow)
-        (s,) = _grid([e], p, K)
-        moved = {
-            _exponent(n + s, K, p): c for n, c in zip(_grid(f, p, K), f.values())
-        }
-        return PSeries._canonical(p, moved, self.precision)
+        p, K = self.prime, max(self.K, e.pow)
+        q, s = p ** (K - self.K), e.num * p ** (K - e.pow)
+        moved = {n * q + s: a for n, a in self.ints.items()}
+        return _series(p, K, self.D, moved, self.precision)
 
     def truncate(self, cutoff) -> "PSeries":
         if isinstance(cutoff, int):
             cutoff = Valuation(cutoff)
         prec = cutoff if self.precision is None else min(self.precision, cutoff)
-        if prec.is_infinite:
-            return PSeries._canonical(self.prime, dict(self.terms), None)
-        return PSeries._canonical(self.prime, _below(self.terms, self.prime, prec.v), prec)
+        return _series(self.prime, self.K, self.D, self.ints, _finite(prec))
 
     # ------------------------------------------------------------------
     # Gauss valuation and dominant part
 
     def gauss_valuation(self) -> Valuation:
         """Minimum coefficient valuation; infinite for the zero series."""
-        D = _denominator(self.terms)
-        return _gauss(self.prime, D, _numerators(self.terms, D))
+        return _gauss(self.prime, self.D, self.ints.values())
+
+    def _dominant(self) -> list[int]:
+        """Grid numerators n of the terms attaining the Gauss valuation."""
+        if not self.ints:
+            raise ZeroSeries("the zero series has no dominant terms")
+        p = self.prime
+        q = p ** (_int_valuation(_gcd(0, self.ints.values()), p) + 1)
+        return [n for n, a in self.ints.items() if a % q]
 
     def dominant_terms(self) -> set[PExp]:
         """Exponents whose coefficient attains the Gauss valuation."""
-        if not self.terms:
-            raise ZeroSeries("the zero series has no dominant terms")
-        p, D = self.prime, _denominator(self.terms)
-        nums = _numerators(self.terms, D)
-        q = p ** (_int_valuation(_gcd(0, nums), p) + 1)
-        return {e for e, a in zip(self.terms, nums) if a % q}
+        return {_exponent(n, self.K, self.prime) for n in self._dominant()}
 
     def degree(self) -> PExp:
         """Largest dominant exponent."""
-        dom = self.dominant_terms()
-        return max(dom, key=lambda e: e.as_fraction(self.prime))
+        return _exponent(max(self._dominant()), self.K, self.prime)
 
     def normalize_gauss(self) -> "PSeries":
         """Scale by a power of p so the Gauss valuation becomes 0."""
@@ -480,7 +455,11 @@ class PSeries:
     # units, inversion, reduction
 
     def in_subring(self, ring: SubringTag) -> bool:
-        return all(ring.admits(e) for e in self.terms)
+        if ring is SubringTag.NONNEG:
+            return min(self.ints, default=0) >= 0
+        if ring is SubringTag.NONPOS:
+            return max(self.ints, default=0) <= 0
+        return True
 
     def is_unit(self, ring: SubringTag) -> bool:
         """Unit test in the given ring.
@@ -496,12 +475,12 @@ class PSeries:
             raise SubringViolation(
                 f"series does not lie in the {ring.value} subring"
             )
-        if not self.terms:
+        if not self.ints:
             return False
-        dom = self.dominant_terms()
+        dom = self._dominant()
         if ring is SubringTag.FULL:
             return len(dom) == 1
-        return dom == {ZERO}
+        return dom == [0]
 
     def monomial_factor(self) -> "UnitDecomposition":
         """Write a full-ring unit as v^e * u with u a unit of constant shape."""
@@ -518,7 +497,7 @@ class PSeries:
         each truncated at the working cutoff, with guard digits when a0 has
         positive valuation, for the result to agree with the true inverse
         modulo valuation >= target; monomial units invert exactly.  The sum
-        runs on integer kernels and only the result is materialised.
+        runs on the grid of f and only the result is normalised.
         """
         if isinstance(target, Valuation):
             if target.is_infinite:
@@ -528,23 +507,21 @@ class PSeries:
             raise NonpositivePrecision(f"precision target {target} is not positive")
         if not self.is_unit(SubringTag.FULL):
             raise NotAUnit("only units of the full ring can be inverted")
-        (e,) = self.dominant_terms()
-        p, f = self.prime, self.terms
-        a0 = f[e]
-        if len(f) == 1:
-            return PSeries._canonical(p, {exp_neg(e): a0.invert()}, None)
-        # On the kernel, f = sum (a / D) v^(n / p^K) and a0 = a_e / D, so
+        # f = sum (a / D) v^(n / p^K) and a0 = a_e / D, so a0^-1 = D / a_e and
         # g = -sum over n != n_e of (a / a_e) v^((n - n_e) / p^K).
-        K, D = _top_pow(f), _denominator(f)
-        ints = _ints(f, p, K, D)
-        (n_e,) = _grid([e], p, K)
+        p, K, D = self.prime, self.K, self.D
+        (n_e,) = self._dominant()
+        ints = dict(self.ints)
         a_e = ints.pop(n_e)
+        lead = D if a_e > 0 else -D
+        if not ints:
+            return _series(p, K, abs(a_e), {-n_e: lead}, None)
         sign = -1 if a_e > 0 else 1
         g_den, g = _normalise(
             p, abs(a_e), {n - n_e: sign * a for n, a in ints.items()}, None
         )
-        w = _gauss(p, g_den, list(g.values())).v
-        cutoff = target + max(a0.valuation().v, 0)
+        w = _gauss(p, g_den, g.values()).v
+        cutoff = target + max(_int_valuation(a_e, p) - _int_valuation(D, p), 0)
         acc_den, acc = 1, {0: 1}
         pow_den, power = 1, {0: 1}
         for _ in range(-(-cutoff // w)):
@@ -557,8 +534,6 @@ class PSeries:
             for n, a in power.items():
                 acc[n] = acc.get(n, 0) + a * v
             acc_den, acc = _normalise(p, den, acc, cutoff)
-        # v^-e * a0^-1 * acc, with a0^-1 = D / a_e.
-        lead = D if a_e > 0 else -D
         acc = {n - n_e: a * lead for n, a in acc.items()}
         return _series(p, K, acc_den * abs(a_e), acc, Valuation(target))
 
@@ -568,9 +543,15 @@ class PSeries:
             raise NormExceedsOne("series has a coefficient of negative valuation")
         if self.precision is not None and not (Valuation(0) < self.precision):
             raise ValueError("series is not determined modulo the maximal ideal")
-        return ResiduePoly(
-            self.prime, {e: c.reduce() for e, c in self.terms.items()}
-        )
+        # Norm <= 1 and gcd(D, numerators) = 1 leave D prime to p.
+        p, K = self.prime, self.K
+        inv = pow(self.D, -1, p)
+        coeffs = {}
+        for n, a in self.ints.items():
+            r = a * inv % p
+            if r:
+                coeffs[_exponent(n, K, p)] = r
+        return ResiduePoly._canonical(p, coeffs)
 
     def equals_mod(self, other: "PSeries", cutoff) -> bool:
         """True when self - other has no term of valuation below the cutoff.

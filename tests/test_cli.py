@@ -17,6 +17,7 @@ from projectivoid import (
     split,
     splitting_invariance_check,
 )
+from projectivoid.exponents import MAX_CALKIN_WILF_TERMS
 from projectivoid.literals import MAX_EXP_BITS
 from projectivoid.cli import MAX_COUNT, MAX_FAMILY, MAX_PREC, MAX_RANK, MAX_SHEARS, main
 from helpers import (
@@ -310,6 +311,22 @@ def test_exponent_denominator_cap(capsys, p):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("ParseError") and f"above {p}^{k} are not accepted" in err
+
+
+def test_filtered_calkin_wilf_walk_is_bounded(capsys):
+    # Only the integers qualify at a large prime, and the integer n sits at
+    # index 2^n - 1 of the walk.
+    argv = ["enumerate", "--prime", "1000003", "--count", "20", "--order", "calkin-wilf", "--filter"]
+    start = time.process_time()
+    code, out, err = run(capsys, *argv)
+    assert time.process_time() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError") and f"its first {MAX_CALKIN_WILF_TERMS} terms" in err
+
+
+def test_calkin_wilf_cap_admits_every_unfiltered_count(capsys):
+    code, out, _ = run(capsys, "enumerate", "--count", str(MAX_COUNT), "--order", "calkin-wilf")
+    assert code == 0 and out.count("\n") == MAX_COUNT
 
 
 def test_large_prime_is_decided_quickly(capsys):

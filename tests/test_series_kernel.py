@@ -1,13 +1,16 @@
-"""The integer series kernel against the per-term oracle in helpers, and the
-soundness of the precision every truncated result states."""
+"""The integer series kernel against the per-term oracle in helpers, the
+normal form equality depends on, and the soundness of the precision every
+truncated result states."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from projectivoid import PExp, PSeries, Valuation, ZERO, ZeroSeries, canon, exp_add
 from helpers import (
+    mono,
     oracle_add,
     oracle_dominant,
     oracle_gauss,
@@ -145,6 +148,55 @@ def test_truncated_product_states_a_representative():
     assert got == srs(2, [(0, 0, Fraction(1, 2)), (1, 0, Fraction(1, 2))], 0)
     assert got.equals_mod(f * g, 0)
     assert got != (f * g).truncate(0)
+
+
+# ----------------------------------------------------------------------
+# the normal form: equal series have equal kernels
+
+
+def assert_normal_form(r):
+    p, K, D, ints = r.prime, r.K, r.D, r.ints
+    assert K >= 0 and (K == 0 or any(n % p for n in ints))
+    assert D > 0 and gcd(D, *ints.values()) == 1
+    assert all(ints.values())
+    if r.precision is not None:
+        assert not r.precision.is_infinite
+        assert all(c.valuation() < r.precision for c in r.terms.values())
+    # the view round-trips through the validating constructor
+    view, before = r.terms, r.terms
+    assert PSeries(p, view, r.precision) == r
+    # and is a new dict on each access: changing it leaves r as it was
+    kernel = (K, D, dict(ints), r.precision)
+    view[PExp(1, 9)] = view.pop(ZERO, 1)
+    assert r.terms == before and (r.K, r.D, r.ints, r.precision) == kernel
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(), st.data())
+def test_results_are_in_normal_form(fg, data):
+    f, g = fg
+    p = f.prime
+    c = data.draw(coeffs(p) | st.just(Fraction(0)))
+    results = [f, g, f + g, f - g, f - f, f * g, -f, f.scale(c)]
+    results += [f.shift(data.draw(exps(p))), f.truncate(data.draw(CUTOFFS))]
+    for r in results:
+        assert_normal_form(r)
+
+
+@settings(max_examples=80, deadline=None)
+@given(units(), st.integers(1, 12))
+def test_inverse_is_in_normal_form(f, target):
+    assert_normal_form(f.inverse(target))
+
+
+def test_different_constructions_compare_equal():
+    assert mono(2, 1, 1) * mono(2, 1, 1) == mono(2, 1)
+    assert mono(3, -1, 2) * mono(3, 1, 2, 5) == PSeries.constant(3, 5)
+    f = srs(3, [(1, 1, Fraction(2, 3)), (-2, 2, 5)], 4)
+    assert f.scale(2).scale(Fraction(1, 2)) == f
+    g = srs(2, [(1, 1, Fraction(1, 6)), (3, 2, 4)])
+    assert g + g.scale(-1) == PSeries.zero(2)
+    assert srs(2, [(1, 1, 1), (1, 1, -1)], 3) == PSeries(2, {}, 3)
 
 
 # ----------------------------------------------------------------------
