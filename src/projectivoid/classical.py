@@ -11,12 +11,15 @@ entries are polynomials in s.  Column operations over k[s] then make the
 matrix column-reduced: the matrix of top-degree column coefficients becomes
 nonsingular.  Writing the reduced matrix as C * diag(s^k_j) with k_j the
 column degrees, C has entries in k[1/s] and constant nonzero determinant, so
-V is its adjugate divided by that constant.  One characteristic polynomial
-of C gives both: the adjugate by Cayley-Hamilton and the constant as its last
-coefficient, so no step is worse than polynomial in the size.  Sorting the
-exponents with a permutation on both sides gives the certificate, which is
-re-multiplied exactly before being returned.
+it is unimodular over k[t], t = 1/s, and V = C^-1.  V comes by Euclidean row
+elimination of [C | I] over k[t], which also detects a C whose determinant
+is not constant, so no step is worse than polynomial in the size.  Sorting
+the exponents with a permutation on both sides gives the certificate, which
+is re-multiplied exactly, with its own determinants, before being returned.
 
+``LaurentPoly`` is stored as an integer kernel, numerators over one common
+denominator, like ``series.PSeries``: its product is ``series._convolve`` and
+its determinants run on ``series._IntPoly`` (``series.scaled_det``).
 ``LMatrix`` is the ``determinants.SquareMatrix`` over Laurent polynomials,
 with the polynomial-side predicates that the certificate checks use.
 """
@@ -24,155 +27,170 @@ with the polynomial-side predicates that the certificate checks use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
-from .determinants import SquareMatrix, charpoly, det
-from .errors import (
-    InvalidAutomorphism,
-    IterationLimitExceeded,
-    NotInvertibleOverRing,
-)
+from .determinants import SquareMatrix, det
+from .errors import InvalidAutomorphism, IterationLimitExceeded, NotInvertibleOverRing
+from .series import _convolve, _lift, _normalise, scaled_det
 
 
 class LaurentPoly:
-    """A Laurent polynomial in s with coefficients in a given field."""
+    """A Laurent polynomial in s with coefficients in a given field.
 
-    __slots__ = ("field", "coeffs")
+    The state is an integer kernel: the terms (a / D) * s^n for n, a in
+    ``ints``.  It is kept in a normal form, so equality compares the stored
+    fields: no numerator is zero; over Q, D > 0 and D is coprime to the
+    numerators taken together; over GF(p), D = 1 and every numerator lies in
+    1..p-1.  Every result goes through ``_poly``; ``coeffs`` builds the dict
+    from exponent to field element on each access."""
+
+    __slots__ = ("field", "D", "ints")
+    K = 0  # integer exponents: the grid p^0 of the kernel series.scaled_det reads
 
     def __init__(self, field, coeffs: Mapping | Iterable = ()):
+        """Validate and merge outside input: the sum of the monomials c * s^n
+        over the pairs (n, c), each c coerced into the field."""
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict = {}
-        for n, c in items:
-            c = field.coerce(c)
-            acc[n] = field.add(acc[n], c) if n in acc else c
-        self.field = field
-        self.coeffs = {n: c for n, c in acc.items() if not field.is_zero(c)}
+        f = _dot(field, [(LaurentPoly.monomial(field, n, c), 1) for n, c in items])
+        self.field, self.D, self.ints = field, f.D, f.ints
 
-    @classmethod
-    def _canonical(cls, field, coeffs: dict) -> "LaurentPoly":
-        """Wrap coefficients that are already canonical field elements.
+    def _value(self, a):
+        """The field element a / D."""
+        return a if self.field.characteristic else Fraction(a, self.D)
 
-        Results of the ring operations come out of field operations, so only
-        the zeros need dropping; outside input goes through __init__.
-        """
-        out = object.__new__(cls)
-        out.field = field
-        is_zero = field.is_zero
-        out.coeffs = {n: c for n, c in coeffs.items() if not is_zero(c)}
-        return out
+    @property
+    def coeffs(self) -> dict:
+        """A new dict from exponent to field element, built on each access."""
+        return {n: self._value(a) for n, a in self.ints.items()}
+
+    def ordered_terms(self) -> list:
+        """(exponent, coefficient) pairs by ascending exponent."""
+        return [(n, self._value(a)) for n, a in sorted(self.ints.items())]
 
     @classmethod
     def zero(cls, field) -> "LaurentPoly":
-        return cls(field)
+        return _poly(field, 1, {})
 
     @classmethod
     def constant(cls, field, c) -> "LaurentPoly":
-        return cls(field, {0: c})
+        return cls.monomial(field, 0, c)
 
     @classmethod
     def one(cls, field) -> "LaurentPoly":
-        return cls(field, {0: field.one})
+        return cls.monomial(field, 0)
 
     @classmethod
-    def monomial(cls, field, n: int, c=None) -> "LaurentPoly":
-        return cls(field, {n: field.one if c is None else c})
+    def monomial(cls, field, n: int, c=1) -> "LaurentPoly":
+        c = field.coerce(c)
+        return _poly(field, c.denominator, {n: c.numerator})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def coeff(self, n: int):
-        return self.coeffs.get(n, self.field.zero)
+        a = self.ints.get(n)
+        return self.field.zero if a is None else self._value(a)
 
     def min_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return min(self.coeffs)
+        """The least exponent; ValueError for the zero polynomial."""
+        return min(self.ints)
 
     def max_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self.coeffs)
+        return max(self.ints)
 
     def span(self) -> int:
         return 0 if self.is_zero() else self.max_exp() - self.min_exp()
 
     def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly._canonical(self.field, {n + k: c for n, c in self.coeffs.items()})
+        return _poly(self.field, self.D, {n + k: a for n, a in self.ints.items()})
 
     def scale(self, c) -> "LaurentPoly":
-        f = self.field
-        c = f.coerce(c)
-        return LaurentPoly._canonical(f, {n: f.mul(a, c) for n, a in self.coeffs.items()})
+        c = self.field.coerce(c)
+        return _poly(self.field, self.D * c.denominator, _lift(self.ints, 1, c.numerator))
 
     def unit_parts(self):
         """(c, n) when the polynomial is the unit c * s^n, else None."""
-        if len(self.coeffs) != 1:
+        if len(self.ints) != 1:
             return None
-        ((n, c),) = self.coeffs.items()
-        return c, n
+        ((n, a),) = self.ints.items()
+        return self._value(a), n
 
     def in_poly_ring(self) -> bool:
-        return all(n >= 0 for n in self.coeffs)
+        return all(n >= 0 for n in self.ints)
 
     def in_inverse_ring(self) -> bool:
-        return all(n <= 0 for n in self.coeffs)
+        return all(n <= 0 for n in self.ints)
 
     def _check(self, other: "LaurentPoly") -> None:
         if self.field is not other.field and self.field != other.field:
             raise ValueError("polynomials over different fields")
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return other
-        acc = dict(self.coeffs)
-        add = self.field.add
-        for n, c in other.coeffs.items():
-            acc[n] = add(acc[n], c) if n in acc else c
-        return LaurentPoly._canonical(self.field, acc)
+        return _dot(self.field, ((self, 1), (other, sign)))
 
-    def __neg__(self) -> "LaurentPoly":
-        f = self.field
-        return LaurentPoly._canonical(f, {n: f.neg(c) for n, c in self.coeffs.items()})
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "LaurentPoly":
+        return _dot(self.field, ((self, -1),))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        if not self.coeffs:
-            return self
-        if not other.coeffs:
-            return other
-        f = self.field
-        mul, add = f.mul, f.add
-        right = list(other.coeffs.items())
-        acc: dict = {}
-        for n1, c1 in self.coeffs.items():
-            for n2, c2 in right:
-                n = n1 + n2
-                c = mul(c1, c2)
-                acc[n] = add(acc[n], c) if n in acc else c
-        return LaurentPoly._canonical(f, acc)
+        return _poly(self.field, self.D * other.D, _convolve(self.ints, other.ints))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self.D == other.D and self.ints == other.ints
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{c}*s^{n}" for n, c in sorted(self.coeffs.items()))
+        body = " + ".join(f"{c}*s^{n}" for n, c in self.ordered_terms())
         return f"LaurentPoly({body or '0'})"
+
+
+def _dot(field, pairs) -> LaurentPoly:
+    """The sum of f * g over the pairs, normalised once; g is a polynomial or
+    an integer."""
+    pairs = [(f, (1, {0: g}) if type(g) is int else (g.D, g.ints)) for f, g in pairs]
+    D = 1
+    for f, (g_D, _) in pairs:
+        if D % (f.D * g_D):
+            D = lcm(D, f.D * g_D)
+    acc: dict = {}
+    get = acc.get
+    for f, (g_D, g) in pairs:
+        u = D // (f.D * g_D)
+        right = list(g.items()) if u == 1 else [(n, a * u) for n, a in g.items()]
+        for n1, a1 in f.ints.items():
+            for n2, a2 in right:
+                n = n1 + n2
+                acc[n] = get(n, 0) + a1 * a2
+    return _poly(field, D, acc)
+
+
+def _poly(field, D: int, acc: dict) -> LaurentPoly:
+    """The polynomial of the kernel (D, acc), brought to normal form; over
+    GF(p), D is 1.  Nothing is validated."""
+    p = field.characteristic
+    if p:
+        acc = {n: r for n, a in acc.items() if (r := a % p)}
+    else:
+        D, acc = _normalise(p, D, acc, None)
+    f = object.__new__(LaurentPoly)
+    f.field, f.D, f.ints = field, D, acc
+    return f
 
 
 class LMatrix(SquareMatrix):
@@ -201,8 +219,9 @@ class LMatrix(SquareMatrix):
         return cls.diagonal(field, [LaurentPoly.monomial(field, d) for d in degrees])
 
     def det(self) -> LaurentPoly:
-        """Division-free determinant through ``determinants.det``."""
-        return det(self.rows, LaurentPoly.one(self.field))
+        """Division-free determinant through ``determinants.det``, run on the
+        integer kernels of the rows (``series.scaled_det``)."""
+        return _poly(self.field, *scaled_det(1, 0, self.rows, det))
 
     def is_polynomial(self) -> bool:
         return all(f.in_poly_ring() for r in self.rows for f in r)
@@ -267,69 +286,70 @@ class FactorizationCertificate:
 
 
 def _kernel_vector(rows, field):
-    """A nonzero kernel vector of a square matrix over `field`, or None."""
+    """A nonzero kernel vector of a square matrix over `field`, or None.
+
+    Gauss-Jordan elimination column by column; at the first column c with no
+    pivot, columns 0..c-1 are unit vectors, so the vector is read off it."""
     m = len(rows)
     a = [list(r) for r in rows]
-    pivot_cols = []
-    r = 0
     for c in range(m):
-        pr = next((i for i in range(r, m) if not field.is_zero(a[i][c])), None)
+        pr = next((i for i in range(c, m) if not field.is_zero(a[i][c])), None)
         if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(inv, x) for x in a[r]]
+            return [field.neg(a[k][c]) for k in range(c)] + [field.one] + [field.zero] * (m - c - 1)
+        a[c], a[pr] = a[pr], a[c]
+        inv = field.inv(a[c][c])
+        a[c] = [field.mul(inv, x) for x in a[c]]
         for i in range(m):
-            if i != r and not field.is_zero(a[i][c]):
+            if i != c and not field.is_zero(a[i][c]):
                 fac = a[i][c]
-                a[i] = [field.sub(x, field.mul(fac, y)) for x, y in zip(a[i], a[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            return None
-    free = next(c for c in range(m) if c not in pivot_cols)
-    x = [field.zero] * m
-    x[free] = field.one
-    for row_idx, pc in enumerate(pivot_cols):
-        x[pc] = field.neg(a[row_idx][free])
-    return x
+                a[i] = [field.sub(x, field.mul(fac, y)) for x, y in zip(a[i], a[c])]
+    return None
 
 
-def _adjugate(M: LMatrix):
-    """(adj(M), det(M)) by Cayley-Hamilton, from det(t*I - M) = t^m + c1
-    t^(m-1) + ... + c_m.
+def _inverse(field, rows) -> list:
+    """The rows of C^-1 for C = rows over k[t], t = 1/s, where the t-degree
+    of f is -f.min_exp(), when det(C) is a nonzero constant.
 
-    M^m + c1 M^(m-1) + ... + c_m I = 0 and c_m = (-1)^m det(M), so
-    adj(M) = (-1)^(m+1) (M^(m-1) + c1 M^(m-2) + ... + c_(m-1) I), evaluated
-    by Horner in m - 2 matrix products.
-    """
-    field = M.field
-    m = M.m
-    one = LaurentPoly.one(field)
-    if m == 1:
-        return LMatrix(field, [[one]]), M.rows[0][0]
-    c = charpoly(M.rows, one)
+    Row elimination of [C | I]: in each column the entry of least t-degree is
+    the pivot and the entries below it are reduced modulo it, Euclid-style,
+    one leading term at a time, until only the pivot is left.  The pivots
+    multiply to det(C), so each must be a nonzero constant; back-substitution
+    then leaves C^-1 where I was."""
+    m = len(rows)
+    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
+    a = [list(r) + [one if i == k else zero for k in range(m)] for i, r in enumerate(rows)]
 
-    def plus_scalar(rows, k):
-        """rows + c_k * I"""
-        return [[f + c[k] if i == j else f for j, f in enumerate(r)] for i, r in enumerate(rows)]
+    def subtract(i, q, j, start):
+        """Row i minus q times row j, from column start on."""
+        ri, rj, q = a[i], a[j], -q
+        for k in range(start, 2 * m):
+            if not rj[k].is_zero():
+                ri[k] = _dot(field, ((ri[k], 1), (q, rj[k])))
 
-    acc = LMatrix(field, plus_scalar(M.rows, 1))
-    for k in range(2, m):
-        acc = LMatrix(field, plus_scalar((M * acc).rows, k))
-    if m % 2:
-        return acc, -c[m]
-    return LMatrix(field, [[-f for f in r] for r in acc.rows]), c[m]
-
-
-def _column_degrees(rows, m):
-    degs = []
     for j in range(m):
-        col = [rows[i][j] for i in range(m) if not rows[i][j].is_zero()]
-        if not col:
-            raise NotInvertibleOverRing("matrix has a zero column")
-        degs.append(max(f.max_exp() for f in col))
-    return degs
+        while True:
+            live = [i for i in range(j, m) if not a[i][j].is_zero()]
+            if live:
+                top = max(live, key=lambda i: a[i][j].min_exp())
+                a[j], a[top] = a[top], a[j]
+            if len(live) < 2:
+                break
+            low = a[j][j].min_exp()
+            inv = field.inv(a[j][j].coeff(low))
+            for i in range(j + 1, m):
+                while not a[i][j].is_zero() and (n := a[i][j].min_exp()) <= low:
+                    c = field.mul(a[i][j].coeff(n), inv)
+                    subtract(i, LaurentPoly.monomial(field, n - low, c), j, j)
+        parts = a[j][j].unit_parts()
+        if parts is None or parts[1] != 0:
+            raise RuntimeError("internal error: reduced matrix is not constant-determinant")
+        c = field.inv(parts[0])
+        a[j] = [f.scale(c) for f in a[j]]
+    for j in reversed(range(m)):
+        for i in range(j):
+            if not a[i][j].is_zero():
+                subtract(i, a[i][j], j, m)
+    return [r[m:] for r in a]
 
 
 def split(A: LMatrix, max_iterations: int | None = None):
@@ -340,21 +360,13 @@ def split(A: LMatrix, max_iterations: int | None = None):
     the iteration budget (which would indicate an implementation bug: the sum
     of column degrees strictly decreases on every pass).
     """
-    field = A.field
-    m = A.m
+    field, m = A.field, A.m
     parts = A.det().unit_parts()
     if parts is None:
         raise NotInvertibleOverRing("determinant is not of the form c * s^n")
-    det_c, det_n = parts
 
     # Clear denominators: B = s^N * A is polynomial in s.
-    lift = max(
-        0,
-        -min(
-            (f.min_exp() for r in A.rows for f in r if not f.is_zero()),
-            default=0,
-        ),
-    )
+    lift = max(0, -min((f.min_exp() for r in A.rows for f in r if not f.is_zero()), default=0))
     b_rows = [[f.shift(lift) for f in r] for r in A.rows]
     u_rows = [list(r) for r in LMatrix.identity(field, m).rows]
 
@@ -363,16 +375,15 @@ def split(A: LMatrix, max_iterations: int | None = None):
 
     iterations = 0
     while True:
-        cdeg = _column_degrees(b_rows, m)
+        # det(B) is nonzero, so no column is zero.
+        cdeg = [max(r[j].max_exp() for r in b_rows if not r[j].is_zero()) for j in range(m)]
         top = [[b_rows[i][j].coeff(cdeg[j]) for j in range(m)] for i in range(m)]
         w = _kernel_vector(top, field)
         if w is None:
             break
         iterations += 1
         if iterations > budget:
-            raise IterationLimitExceeded(
-                f"column reduction did not settle within {budget} passes"
-            )
+            raise IterationLimitExceeded(f"column reduction did not settle within {budget} passes")
         support = [j for j in range(m) if not field.is_zero(w[j])]
         jstar = max(support, key=lambda j: (cdeg[j], j))
         # Column operation col_jstar <- sum_j w_j * s^(k* - k_j) * col_j.
@@ -383,35 +394,23 @@ def split(A: LMatrix, max_iterations: int | None = None):
             (j, LaurentPoly.monomial(field, cdeg[jstar] - cdeg[j], w[j])) for j in support
         ]
         for row in b_rows + u_rows:
-            acc = LaurentPoly.zero(field)
-            for j, g in factors:
-                acc = acc + row[j] * g
-            row[jstar] = acc
+            row[jstar] = _dot(field, [(row[j], g) for j, g in factors if not row[j].is_zero()])
 
     # B is column-reduced: C = B * diag(s^-k_j) lives in k[1/s] and its
     # determinant is the nonzero constant det(top).
-    col_deg = _column_degrees(b_rows, m)
-    c_mat = LMatrix(
-        field, [[b_rows[i][j].shift(-col_deg[j]) for j in range(m)] for i in range(m)]
-    )
-    adj, c_det = _adjugate(c_mat)
-    c_parts = c_det.unit_parts()
-    if c_parts is None or c_parts[1] != 0:
-        raise RuntimeError("internal error: reduced matrix is not constant-determinant")
-    inv = field.inv(c_parts[0])
-    v_mat = LMatrix(field, [[f.scale(inv) for f in r] for r in adj.rows])
+    v_rows = _inverse(field, [[f.shift(-k) for f, k in zip(r, cdeg)] for r in b_rows])
 
     # Sort the exponents: permute the rows of V and the columns of U alike.
-    degrees = [k - lift for k in col_deg]
+    degrees = [k - lift for k in cdeg]
     order = sorted(range(m), key=lambda j: (degrees[j], j))
-    v_final = LMatrix(field, [v_mat.rows[j] for j in order])
+    v_final = LMatrix(field, [v_rows[j] for j in order])
     u_final = LMatrix(field, [[r[j] for j in order] for r in u_rows])
     d_final = LMatrix.diagonal_powers(field, [degrees[j] for j in order])
 
     certificate = FactorizationCertificate(v_final, u_final, d_final)
     if not certificate.verify(A):
         raise RuntimeError("internal error: certificate failed to re-multiply")
-    if sum(degrees) != det_n:
+    if sum(degrees) != parts[1]:
         raise RuntimeError("internal error: splitting degrees do not sum to det exponent")
     return SplittingType(tuple(degrees[j] for j in order)), certificate
 

@@ -49,14 +49,26 @@ class Valuation:
 INFINITY = Valuation(None)
 
 
+def _strip(n: int, p: int, cap: int | None = None) -> tuple[int, int]:
+    """(n / p^v, v) for nonzero n, with v = v_p(n), or cap when that is less.
+
+    Each pass divides by p, p^2, p^4, ... while they divide n and removes at
+    least half of what is left, so a valuation v costs O(log(v)^2) divisions
+    of a long n instead of v."""
+    left = abs(n).bit_length() if cap is None else cap
+    v = 0
+    while left and not n % p:
+        q, step = p, 1
+        while step <= left and not n % q:
+            n //= q
+            v, left = v + step, left - step
+            q, step = q * q, 2 * step
+    return n, v
+
+
 def _int_valuation(n: int, p: int) -> int:
     # n is nonzero
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    return _strip(n, p)[1] if not n % p else 0
 
 
 @dataclass(frozen=True, slots=True)

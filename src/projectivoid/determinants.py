@@ -8,8 +8,7 @@ series matrices are reduced to, and to Laurent polynomials.
   costs at most n * 2^(n-1) products and skips zero entries.  ``det`` uses
   it up to ``LAPLACE_MAX_M``.
 * The Berkowitz recursion costs O(n^4) ring operations.  ``det`` uses it
-  above that size; ``split`` also reads the whole characteristic polynomial,
-  from which the adjugate follows by Cayley-Hamilton.
+  above that size.
 * Leibniz expansion costs n! products and is the oracle the tests compare
   the other two against.
 

@@ -15,6 +15,10 @@ class PrimeField:
     p: int
 
     @property
+    def characteristic(self) -> int:
+        return self.p
+
+    @property
     def zero(self) -> int:
         return 0
 
@@ -56,6 +60,8 @@ class PrimeField:
 @dataclass(frozen=True)
 class RationalField:
     """The rationals, with exact Fraction arithmetic."""
+
+    characteristic = 0
 
     @property
     def zero(self) -> Fraction:

@@ -43,6 +43,14 @@ from .series import PSeries, ResiduePoly
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z]+)|(>=)|([-+*/^()])")
 
+# Cap on the digits of one numeral in a literal or a JSON document, well
+# under the 4,300 digits past which Python refuses to convert a string to an
+# int.  It admits what the printer writes for series at the exponent cap
+# (MAX_EXP_BITS): at most 1,235 digits for a mixed-scale inverse at p = 2.
+MAX_DIGITS = 2000
+_LONG_NUMERAL_RE = re.compile(r"(?<![0-9])[0-9]{%d}" % (MAX_DIGITS + 1))
+_LONG_NUMERAL = f"numerals of more than {MAX_DIGITS} digits are not accepted"
+
 
 def _tokenize(text: str):
     tokens = []
@@ -56,6 +64,8 @@ def _tokenize(text: str):
         if m is None:
             raise ParseError(f"unexpected character {text[i]!r}", i)
         if m.group(1):
+            if len(m.group(1)) > MAX_DIGITS:
+                raise ParseError(_LONG_NUMERAL, i)
             tokens.append(("num", m.group(1), i))
         elif m.group(2):
             word = m.group(2)
@@ -224,8 +234,10 @@ _TAIL_RE = re.compile(r"\s*(?:\(\s*mod\s+val\s*>=\s*(-?[0-9]+)\s*\)\s*)?")
 
 def _scan(text: str, prime: int | None):
     """``_Parser(text, prime).parse()`` for the forms the scanner reads, else
-    None.  Integers are converted only once the whole text has matched, and in
-    the parser's order, so an oversized integer fails as it does there."""
+    None.  A numeral longer than MAX_DIGITS is left to the parser, which
+    refuses it."""
+    if len(text) > MAX_DIGITS and _LONG_NUMERAL_RE.search(text):
+        return None
     matches = []
     pos = 0
     while True:
@@ -365,24 +377,25 @@ def format_residue(r: ResiduePoly) -> str:
 
 
 def format_laurent(f: LaurentPoly) -> str:
-    if f.is_zero():
-        return "0"
-    parts = []
-    for n in sorted(f.coeffs):
-        mono = None if n == 0 else _mono_str(n, 0, None)
-        parts.append((mono, f.coeffs[n]))
-    return _join_terms(parts)
+    parts = [(None if n == 0 else _mono_str(n, 0, None), c) for n, c in f.ordered_terms()]
+    return _join_terms(parts) if parts else "0"
 
 
 # ----------------------------------------------------------------------
 # matrix documents
 
 
+def _json_int(text: str) -> int:
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ParseError(_LONG_NUMERAL)
+    return int(text)
+
+
 def load_doc(doc):
     """Accept a dict or a JSON string and return the dict."""
     if isinstance(doc, str):
         try:
-            doc = json.loads(doc)
+            doc = json.loads(doc, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", exc.pos)
     if not isinstance(doc, dict):

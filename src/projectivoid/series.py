@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .coefficients import INFINITY, PadicCoeff, Valuation, _int_valuation
+from .coefficients import INFINITY, PadicCoeff, Valuation, _int_valuation, _strip
 from .errors import (
     NonpositivePrecision,
     NormExceedsOne,
@@ -101,10 +101,12 @@ def _gauss(p: int, D: int, nums) -> Valuation:
 
 def _exponent(n: int, K: int, p: int) -> PExp:
     """The exponent n / p^K in lowest terms."""
-    while K and not n % p:
-        n //= p
-        K -= 1
-    return PExp(n, K) if n else ZERO
+    if not n:
+        return ZERO
+    if K and not n % p:
+        n, j = _strip(n, p, K)
+        K -= j
+    return PExp(n, K)
 
 
 def _modulus(p: int, D: int, cutoff: int) -> int | None:
@@ -211,14 +213,12 @@ class _IntPoly:
         return _IntPoly({n: a for n, a in _convolve(self.ints, other.ints).items() if a})
 
 
-def kernel_det(p: int, rows, det) -> "PSeries":
-    """Determinant of a square matrix of exact series, computed by the
-    division-free routine det(rows, one) on integer kernels.
-
-    All entries go on one exponent grid p^K, and row i is scaled by the lcm
-    D_i of its coefficient denominators, so its entries become integer
-    kernels; det(A) = det(A') / prod(D_i) is then normalised once."""
-    K = max(f.K for r in rows for f in r)
+def scaled_det(p: int, K: int, rows, det) -> tuple[int, dict]:
+    """Determinant of a square matrix whose entries f are the kernels
+    (f.K, f.D, f.ints), as a pair (D, acc) standing for acc / D on the grid
+    p^K.  Row i is scaled by the lcm D_i of its denominators, so its entries
+    become integer kernels, and the division-free routine det(rows, one)
+    runs on those: det(A) = det(A') / prod(D_i)."""
     D, scaled = 1, []
     for r in rows:
         D_i = 1
@@ -227,7 +227,15 @@ def kernel_det(p: int, rows, det) -> "PSeries":
                 D_i = lcm(D_i, f.D)
         D *= D_i
         scaled.append([_IntPoly(_lift(f.ints, p ** (K - f.K), D_i // f.D)) for f in r])
-    return _series(p, K, D, det(scaled, _IntPoly({0: 1})).ints, None)
+    return D, det(scaled, _IntPoly({0: 1})).ints
+
+
+def kernel_det(p: int, rows, det) -> "PSeries":
+    """Determinant of a square matrix of exact series on integer kernels:
+    all entries go on one exponent grid p^K (``scaled_det``), and only the
+    determinant is normalised."""
+    K = max(f.K for r in rows for f in r)
+    return _series(p, K, *scaled_det(p, K, rows, det), None)
 
 
 class PSeries:

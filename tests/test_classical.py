@@ -4,6 +4,7 @@ factorization with certificates."""
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from projectivoid import (
     split,
     splitting_invariance_check,
 )
-from projectivoid.classical import _adjugate
+from projectivoid.classical import _inverse
 from projectivoid.determinants import berkowitz_det, laplace_det, leibniz_det
 from helpers import random_unimodular
 
@@ -100,6 +101,73 @@ def test_unit_parts():
     assert lp(Q, {}).unit_parts() is None
 
 
+def field_elements(field):
+    if field == Q:
+        return st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    # unreduced representatives too: the constructor reduces them
+    return st.integers(-2 * field.p, 2 * field.p)
+
+
+def laurent_polys(field):
+    return st.lists(st.tuples(st.integers(-4, 4), field_elements(field)), max_size=5).map(
+        lambda pairs: lp(field, pairs)
+    )
+
+
+def in_field(field, acc):
+    """A Fraction-valued dict as the coefficients of a polynomial over field."""
+    out = {n: field.coerce(c) for n, c in acc.items()}
+    return {n: c for n, c in out.items() if not field.is_zero(c)}
+
+
+def assert_normal_form(r):
+    field, D, ints = r.field, r.D, r.ints
+    assert all(ints.values())
+    if field == Q:
+        assert D > 0 and gcd(D, *ints.values()) == 1
+    else:
+        assert D == 1 and all(0 < a < field.p for a in ints.values())
+    assert LaurentPoly(field, r.coeffs) == r
+    view = r.coeffs
+    view[99] = field.one
+    assert 99 not in r.coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_laurent_results_are_in_normal_form(data):
+    """Results of the ring operations meet the kernel invariants, round-trip
+    through the validating constructor and agree with Fraction arithmetic."""
+    field = data.draw(st.sampled_from([F2, F3, F5, Q]))
+    f, g = data.draw(laurent_polys(field)), data.draw(laurent_polys(field))
+    k, c = data.draw(st.integers(-3, 3)), data.draw(field_elements(field))
+    a = {n: Fraction(x) for n, x in f.coeffs.items()}
+    b = {n: Fraction(x) for n, x in g.coeffs.items()}
+
+    def plus(x, y, sign=1):
+        out = dict(x)
+        for n, v in y.items():
+            out[n] = out.get(n, 0) + sign * v
+        return out
+
+    product = {}
+    for n1, v1 in a.items():
+        for n2, v2 in b.items():
+            product[n1 + n2] = product.get(n1 + n2, 0) + v1 * v2
+    cases = [
+        (f, a),
+        (f + g, plus(a, b)),
+        (f - g, plus(a, b, -1)),
+        (f * g, product),
+        (-f, {n: -v for n, v in a.items()}),
+        (f.shift(k), {n + k: v for n, v in a.items()}),
+        (f.scale(c), {n: v * Fraction(c) for n, v in a.items()}),
+    ]
+    for r, want in cases:
+        assert_normal_form(r)
+        assert r.coeffs == in_field(field, want)
+
+
 # ----------------------------------------------------------------------
 # matrices
 
@@ -131,27 +199,56 @@ def sparse_lmatrices(field):
     )
 
 
+def unimodular_over_inverse_ring(field, m):
+    """Matrices over k[1/s] with a nonzero constant determinant: rows permuted,
+    a product of shears, times a constant diagonal."""
+    if field == Q:
+        unit = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    else:
+        unit = st.integers(1, field.p - 1)
+
+    def build(seed, factors, perm, constants):
+        rng = random.Random(seed)
+        C = random_unimodular(rng, field, m, side=-1, factors=factors, max_deg=2)
+        C = C * LMatrix.diagonal(field, [LaurentPoly.constant(field, c) for c in constants])
+        return LMatrix(field, [C.rows[i] for i in perm])
+
+    return st.builds(
+        build,
+        st.integers(0, 2**32),
+        st.integers(0, 2 * m),
+        st.permutations(range(m)),
+        st.lists(unit, min_size=m, max_size=m),
+    )
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([F2, F3, F5, Q]).flatmap(sparse_lmatrices))
-def test_det_and_adjugate_match_leibniz_oracle(M):
-    one, zero, m = LaurentPoly.one(M.field), LaurentPoly.zero(M.field), M.m
+@given(st.sampled_from([F2, F3, F5, Q]).flatmap(sparse_lmatrices), st.data())
+def test_det_and_adjugate_match_leibniz_oracle(M, data):
+    one, m = LaurentPoly.one(M.field), M.m
     d = leibniz_det(M.rows, one)
     assert M.det() == d
-    adj, adj_det = _adjugate(M)
-    assert adj_det == d
-    d_eye = LMatrix(M.field, [[d if i == j else zero for j in range(m)] for i in range(m)])
-    assert M * adj == d_eye
-    # Entry by entry too: a singular M satisfies the identity above for
-    # either sign of adj(M).
+    # The inverse that split builds V from: for C unimodular over k[1/s],
+    # C * C^-1 = I and det(C) * C^-1 is the adjugate, entry by entry.
+    field = M.field
+    C = data.draw(unimodular_over_inverse_ring(field, m))
+    inv = LMatrix(field, _inverse(field, C.rows))
+    assert C * inv == LMatrix.identity(field, m)
+    c = leibniz_det(C.rows, one)
     for i in range(m):
         for j in range(m):
-            minor = [[r[c] for c in range(m) if c != i] for k, r in enumerate(M.rows) if k != j]
+            minor = [[r[col] for col in range(m) if col != i] for k, r in enumerate(C.rows) if k != j]
             cofactor = leibniz_det(minor, one)
-            assert adj.entry(i, j) == (cofactor if (i + j) % 2 == 0 else -cofactor)
+            assert c * inv.entry(i, j) == (cofactor if (i + j) % 2 == 0 else -cofactor)
+    # A row times 1 + s^-1 makes the determinant non-constant.
+    bent = [list(r) for r in C.rows]
+    bent[0] = [f * lp(field, {0: 1, -1: 1}) for f in bent[0]]
+    with pytest.raises(RuntimeError, match="not constant-determinant"):
+        _inverse(field, bent)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([F2, F3, Q]).flatmap(sparse_lmatrices))
+@given(st.sampled_from([F2, F3, F5, Q]).flatmap(sparse_lmatrices))
 def test_determinant_strategies_agree(M):
     one = LaurentPoly.one(M.field)
     d = leibniz_det(M.rows, one)

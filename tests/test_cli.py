@@ -18,7 +18,7 @@ from projectivoid import (
     splitting_invariance_check,
 )
 from projectivoid.exponents import MAX_CALKIN_WILF_TERMS
-from projectivoid.literals import MAX_EXP_BITS
+from projectivoid.literals import MAX_DIGITS, MAX_EXP_BITS
 from projectivoid.cli import MAX_COUNT, MAX_FAMILY, MAX_PREC, MAX_RANK, MAX_SHEARS, main
 from helpers import (
     ACT_TRIPLE,
@@ -311,6 +311,22 @@ def test_exponent_denominator_cap(capsys, p):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("ParseError") and f"above {p}^{k} are not accepted" in err
+
+
+def test_numeral_digit_cap(capsys):
+    # 4,301 digits: past the 4,300 that Python's int(str) converts.
+    over = "1" + "0" * 4300
+    for argv in (
+        ["norm", "--prime", "2", f"1 - 2*v^{over}"],
+        ["norm", "--prime", "2", "1 - 2*v^1" + "0" * MAX_DIGITS],
+        ["split", '{"m": ' + over + ', "entries": []}'],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("ParseError") and f"more than {MAX_DIGITS} digits" in err
+        assert err.count("\n") == 1
+    code, out, _ = run(capsys, "norm", "--prime", "2", "1 - 2*v^1" + "0" * (MAX_DIGITS - 1))
+    assert (code, out) == (0, "0\n")
 
 
 def test_filtered_calkin_wilf_walk_is_bounded(capsys):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from projectivoid import (
     DivisionByZero,
@@ -11,6 +11,9 @@ from projectivoid import (
     PrimeMismatch,
     Valuation,
 )
+from projectivoid.coefficients import _int_valuation, _strip
+from projectivoid.exponents import PExp
+from projectivoid.series import _exponent
 
 rationals = st.builds(Fraction, st.integers(-300, 300), st.integers(1, 300))
 nonzero_rationals = rationals.filter(bool)
@@ -107,3 +110,29 @@ def test_reduce_is_a_ring_homomorphism(a, b, p):
     assume(y.valuation() >= Valuation.finite(0))
     assert (x + y).reduce() == (x.reduce() + y.reduce()) % p
     assert (x * y).reduce() == (x.reduce() * y.reduce()) % p
+
+
+def one_step_strip(n, p, cap=None):
+    """The loop _strip replaced: divide out one p at a time."""
+    v = 0
+    while (cap is None or v < cap) and n % p == 0:
+        n //= p
+        v += 1
+    return n, v
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 10**6).filter(lambda u: u % 2 and u % 3 and u % 5) | st.integers(1, 10**6),
+    st.sampled_from([1, -1]),
+    st.integers(0, 300),
+    st.none() | st.integers(0, 320),
+    primes,
+)
+def test_strip_matches_one_step_loop(u, sign, k, cap, p):
+    n = sign * u * p**k
+    assert _strip(n, p, cap) == one_step_strip(n, p, cap)
+    assert _int_valuation(n, p) == one_step_strip(n, p)[1]
+    K = 0 if cap is None else cap
+    m, j = one_step_strip(n, p, K)
+    assert _exponent(n, K, p) == PExp(m, K - j)

@@ -32,6 +32,7 @@ from projectivoid import (
     parse_laurent,
     parse_series,
 )
+from projectivoid.literals import MAX_DIGITS
 from helpers import LITERAL_CORPUS, mono, mutate, srs
 
 Q = RationalField()
@@ -346,9 +347,23 @@ def test_forms_left_to_the_descent_parser(text, same_as):
 
 
 def test_oversized_integer_fails_as_in_the_descent_parser():
-    text = "1 + " + "7" * 5000 + "*v"
-    fast, slow = _both_paths(parse_series, text, 2)
-    assert fast == slow and fast[1] is ValueError
-    # A character the tokenizer rejects later in the text wins over the integer.
-    fast, slow = _both_paths(parse_series, text + " # 2", 2)
+    big = "7" * (MAX_DIGITS + 1)
+    for text in (
+        f"1 + {big}*v",
+        f"1/{big} + v",
+        f"1 + v^{big}",
+        f"1 + v^(-{big})",
+        f"1 + v^({big}/2^1)",
+        f"1 + v^(1/{big}^1)",
+        f"1 + v^(1/2^{big})",
+        f"1 + v (mod val >= {big})",
+        f"1 + {big}*v # 2",
+    ):
+        fast, slow = _both_paths(parse_series, text, 2)
+        assert fast == slow and fast[1] is ParseError, text
+        assert f"more than {MAX_DIGITS} digits" in fast[2]
+    fast, slow = _both_paths(parse_laurent, f"1 + {big}*s^-1", Q)
     assert fast == slow and fast[1] is ParseError
+    # A numeral at the cap is read, by both paths alike.
+    fast, slow = _both_paths(parse_series, "1 + " + "7" * MAX_DIGITS + "*v^-3", 2)
+    assert fast == slow and fast[0] == "ok"
