@@ -18,8 +18,9 @@ the exponents with a permutation on both sides gives the certificate, which
 is re-multiplied exactly, with its own determinants, before being returned.
 
 ``LaurentPoly`` is stored as an integer kernel, numerators over one common
-denominator, like ``series.PSeries``: its product is ``series._convolve`` and
-its determinants run on ``series._IntPoly`` (``series.scaled_det``).
+denominator, like ``series.PSeries``: its products and its sums of products
+(``_dot``) run through ``series._convolve``, and its determinants on
+``series._IntPoly`` (``series.scaled_det``).
 ``LMatrix`` is the ``determinants.SquareMatrix`` over Laurent polynomials,
 with the polynomial-side predicates that the certificate checks use.
 """
@@ -146,7 +147,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        return _poly(self.field, self.D * other.D, _convolve(self.ints, other.ints))
+        return _poly(self.field, self.D * other.D, _convolve(self.ints, other.ints, {}))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
@@ -169,14 +170,8 @@ def _dot(field, pairs) -> LaurentPoly:
         if D % (f.D * g_D):
             D = lcm(D, f.D * g_D)
     acc: dict = {}
-    get = acc.get
     for f, (g_D, g) in pairs:
-        u = D // (f.D * g_D)
-        right = list(g.items()) if u == 1 else [(n, a * u) for n, a in g.items()]
-        for n1, a1 in f.ints.items():
-            for n2, a2 in right:
-                n = n1 + n2
-                acc[n] = get(n, 0) + a1 * a2
+        _convolve(f.ints, _lift(g, 1, D // (f.D * g_D)), acc)
     return _poly(field, D, acc)
 
 

@@ -9,7 +9,7 @@ a size above its cap: ``invert --prec`` above ``MAX_PREC``, ``enumerate
 ``--shears`` above ``MAX_SHEARS``, a ``family`` of more than
 ``MAX_FAMILY`` matrices, a series literal whose exponent denominators
 exceed ``literals.MAX_EXP_BITS``, and a numeral of more than
-``literals.MAX_DIGITS`` digits in a literal or a JSON document.
+``literals.MAX_DIGITS`` digits in a literal, a JSON document or a result.
 
 ``main(argv)`` can be called any number of times in one process.  The
 argument parser is built on the first call and reused; parsing keeps no
@@ -61,23 +61,20 @@ def _matrix_input(args):
     return literals.doc_to_matrix(_input_text(args), args.prime)
 
 
+def _result(args, key: str, value, text: str | None = None):
+    """The one output line of a command: {key: value} in JSON, else the text
+    (the value itself when no text is given)."""
+    if args.format == "json":
+        return [json.dumps({key: value})]
+    return [value if text is None else text]
+
+
 def _bool_lines(args, value: bool):
-    if args.format == "json":
-        return [json.dumps({"result": value})]
-    return ["true" if value else "false"]
-
-
-def _series_lines(args, f, key: str = "series"):
-    text = literals.format_series(f)
-    if args.format == "json":
-        return [json.dumps({key: text})]
-    return [text]
+    return _result(args, "result", value, "true" if value else "false")
 
 
 def _matrix_lines(args, doc: dict):
-    if args.format == "json":
-        return [json.dumps({"matrix": doc})]
-    return [json.dumps(doc)]
+    return _result(args, "matrix", doc, json.dumps(doc))
 
 
 # ----------------------------------------------------------------------
@@ -86,37 +83,28 @@ def _matrix_lines(args, doc: dict):
 
 def _cmd_norm(args):
     v = _series_input(args).gauss_valuation()
-    if args.format == "json":
-        return [json.dumps({"valuation": None if v.is_infinite else v.v})]
-    return [str(v)]
+    return _result(args, "valuation", None if v.is_infinite else v.v, str(v))
 
 
 def _cmd_unit(args):
-    value = _series_input(args).is_unit(SubringTag(args.ring))
-    return _bool_lines(args, value)
+    return _bool_lines(args, _series_input(args).is_unit(SubringTag(args.ring)))
 
 
 def _cmd_invert(args):
-    return _series_lines(args, _series_input(args).inverse(args.prec))
+    return _result(args, "series", literals.format_series(_series_input(args).inverse(args.prec)))
 
 
 def _cmd_degree(args):
     f = _series_input(args)
-    text = literals.format_exponent(f.degree(), f.prime)
-    if args.format == "json":
-        return [json.dumps({"exponent": text})]
-    return [text]
+    return _result(args, "exponent", literals.format_exponent(f.degree(), f.prime))
 
 
 def _cmd_reduce(args):
-    text = literals.format_residue(_series_input(args).reduce())
-    if args.format == "json":
-        return [json.dumps({"residue": text})]
-    return [text]
+    return _result(args, "residue", literals.format_residue(_series_input(args).reduce()))
 
 
 def _cmd_det(args):
-    return _series_lines(args, _matrix_input(args).det())
+    return _result(args, "series", literals.format_series(_matrix_input(args).det()))
 
 
 def _cmd_transition(args):
@@ -125,10 +113,7 @@ def _cmd_transition(args):
 
 def _cmd_bundle_degree(args):
     M = _matrix_input(args)
-    text = literals.format_exponent(M.bundle_degree().value, M.prime)
-    if args.format == "json":
-        return [json.dumps({"exponent": text})]
-    return [text]
+    return _result(args, "exponent", literals.format_exponent(M.bundle_degree().value, M.prime))
 
 
 def _triple_input(args, keys=("V", "A", "U")):

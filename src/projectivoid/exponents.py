@@ -15,6 +15,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator
 
+from .coefficients import _strip
 from .errors import ParseError
 
 
@@ -74,14 +75,18 @@ ONE = PExp(1, 0)
 
 
 def canon(num: int, pow: int, p: int) -> PExp:
-    """Bring num / p**pow to canonical form."""
+    """Bring num / p**pow to canonical form.  The factors p come off through
+    ``coefficients._strip``, by repeated squaring, so a large pow costs
+    O(log(pow)^2) divisions of num.  This is also how every integer kernel
+    (series.PSeries, series.ResiduePoly) reads an exponent n / p^K back as a
+    PExp."""
     if pow < 0:
         raise ValueError("denominator exponent must be non-negative")
     if num == 0:
         return ZERO
-    while pow > 0 and num % p == 0:
-        num //= p
-        pow -= 1
+    if pow and not num % p:
+        num, j = _strip(num, p, pow)
+        pow -= j
     return PExp(num, pow)
 
 
@@ -139,11 +144,8 @@ def calkin_wilf_stream() -> Iterator[Fraction]:
 
 
 def _power_of(n: int, p: int) -> int | None:
-    """Return b when n == p**b, else None."""
-    b = 0
-    while n > 1 and n % p == 0:
-        n //= p
-        b += 1
+    """Return b when n == p**b, else None; n is positive."""
+    n, b = _strip(n, p)
     return b if n == 1 else None
 
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from .classical import LaurentPoly, LMatrix
 from .errors import ParseError, PrimeMismatch, RaggedMatrix, WrongPrimeDenominator
-from .exponents import PExp, ZERO, canon, is_prime
+from .exponents import PExp, canon, is_prime
 from .fields import PrimeField
 from .matrices import SMatrix
 from .series import PSeries, ResiduePoly
@@ -320,65 +320,66 @@ def parse_laurent(text: str, field) -> LaurentPoly:
 # printing
 
 
+# Past MAX_DIGITS digits a numeral is refused, not printed: the parser would
+# not read it back, and past 4,300 digits str(int) raises ValueError.
+_NUMERAL_LIMIT = 10**MAX_DIGITS
+_LONG_RESULT = f"the result has a numeral of more than {MAX_DIGITS} digits, which is not printed"
+
+
+def _numeral(n: int) -> str:
+    if -_NUMERAL_LIMIT < n < _NUMERAL_LIMIT:
+        return str(n)
+    raise ParseError(_LONG_RESULT)
+
+
+def _rational_str(c) -> str:
+    """str(c) for an int or a Fraction c, through ``_numeral``."""
+    if c.denominator == 1:
+        return _numeral(c.numerator)
+    return f"{_numeral(c.numerator)}/{_numeral(c.denominator)}"
+
+
 def format_exponent(e: PExp, prime: int) -> str:
     if e.pow == 0:
-        return str(e.num)
-    return f"{e.num}/{prime}^{e.pow}"
+        return _numeral(e.num)
+    return f"{_numeral(e.num)}/{prime}^{e.pow}"
 
 
-def _mono_str(num: int, pw: int, prime) -> str:
-    if pw > 0:
-        return f"v^({num}/{prime}^{pw})"
-    if num == 1:
-        return "v"
-    return f"v^{num}"
-
-
-def _join_terms(parts) -> str:
+def _format_terms(terms, prime: int | None = None) -> str:
+    """The literal of the (exponent, coefficient) pairs, given by ascending
+    exponent: PExp exponents over the prime, or int exponents of s when prime
+    is None (the Laurent side).  Every series, residue and Laurent printer
+    goes through here."""
     pieces = []
-    for idx, (mono, coeff) in enumerate(parts):
-        if idx == 0:
-            if mono is None:
-                pieces.append(str(coeff))
-            elif coeff == 1:
-                pieces.append(mono)
-            else:
-                pieces.append(f"{coeff}*{mono}")
+    for e, c in terms:
+        num, pw = (e, 0) if prime is None else (e.num, e.pow)
+        if pw:
+            mono = f"v^({_numeral(num)}/{prime}^{pw})"
         else:
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            op = " - " if neg else " + "
-            if mono is None:
-                pieces.append(op + str(mag))
-            elif mag == 1:
-                pieces.append(op + mono)
-            else:
-                pieces.append(op + f"{mag}*{mono}")
-    return "".join(pieces)
+            mono = None if num == 0 else "v" if num == 1 else f"v^{_numeral(num)}"
+        if pieces:
+            pieces.append(" - " if c < 0 else " + ")
+            c = abs(c)
+        if mono is None:
+            pieces.append(_rational_str(c))
+        else:
+            pieces.append(mono if c == 1 else f"{_rational_str(c)}*{mono}")
+    return "".join(pieces) or "0"
 
 
 def format_series(f: PSeries) -> str:
-    parts = []
-    for e, c in f.ordered_terms():
-        mono = None if e == ZERO else _mono_str(e.num, e.pow, f.prime)
-        parts.append((mono, c))
-    body = _join_terms(parts) if parts else "0"
+    body = _format_terms(f.ordered_terms(), f.prime)
     if f.precision is not None:
         body += f" (mod val >= {f.precision.v})"
     return body
 
 
 def format_residue(r: ResiduePoly) -> str:
-    parts = []
-    for e in r.support():
-        mono = None if e == ZERO else _mono_str(e.num, e.pow, r.prime)
-        parts.append((mono, r.coeffs[e]))
-    return _join_terms(parts) if parts else "0"
+    return _format_terms(r.ordered_terms(), r.prime)
 
 
 def format_laurent(f: LaurentPoly) -> str:
-    parts = [(None if n == 0 else _mono_str(n, 0, None), c) for n, c in f.ordered_terms()]
-    return _join_terms(parts) if parts else "0"
+    return _format_terms(f.ordered_terms())
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,13 @@ divides out the gcd of D and the numerators and coarsens the grid.  The
 public view ``terms``, a dict from canonical ``PExp`` to ``PadicCoeff``, is
 built from the kernel on every access and is not kept.
 
+The reduction to the residue field, ``ResiduePoly``, is the same kernel with
+no denominator, ``(K, {n: a})`` with each a in 1..p-1, built by one
+constructor, ``_residue``; its ``coeffs`` is a view like ``terms``.  Each
+kernel loop is written once: ``_convolve`` for every product and sum of
+products (those of ``classical.LaurentPoly`` too), ``_add`` for sums, and
+``exponents.canon`` to read an n / p^K back as a ``PExp``.
+
 A matrix determinant (``kernel_det``) lifts every entry once onto one grid,
 each row over its own denominator, runs a division-free routine on the
 integer kernels and normalises only the determinant.
@@ -44,7 +51,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .coefficients import INFINITY, PadicCoeff, Valuation, _int_valuation, _strip
+from .coefficients import INFINITY, PadicCoeff, Valuation, _int_valuation
 from .errors import (
     NonpositivePrecision,
     NormExceedsOne,
@@ -66,11 +73,6 @@ class SubringTag(Enum):
 
 # ----------------------------------------------------------------------
 # the integer kernel
-
-
-def _top_pow(exps) -> int:
-    """Largest denominator power among the exponents, 0 when there are none."""
-    return max((e.pow for e in exps), default=0)
 
 
 def _grid(exps, p: int, K: int) -> list[int]:
@@ -99,16 +101,6 @@ def _gauss(p: int, D: int, nums) -> Valuation:
     return Valuation(_int_valuation(_gcd(0, nums), p) - _int_valuation(D, p))
 
 
-def _exponent(n: int, K: int, p: int) -> PExp:
-    """The exponent n / p^K in lowest terms."""
-    if not n:
-        return ZERO
-    if K and not n % p:
-        n, j = _strip(n, p, K)
-        K -= j
-    return PExp(n, K)
-
-
 def _modulus(p: int, D: int, cutoff: int) -> int | None:
     """q = p^(cutoff + v_p(D)): a / D has valuation >= cutoff exactly when q
     divides a.  None when that holds for every a."""
@@ -134,7 +126,9 @@ def _normalise(p: int, D: int, acc: dict, cutoff: int | None):
 
 
 def _coarsen(p: int, K: int, acc: dict):
-    """Move a kernel whose n are all divisible by p to the coarsest grid."""
+    """The kernel on the coarsest grid: K = 0, or some n is prime to p."""
+    if not K or any(n % p for n in acc):
+        return K, acc
     g = _gcd(0, acc)
     j = min(K, _int_valuation(g, p)) if g else K
     q = p ** j
@@ -161,6 +155,12 @@ def _rational(c, p: int):
     return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
 
+def _repr_terms(f) -> str:
+    p = f.prime
+    terms = f.ordered_terms()
+    return ", ".join(f"{e.num}/{p}^{e.pow}: {c}" if e.pow else f"{e.num}: {c}" for e, c in terms)
+
+
 def _series(p: int, K: int, D: int, acc: dict, precision) -> "PSeries":
     """The series of the kernel (K, D, acc), brought to normal form.  The
     precision must be a finite Valuation or None; nothing is validated."""
@@ -169,8 +169,14 @@ def _series(p: int, K: int, D: int, acc: dict, precision) -> "PSeries":
     return s
 
 
-def _convolve(left: dict, right: dict) -> dict:
-    acc: dict[int, int] = {}
+def _aligned(f, g):
+    """(K, f', g'): the kernels of f and g on the finer grid p^K of the two."""
+    p, K = f.prime, max(f.K, g.K)
+    return K, _lift(f.ints, p ** (K - f.K), 1), _lift(g.ints, p ** (K - g.K), 1)
+
+
+def _convolve(left: dict, right: dict, acc: dict) -> dict:
+    """Add the product of the kernels left and right into acc; zeros stay."""
     get = acc.get
     pairs = list(right.items())
     for n1, a1 in left.items():
@@ -178,6 +184,21 @@ def _convolve(left: dict, right: dict) -> dict:
             n = n1 + n2
             acc[n] = get(n, 0) + a1 * a2
     return acc
+
+
+def _add(f: dict, g: dict) -> dict:
+    """The sum of two kernels on one grid, as a new dict; a numerator that
+    cancels to 0 is dropped, and neither operand is changed."""
+    if len(g) > len(f):
+        f, g = g, f
+    out = dict(f)
+    for n, a in g.items():
+        s = out.get(n, 0) + a
+        if s:
+            out[n] = s
+        else:
+            del out[n]
+    return out
 
 
 class _IntPoly:
@@ -194,23 +215,13 @@ class _IntPoly:
         return not self.ints
 
     def __add__(self, other: "_IntPoly") -> "_IntPoly":
-        f, g = self.ints, other.ints
-        if len(g) > len(f):
-            f, g = g, f
-        out = dict(f)
-        for n, a in g.items():
-            s = out.get(n, 0) + a
-            if s:
-                out[n] = s
-            else:
-                del out[n]
-        return _IntPoly(out)
+        return _IntPoly(_add(self.ints, other.ints))
 
     def __neg__(self) -> "_IntPoly":
         return _IntPoly({n: -a for n, a in self.ints.items()})
 
     def __mul__(self, other: "_IntPoly") -> "_IntPoly":
-        return _IntPoly({n: a for n, a in _convolve(self.ints, other.ints).items() if a})
+        return _IntPoly({n: a for n, a in _convolve(self.ints, other.ints, {}).items() if a})
 
 
 def scaled_det(p: int, K: int, rows, det) -> tuple[int, dict]:
@@ -261,7 +272,7 @@ class PSeries:
                 raise ValueError("denominator exponent must be non-negative")
             exps.append(e)
             coeffs.append(_rational(c, prime))
-        K, D = _top_pow(exps), 1
+        K, D = max((e.pow for e in exps), default=0), 1
         for c in coeffs:
             if D % c.denominator:
                 D = lcm(D, c.denominator)
@@ -273,8 +284,7 @@ class PSeries:
     def _store(self, prime: int, K: int, D: int, acc: dict, precision) -> None:
         """Keep the kernel (K, D, acc) in normal form."""
         D, acc = _normalise(prime, D, acc, None if precision is None else precision.v)
-        if K and not any(n % prime for n in acc):
-            K, acc = _coarsen(prime, K, acc)
+        K, acc = _coarsen(prime, K, acc)
         self.prime, self.K, self.D, self.ints, self.precision = prime, K, D, acc, precision
 
     @property
@@ -282,7 +292,7 @@ class PSeries:
         """A new dict from canonical exponent to coefficient: one PExp, one
         Fraction and one PadicCoeff per term, built on each access."""
         p, K, D = self.prime, self.K, self.D
-        return {_exponent(n, K, p): PadicCoeff(Fraction(a, D), p) for n, a in self.ints.items()}
+        return {canon(n, K, p): PadicCoeff(Fraction(a, D), p) for n, a in self.ints.items()}
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -318,12 +328,12 @@ class PSeries:
         return PadicCoeff(Fraction(0 if r else self.ints.get(n, 0), self.D), p)
 
     def support(self) -> list[PExp]:
-        return [_exponent(n, self.K, self.prime) for n in sorted(self.ints)]
+        return [canon(n, self.K, self.prime) for n in sorted(self.ints)]
 
     def ordered_terms(self) -> list[tuple[PExp, Fraction]]:
         """(exponent, coefficient) pairs by ascending exponent."""
         p, K, D = self.prime, self.K, self.D
-        return [(_exponent(n, K, p), Fraction(a, D)) for n, a in sorted(self.ints.items())]
+        return [(canon(n, K, p), Fraction(a, D)) for n, a in sorted(self.ints.items())]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PSeries):
@@ -334,12 +344,8 @@ class PSeries:
     __hash__ = None
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            f"{e.num}/{self.prime}^{e.pow}: {c}" if e.pow else f"{e.num}: {c}"
-            for e, c in self.ordered_terms()
-        )
         tail = "" if self.precision is None else f"; O(val {self.precision})"
-        return f"PSeries(p={self.prime}, {{{body}}}{tail})"
+        return f"PSeries(p={self.prime}, {{{_repr_terms(self)}}}{tail})"
 
     # ------------------------------------------------------------------
     # ring operations
@@ -354,13 +360,10 @@ class PSeries:
         self._check_prime(other)
         p = self.prime
         K, D = max(self.K, other.K), lcm(self.D, other.D)
-        f = _lift(self.ints, p ** (K - self.K), D // self.D)
-        g = _lift(other.ints, p ** (K - other.K), sign * (D // other.D))
-        if len(g) > len(f):
-            f, g = g, f
-        out = dict(f)
-        for n, a in g.items():
-            out[n] = out.get(n, 0) + a
+        out = _add(
+            _lift(self.ints, p ** (K - self.K), D // self.D),
+            _lift(other.ints, p ** (K - other.K), sign * (D // other.D)),
+        )
         if self.precision is None:
             prec = other.precision
         elif other.precision is None:
@@ -394,17 +397,14 @@ class PSeries:
         if not isinstance(other, PSeries):
             return NotImplemented
         self._check_prime(other)
-        p, K = self.prime, max(self.K, other.K)
         cands = []
         if self.precision is not None:
             cands.append(self.precision + other._effective_valuation())
         if other.precision is not None:
             cands.append(other.precision + self._effective_valuation())
         prec = _finite(min(cands)) if cands else None
-        acc = _convolve(
-            _lift(self.ints, p ** (K - self.K), 1), _lift(other.ints, p ** (K - other.K), 1)
-        )
-        return _series(p, K, self.D * other.D, acc, prec)
+        K, f, g = _aligned(self, other)
+        return _series(self.prime, K, self.D * other.D, _convolve(f, g, {}), prec)
 
     def scale(self, c) -> "PSeries":
         c = _rational(c, self.prime)
@@ -446,11 +446,11 @@ class PSeries:
 
     def dominant_terms(self) -> set[PExp]:
         """Exponents whose coefficient attains the Gauss valuation."""
-        return {_exponent(n, self.K, self.prime) for n in self._dominant()}
+        return {canon(n, self.K, self.prime) for n in self._dominant()}
 
     def degree(self) -> PExp:
         """Largest dominant exponent."""
-        return _exponent(max(self._dominant()), self.K, self.prime)
+        return canon(max(self._dominant()), self.K, self.prime)
 
     def normalize_gauss(self) -> "PSeries":
         """Scale by a power of p so the Gauss valuation becomes 0."""
@@ -533,14 +533,11 @@ class PSeries:
         acc_den, acc = 1, {0: 1}
         pow_den, power = 1, {0: 1}
         for _ in range(-(-cutoff // w)):
-            pow_den, power = _normalise(p, pow_den * g_den, _convolve(power, g), cutoff)
+            pow_den, power = _normalise(p, pow_den * g_den, _convolve(power, g, {}), cutoff)
             if not power:
                 break
             den = lcm(acc_den, pow_den)
-            u, v = den // acc_den, den // pow_den
-            acc = {n: a * u for n, a in acc.items()}
-            for n, a in power.items():
-                acc[n] = acc.get(n, 0) + a * v
+            acc = _add(_lift(acc, 1, den // acc_den), _lift(power, 1, den // pow_den))
             acc_den, acc = _normalise(p, den, acc, cutoff)
         acc = {n - n_e: a * lead for n, a in acc.items()}
         return _series(p, K, acc_den * abs(a_e), acc, Valuation(target))
@@ -552,14 +549,8 @@ class PSeries:
         if self.precision is not None and not (Valuation(0) < self.precision):
             raise ValueError("series is not determined modulo the maximal ideal")
         # Norm <= 1 and gcd(D, numerators) = 1 leave D prime to p.
-        p, K = self.prime, self.K
-        inv = pow(self.D, -1, p)
-        coeffs = {}
-        for n, a in self.ints.items():
-            r = a * inv % p
-            if r:
-                coeffs[_exponent(n, K, p)] = r
-        return ResiduePoly._canonical(p, coeffs)
+        p = self.prime
+        return _residue(p, self.K, _lift(self.ints, 1, pow(self.D, -1, p)))
 
     def equals_mod(self, other: "PSeries", cutoff) -> bool:
         """True when self - other has no term of valuation below the cutoff.
@@ -583,44 +574,56 @@ class UnitDecomposition:
     unit: PSeries
 
 
-class ResiduePoly:
-    """Image of a norm-at-most-one series over the residue field F_p."""
+def _residue(p: int, K: int, acc: dict) -> "ResiduePoly":
+    """The residue polynomial of the kernel (K, acc), brought to normal form:
+    numerators mod p, zeros dropped, the grid coarsened."""
+    r = object.__new__(ResiduePoly)
+    r.prime = p
+    r.K, r.ints = _coarsen(p, K, {n: c for n, a in acc.items() if (c := a % p)})
+    return r
 
-    __slots__ = ("prime", "coeffs")
+
+class ResiduePoly:
+    """Image of a norm-at-most-one series over the residue field F_p.
+
+    The state is a kernel like that of ``PSeries`` with no denominator: the
+    terms a * v^(n / p^K) for n, a in ``ints``, every a in 1..p-1 and K as
+    small as the exponents allow, so equality compares the stored fields.
+    Every result goes through ``_residue``; ``coeffs`` builds the dict from
+    canonical exponent to residue on each access."""
+
+    __slots__ = ("prime", "K", "ints")
 
     def __init__(self, prime: int, coeffs: Mapping | Iterable = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[PExp, int] = {}
-        for e, c in items:
-            e = canon(e.num, e.pow, prime)
-            c = c % prime
-            if e in acc:
-                c = (acc[e] + c) % prime
-            acc[e] = c
-        self.prime = prime
-        self.coeffs = {e: c for e, c in acc.items() if c}
+        """Validate and merge outside input: the reduction of the series with
+        these (exponent, integer) terms."""
+        r = PSeries(prime, coeffs).reduce()
+        self.prime, self.K, self.ints = r.prime, r.K, r.ints
 
-    @classmethod
-    def _canonical(cls, prime: int, coeffs: dict) -> "ResiduePoly":
-        """Wrap coefficients already reduced to nonzero residues in [0, p)."""
-        r = object.__new__(cls)
-        r.prime = prime
-        r.coeffs = coeffs
-        return r
+    @property
+    def coeffs(self) -> dict[PExp, int]:
+        """A new dict from canonical exponent to residue, built on each access."""
+        p, K = self.prime, self.K
+        return {canon(n, K, p): a for n, a in self.ints.items()}
+
+    def ordered_terms(self) -> list[tuple[PExp, int]]:
+        """(exponent, residue) pairs by ascending exponent."""
+        p, K = self.prime, self.K
+        return [(canon(n, K, p), a) for n, a in sorted(self.ints.items())]
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
+        return len(self.ints) == 1
 
     def support(self) -> list[PExp]:
-        return sorted(self.coeffs, key=lambda e: e.as_fraction(self.prime))
+        return [canon(n, self.K, self.prime) for n in sorted(self.ints)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResiduePoly):
             return NotImplemented
-        return self.prime == other.prime and self.coeffs == other.coeffs
+        return all(getattr(self, k) == getattr(other, k) for k in ResiduePoly.__slots__)
 
     __hash__ = None
 
@@ -630,33 +633,14 @@ class ResiduePoly:
 
     def __add__(self, other: "ResiduePoly") -> "ResiduePoly":
         self._check_prime(other)
-        p = self.prime
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            c = (out.get(e, 0) + c) % p
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-        return ResiduePoly._canonical(p, out)
+        K, f, g = _aligned(self, other)
+        return _residue(self.prime, K, _add(f, g))
 
     def __mul__(self, other: "ResiduePoly") -> "ResiduePoly":
         """Convolution on the p^K exponent scale, reduced mod p once."""
         self._check_prime(other)
-        p, f, g = self.prime, self.coeffs, other.coeffs
-        K = max(_top_pow(f), _top_pow(g))
-        acc = _convolve(
-            dict(zip(_grid(f, p, K), f.values())), dict(zip(_grid(g, p, K), g.values()))
-        )
-        return ResiduePoly._canonical(
-            p, {_exponent(n, K, p): c % p for n, c in acc.items() if c % p}
-        )
+        K, f, g = _aligned(self, other)
+        return _residue(self.prime, K, _convolve(f, g, {}))
 
     def __repr__(self) -> str:
-        body = ", ".join(
-            f"{e.num}/{self.prime}^{e.pow}: {c}" if e.pow else f"{e.num}: {c}"
-            for e, c in sorted(
-                self.coeffs.items(), key=lambda it: it[0].as_fraction(self.prime)
-            )
-        )
-        return f"ResiduePoly(p={self.prime}, {{{body}}})"
+        return f"ResiduePoly(p={self.prime}, {{{_repr_terms(self)}}})"

@@ -320,6 +320,8 @@ def test_numeral_digit_cap(capsys):
         ["norm", "--prime", "2", f"1 - 2*v^{over}"],
         ["norm", "--prime", "2", "1 - 2*v^1" + "0" * MAX_DIGITS],
         ["split", '{"m": ' + over + ', "entries": []}'],
+        # a result that would print a numeral of about 10,000 digits
+        ["invert", "--prime", "2", "--prec", "100", "1 - " + "6" * 100 + "*v"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")

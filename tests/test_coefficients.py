@@ -12,8 +12,7 @@ from projectivoid import (
     Valuation,
 )
 from projectivoid.coefficients import _int_valuation, _strip
-from projectivoid.exponents import PExp
-from projectivoid.series import _exponent
+from projectivoid.exponents import PExp, _power_of, canon
 
 rationals = st.builds(Fraction, st.integers(-300, 300), st.integers(1, 300))
 nonzero_rationals = rationals.filter(bool)
@@ -133,6 +132,9 @@ def test_strip_matches_one_step_loop(u, sign, k, cap, p):
     n = sign * u * p**k
     assert _strip(n, p, cap) == one_step_strip(n, p, cap)
     assert _int_valuation(n, p) == one_step_strip(n, p)[1]
+    # the two callers that strip p off an exponent or a denominator
     K = 0 if cap is None else cap
     m, j = one_step_strip(n, p, K)
-    assert _exponent(n, K, p) == PExp(m, K - j)
+    assert canon(n, K, p) == PExp(m, K - j)
+    m, j = one_step_strip(abs(n), p)
+    assert _power_of(abs(n), p) == (j if m == 1 else None)

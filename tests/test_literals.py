@@ -367,3 +367,23 @@ def test_oversized_integer_fails_as_in_the_descent_parser():
     # A numeral at the cap is read, by both paths alike.
     fast, slow = _both_paths(parse_series, "1 + " + "7" * MAX_DIGITS + "*v^-3", 2)
     assert fast == slow and fast[0] == "ok"
+
+
+def test_printers_refuse_numerals_past_the_cap():
+    # What a printer writes, the parser reads back: a numeral at the cap is
+    # printed, one digit more is a ParseError naming the cap.
+    at, past = 10**MAX_DIGITS - 1, 10**MAX_DIGITS
+    for c in (at, -at, Fraction(1, at)):
+        f = PSeries(3, {PExp(1, 0): 1, PExp(2, 0): c})
+        assert parse_series(format_series(f), 3) == f
+    assert format_exponent(PExp(-at, 0), 2) == str(-at)
+    assert parse_laurent(format_laurent(LaurentPoly(Q, {at: at})), Q) == LaurentPoly(Q, {at: at})
+    for text in (
+        lambda: format_series(PSeries(3, {PExp(1, 0): 1, PExp(2, 0): -past})),
+        lambda: format_series(PSeries(3, {ZERO: Fraction(1, past)})),
+        lambda: format_series(PSeries(3, {PExp(past, 1): 1})),
+        lambda: format_exponent(PExp(past, 0), 2),
+        lambda: format_laurent(LaurentPoly(Q, {-past: 1})),
+    ):
+        with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits"):
+            text()

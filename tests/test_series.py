@@ -399,6 +399,13 @@ def test_reduce_multiplicative(f, g):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(series(p), series(p))))
+def test_reduce_additive(fg):
+    f, g = fg
+    assert (f + g).reduce() == f.reduce() + g.reduce()
+
+
+@settings(max_examples=60, deadline=None)
 @given(series(2, lo=0), series(2, lo=0))
 def test_nonneg_subring_closed_under_arithmetic(f, g):
     assert (f + g).in_subring(SubringTag.NONNEG)

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projectivoid import PExp, PSeries, Valuation, ZERO, ZeroSeries, canon, exp_add
+from projectivoid import PExp, PSeries, ResiduePoly, Valuation, ZERO, ZeroSeries, canon, exp_add
 from helpers import (
     mono,
     oracle_add,
@@ -187,6 +187,49 @@ def test_results_are_in_normal_form(fg, data):
 @given(units(), st.integers(1, 12))
 def test_inverse_is_in_normal_form(f, target):
     assert_normal_form(f.inverse(target))
+
+
+def residues(p):
+    return st.builds(
+        lambda pairs: ResiduePoly(p, pairs),
+        st.lists(st.tuples(exps(p), st.integers(-2 * p, 2 * p)), max_size=6),
+    )
+
+
+def assert_residue_normal_form(r):
+    p, K, ints = r.prime, r.K, r.ints
+    assert K >= 0 and (K == 0 or any(n % p for n in ints))
+    assert all(0 < a < p for a in ints.values())
+    # the view round-trips through the validating constructor
+    view, before = r.coeffs, r.coeffs
+    assert ResiduePoly(p, view) == r
+    # and is a new dict on each access: changing it leaves r as it was
+    kernel = (K, dict(ints))
+    view[PExp(1, 9)] = view.pop(ZERO, 1)
+    assert r.coeffs == before and (r.K, r.ints) == kernel
+    # sorting by n on the grid is sorting by the rational exponent
+    assert r.support() == sorted(before, key=lambda e: e.as_fraction(p))
+    assert r.ordered_terms() == [(e, before[e]) for e in r.support()]
+
+
+@st.composite
+def residue_operands(draw):
+    p = draw(PRIMES)
+    return draw(residues(p)), draw(residues(p)), draw(series(p, exact=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_operands())
+def test_residues_are_in_normal_form(rsf):
+    r, s, f = rsf
+    minus_r = r * ResiduePoly(r.prime, {ZERO: -1})
+    results = [r, s, r + s, r * s, minus_r, r + minus_r]
+    # the reduction of a norm-one series, whose terms of positive valuation
+    # reduce to 0 and may leave a coarser grid
+    results.append((f if f.is_zero() else f.normalize_gauss()).reduce())
+    for x in results:
+        assert_residue_normal_form(x)
+    assert (r + minus_r).is_zero()
 
 
 def test_different_constructions_compare_equal():
