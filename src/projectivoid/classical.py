@@ -19,8 +19,9 @@ is re-multiplied exactly, with its own determinants, before being returned.
 
 ``LaurentPoly`` is stored as an integer kernel, numerators over one common
 denominator, like ``series.PSeries``: its products and its sums of products
-(``_dot``) run through ``series._convolve``, and its determinants on
-``series._IntPoly`` (``series.scaled_det``).
+(``_dot``) run through ``series._convolve``, and its determinants run the
+routines of ``determinants`` on the bare numerator dicts
+(``series.scaled_det``).
 ``LMatrix`` is the ``determinants.SquareMatrix`` over Laurent polynomials,
 with the polynomial-side predicates that the certificate checks use.
 """
@@ -215,7 +216,8 @@ class LMatrix(SquareMatrix):
 
     def det(self) -> LaurentPoly:
         """Division-free determinant through ``determinants.det``, run on the
-        integer kernels of the rows (``series.scaled_det``)."""
+        numerator dicts of the rows (``series.scaled_det``) and reduced mod p
+        once, at the end, over GF(p).  The entries are not changed."""
         return _poly(self.field, *scaled_det(1, 0, self.rows, det))
 
     def is_polynomial(self) -> bool:

@@ -1,16 +1,19 @@
 """Division-free determinants and square matrices over any commutative ring.
 
-The routines only use ring addition, negation and multiplication, so they
-apply verbatim to series with fractional exponents, to the integer kernels
-series matrices are reduced to, and to Laurent polynomials.
+The fast routines run on integer kernels: every entry is a dict ``{n: a}``
+standing for the sum of the terms a * x^n, all on one exponent grid that the
+caller fixes (``series.scaled_det``), with no zero numerator.  Each sum of
+products is added into one dict through ``series._convolve`` and its zeros
+are dropped once, so ``{}`` is the zero determinant.  The routines never
+change their inputs.
 
 * Laplace expansion row by row, with the minors memoised by column subset,
   costs at most n * 2^(n-1) products and skips zero entries.  ``det`` uses
   it up to ``LAPLACE_MAX_M``.
 * The Berkowitz recursion costs O(n^4) ring operations.  ``det`` uses it
   above that size.
-* Leibniz expansion costs n! products and is the oracle the tests compare
-  the other two against.
+* Leibniz expansion costs n! products over any ring with ``+``, unary ``-``
+  and ``*``; it is the oracle the tests compare the other two against.
 
 ``SquareMatrix`` is the matrix type of both rings, series (``SMatrix``) and
 Laurent polynomials (``LMatrix``); both determinants go through ``det``.
@@ -18,14 +21,18 @@ Laurent polynomials (``LMatrix``); both determinants go through ``det``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import permutations
 
 from .errors import DimensionMismatch
+from .series import _convolve
 
 # Largest size at which det expands by memoised minors; Berkowitz takes over
-# above it.  Measured on planted series (m = 6..10) and Laurent (m = 4..10)
+# above it.  Measured on planted series (m = 7..11) and Laurent (m = 6..10)
 # matrices.
 LAPLACE_MAX_M = 8
+
+_ONE = {0: 1}  # the unit kernel; read, never written
 
 
 def _odd(perm) -> bool:
@@ -59,77 +66,71 @@ def leibniz_det(rows, one):
     return total
 
 
-def laplace_det(rows, one):
+def _neg(f: dict) -> dict:
+    return {n: -a for n, a in f.items()}
+
+
+def _nonzero(acc: dict) -> dict:
+    return {n: a for n, a in acc.items() if a}
+
+
+def laplace_det(rows) -> dict:
     """Expansion along the rows, top down, minors memoised by column subset.
 
     After row k, ``minors`` maps each set S of k + 1 columns (a bit mask) to
     the determinant of rows 0..k and columns S.  Expanding that minor along
     its last row gives the entry at column j the sign (-1)^(number of columns
-    in S above j).  Zero entries and zero minors are skipped, so the ring
-    zero is returned when the full minor never appears."""
-    minors = {0: one}
+    in S above j), so each row is negated once.  Every product of a new minor
+    goes into one dict; zero entries and zero minors are skipped."""
+    minors = {0: _ONE}
     for row in rows:
-        entries = [(1 << j, a, -a) for j, a in enumerate(row) if not a.is_zero()]
-        nxt = {}
+        entries = [(1 << j, a, _neg(a)) for j, a in enumerate(row) if a]
+        nxt = defaultdict(dict)
         for cols, minor in minors.items():
             for bit, a, neg in entries:
-                if cols & bit:
-                    continue
-                term = minor * (neg if (cols // bit).bit_count() & 1 else a)
-                key = cols | bit
-                nxt[key] = nxt[key] + term if key in nxt else term
-        minors = {cols: minor for cols, minor in nxt.items() if not minor.is_zero()}
-    return minors.get((1 << len(rows)) - 1, one + -one)
+                if not cols & bit:
+                    _convolve(minor, neg if (cols // bit).bit_count() & 1 else a, nxt[cols | bit])
+        minors = {cols: minor for cols, acc in nxt.items() if (minor := _nonzero(acc))}
+    return minors.get((1 << len(rows)) - 1, {})
 
 
-def _dot(u, v):
-    acc = None
-    for a, b in zip(u, v):
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc
+def _sum(pairs) -> dict:
+    """The sum of the products f * g over the pairs of kernels."""
+    acc: dict = {}
+    for f, g in pairs:
+        _convolve(f, g, acc)
+    return _nonzero(acc)
 
 
-def charpoly(rows, one):
+def charpoly(rows) -> list:
     """Coefficients of det(t*I - A), highest power first (Berkowitz 1984)."""
     n = len(rows)
-    a = rows[0][0]
+    items = [_ONE, _neg(rows[0][0])]
     if n == 1:
-        return [one, -a]
-    r_vec = rows[0][1:]
-    c_vec = [r[0] for r in rows[1:]]
+        return items
+    neg_r = [_neg(f) for f in rows[0][1:]]
     body = [r[1:] for r in rows[1:]]
-    items = [one, -a]
-    t = c_vec
+    t = [r[0] for r in rows[1:]]
     for k in range(n - 1):
-        items.append(-_dot(r_vec, t))
+        items.append(_sum(zip(neg_r, t)))
         if k < n - 2:
-            t = [_dot(r, t) for r in body]
-    prev = charpoly(body, one)
+            t = [_sum(zip(r, t)) for r in body]
+    prev = charpoly(body)
     # Lower-triangular Toeplitz product: out[i] = sum over j <= i of
-    # items[i - j] * prev[j].  items[0] and prev[0] are one, so those
-    # products are taken as they stand.
-    out = [one]
-    for i in range(1, n + 1):
-        acc = items[i]
-        for j in range(1, min(i, n - 1) + 1):
-            acc = acc + (prev[j] if j == i else items[i - j] * prev[j])
-        out.append(acc)
-    return out
+    # items[i - j] * prev[j].
+    return [_sum((items[i - j], prev[j]) for j in range(min(i, n - 1) + 1)) for i in range(n + 1)]
 
 
-def berkowitz_det(rows, one):
-    n = len(rows)
-    vec = charpoly(rows, one)
-    constant = vec[-1]
+def berkowitz_det(rows) -> dict:
     # det(A) = (-1)^n * [constant coefficient of det(t*I - A)]
-    return constant if n % 2 == 0 else -constant
+    constant = charpoly(rows)[-1]
+    return constant if len(rows) % 2 == 0 else _neg(constant)
 
 
-def det(rows, one):
-    """Determinant of a square matrix over any commutative ring, by the
+def det(rows) -> dict:
+    """Determinant of a square matrix of integer kernels on one grid, by the
     routine measured fastest at its size."""
-    return (laplace_det if len(rows) <= LAPLACE_MAX_M else berkowitz_det)(rows, one)
+    return (laplace_det if len(rows) <= LAPLACE_MAX_M else berkowitz_det)(rows)
 
 
 class SquareMatrix:

@@ -297,14 +297,22 @@ def _parse_terms(text: str, prime: int | None):
 # result that mixes scales prints numerators of about that many bits.
 MAX_EXP_BITS = 2**12
 
+# Cap on the cutoff V of a precision suffix, in bits counted the same way:
+# truncation tests numerators against p^V, which has about that many bits.
+MAX_PREC_BITS = 2**21
+
 
 def parse_series(text: str, prime: int) -> PSeries:
     if not is_prime(prime):
         raise ParseError(f"{prime} is not a prime")
     terms, precision = _parse_terms(text, prime)
-    top = MAX_EXP_BITS // (prime - 1).bit_length()
+    bits = (prime - 1).bit_length()
+    top = MAX_EXP_BITS // bits
     if any(pw > top for _, _, pw in terms):
         raise ParseError(f"exponent denominators above {prime}^{top} are not accepted")
+    top = MAX_PREC_BITS // bits
+    if precision is not None and precision > top:
+        raise ParseError(f"precision cutoffs above {top} are not accepted at p = {prime}")
     pairs = [(canon(num, pw, prime), coeff) for coeff, num, pw in terms]
     return PSeries(prime, pairs, precision)
 

@@ -7,7 +7,7 @@ automorphisms: U over the non-negative subring, V over the non-positive one,
 each with a determinant dominated by its constant term.
 
 ``SMatrix`` is the ``determinants.SquareMatrix`` over series; its determinant
-runs the shared size dispatch on integer kernels.
+runs the shared size dispatch on the entries' integer kernels.
 """
 
 from __future__ import annotations
@@ -74,8 +74,9 @@ class SMatrix(SquareMatrix):
         return f"SMatrix(p={self.prime}, m={self.m})"
 
     def det(self) -> PSeries:
-        """Exact determinant: ``determinants.det`` run on integer kernels and
-        normalised once (see ``series.kernel_det``)."""
+        """Exact determinant: ``determinants.det`` run on the entries' integer
+        kernels, lifted onto one grid, and normalised once (see
+        ``series.kernel_det``).  The entries are not changed."""
         if any(not f.is_exact() for r in self.rows for f in r):
             raise ValueError("operation requires exact matrix entries")
         return kernel_det(self.prime, self.rows, det)

@@ -35,12 +35,14 @@ The reduction to the residue field, ``ResiduePoly``, is the same kernel with
 no denominator, ``(K, {n: a})`` with each a in 1..p-1, built by one
 constructor, ``_residue``; its ``coeffs`` is a view like ``terms``.  Each
 kernel loop is written once: ``_convolve`` for every product and sum of
-products (those of ``classical.LaurentPoly`` too), ``_add`` for sums, and
-``exponents.canon`` to read an n / p^K back as a ``PExp``.
+products (those of ``classical.LaurentPoly`` and of the determinants too),
+``_add`` for sums, and ``exponents.canon`` to read an n / p^K back as a
+``PExp``.
 
 A matrix determinant (``kernel_det``) lifts every entry once onto one grid,
-each row over its own denominator, runs a division-free routine on the
-integer kernels and normalises only the determinant.
+each row over its own denominator (``scaled_det``), runs a division-free
+routine of ``determinants`` on the bare integer dicts, which adds every
+product of a sum into one dict, and normalises only the determinant.
 """
 
 from __future__ import annotations
@@ -201,35 +203,14 @@ def _add(f: dict, g: dict) -> dict:
     return out
 
 
-class _IntPoly:
-    """An integer kernel {n: a} on a grid fixed by the caller, with no zero
-    numerators: the ring a matrix determinant runs in.  It has just what the
-    division-free routines in ``determinants`` use."""
-
-    __slots__ = ("ints",)
-
-    def __init__(self, ints: dict):
-        self.ints = ints
-
-    def is_zero(self) -> bool:
-        return not self.ints
-
-    def __add__(self, other: "_IntPoly") -> "_IntPoly":
-        return _IntPoly(_add(self.ints, other.ints))
-
-    def __neg__(self) -> "_IntPoly":
-        return _IntPoly({n: -a for n, a in self.ints.items()})
-
-    def __mul__(self, other: "_IntPoly") -> "_IntPoly":
-        return _IntPoly({n: a for n, a in _convolve(self.ints, other.ints, {}).items() if a})
-
-
 def scaled_det(p: int, K: int, rows, det) -> tuple[int, dict]:
     """Determinant of a square matrix whose entries f are the kernels
     (f.K, f.D, f.ints), as a pair (D, acc) standing for acc / D on the grid
     p^K.  Row i is scaled by the lcm D_i of its denominators, so its entries
-    become integer kernels, and the division-free routine det(rows, one)
-    runs on those: det(A) = det(A') / prod(D_i)."""
+    become integer kernels, and the division-free routine det(rows) of
+    ``determinants`` runs on those dicts: det(A) = det(A') / prod(D_i).  An
+    entry already on the grid and over D_i is handed over as its own
+    ``ints``, which the routines only read."""
     D, scaled = 1, []
     for r in rows:
         D_i = 1
@@ -237,8 +218,8 @@ def scaled_det(p: int, K: int, rows, det) -> tuple[int, dict]:
             if D_i % f.D:
                 D_i = lcm(D_i, f.D)
         D *= D_i
-        scaled.append([_IntPoly(_lift(f.ints, p ** (K - f.K), D_i // f.D)) for f in r])
-    return D, det(scaled, _IntPoly({0: 1})).ints
+        scaled.append([_lift(f.ints, p ** (K - f.K), D_i // f.D) for f in r])
+    return D, det(scaled)
 
 
 def kernel_det(p: int, rows, det) -> "PSeries":

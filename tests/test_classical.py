@@ -23,8 +23,9 @@ from projectivoid import (
     split,
     splitting_invariance_check,
 )
-from projectivoid.classical import _inverse
+from projectivoid.classical import _inverse, _poly
 from projectivoid.determinants import berkowitz_det, laplace_det, leibniz_det
+from projectivoid.series import scaled_det
 from helpers import random_unimodular
 
 F2 = PrimeField(2)
@@ -250,10 +251,9 @@ def test_det_and_adjugate_match_leibniz_oracle(M, data):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([F2, F3, F5, Q]).flatmap(sparse_lmatrices))
 def test_determinant_strategies_agree(M):
-    one = LaurentPoly.one(M.field)
-    d = leibniz_det(M.rows, one)
-    assert laplace_det(M.rows, one) == d
-    assert berkowitz_det(M.rows, one) == d
+    d = leibniz_det(M.rows, LaurentPoly.one(M.field))
+    assert _poly(M.field, *scaled_det(1, 0, M.rows, laplace_det)) == d
+    assert _poly(M.field, *scaled_det(1, 0, M.rows, berkowitz_det)) == d
 
 
 def test_lmatrix_side_predicates():

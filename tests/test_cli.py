@@ -18,7 +18,7 @@ from projectivoid import (
     splitting_invariance_check,
 )
 from projectivoid.exponents import MAX_CALKIN_WILF_TERMS
-from projectivoid.literals import MAX_DIGITS, MAX_EXP_BITS
+from projectivoid.literals import MAX_DIGITS, MAX_EXP_BITS, MAX_PREC_BITS
 from projectivoid.cli import MAX_COUNT, MAX_FAMILY, MAX_PREC, MAX_RANK, MAX_SHEARS, main
 from helpers import (
     ACT_TRIPLE,
@@ -311,6 +311,29 @@ def test_exponent_denominator_cap(capsys, p):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("ParseError") and f"above {p}^{k} are not accepted" in err
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000003])
+def test_precision_cutoff_cap(capsys, p):
+    top = MAX_PREC_BITS // (p - 1).bit_length()
+    lit = f"1 + {p}*v^(1/{p}^1) - v^3 (mod val >= {top})"
+    for cmd in ("norm", "degree", "reduce"):
+        start = time.process_time()
+        code, out, _ = run(capsys, cmd, "--prime", str(p), lit)
+        assert code == 0 and out
+        assert time.process_time() - start < 1.0
+    # Both readers: the scanner takes ">= V", ">= +V" goes to the descent
+    # parser; a matrix entry is parsed like a literal.
+    doc = {"p": p, "m": 1, "entries": [[f"v (mod val >= {top + 1})"]]}
+    for argv in (
+        ["norm", "--prime", str(p), f"1 + v (mod val >= {top + 1})"],
+        ["norm", "--prime", str(p), f"1 + v (mod val >= +{top + 1})"],
+        ["det", "--prime", str(p), json.dumps(doc)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("ParseError") and f"cutoffs above {top} are not accepted" in err
+        assert err.count("\n") == 1
 
 
 def test_numeral_digit_cap(capsys):

@@ -1,5 +1,6 @@
 """Series-matrix determinants on the integer kernel against the per-entry
-Leibniz oracle, and the size dispatch between Laplace and Berkowitz for both
+Leibniz oracle, the series side against the Laurent side on integer
+exponents, and the size dispatch between Laplace and Berkowitz for both
 matrix types."""
 
 import itertools
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from projectivoid import LMatrix, LaurentPoly, PSeries, PrimeField, RationalField, SMatrix, canon
 from projectivoid import determinants
-from projectivoid.determinants import LAPLACE_MAX_M, _odd
+from projectivoid.determinants import LAPLACE_MAX_M, _odd, berkowitz_det, laplace_det
+from projectivoid.series import kernel_det
 from helpers import mono, oracle_det, random_unimodular
 
 
@@ -67,6 +69,60 @@ def test_det_matches_leibniz_oracle(case):
         assert got == PSeries.zero(A.prime)
 
 
+def _kernels(A):
+    return [[dict(f.ints) for f in r] for r in A.rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_matrices())
+def test_each_strategy_matches_leibniz_oracle(case):
+    # Both routines run on the scaled integer kernels at every size, and
+    # neither changes the entries it reads: a row over denominator 1 on the
+    # finest grid hands over the entries' own dicts.
+    A, _ = case
+    want = oracle_det(A)
+    before = _kernels(A)
+    for routine in (laplace_det, berkowitz_det):
+        assert kernel_det(A.prime, A.rows, routine) == want
+        assert _kernels(A) == before
+
+
+@pytest.mark.parametrize("m", [LAPLACE_MAX_M, LAPLACE_MAX_M + 2])
+def test_det_leaves_entries_unchanged(m):
+    # Series and GF(3) entries (D = 1, so the routines read the entries' own
+    # dicts), Laplace at the crossover and Berkowitz above.
+    rng = random.Random(m)
+    for M in (_planted(rng, 2, m)[0], random_unimodular(rng, PrimeField(3), m, factors=m)):
+        before = _kernels(M)
+        M.det()
+        assert _kernels(M) == before
+
+
+@st.composite
+def integer_exponent_matrices(draw):
+    """(p, rows): an m x m matrix of {n: c}, integer n and rational c, with
+    m = 1..5 or one size past the crossover."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, LAPLACE_MAX_M + 1]))
+    coeff = st.fractions(-4, 4, max_denominator=12).filter(bool)
+    entry = st.dictionaries(st.integers(-3, 3), coeff, max_size=2)
+    return p, [[draw(entry) for _ in range(m)] for _ in range(m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_exponent_matrices())
+def test_series_det_matches_laurent_det_over_q(case):
+    # On integer exponents a series over any p and a Laurent polynomial over
+    # Q are the same element; both determinants must agree term by term.
+    p, rows = case
+    Q = RationalField()
+    S = SMatrix(p, [[PSeries(p, {canon(n, 0, p): c for n, c in f.items()}) for f in r] for r in rows])
+    L = LMatrix(Q, [[LaurentPoly(Q, f) for f in r] for r in rows])
+    s_terms = S.det().ordered_terms()
+    assert all(e.pow == 0 for e, _ in s_terms)
+    assert [(e.num, c) for e, c in s_terms] == L.det().ordered_terms()
+
+
 def test_odd_matches_inversion_count():
     for n in range(7):
         for perm in itertools.permutations(range(n)):
@@ -104,7 +160,7 @@ def _planted(rng, p, m):
     return A, want
 
 
-def _refuse(rows, one):
+def _refuse(rows):
     raise AssertionError(f"this strategy must not run at m = {len(rows)}")
 
 
