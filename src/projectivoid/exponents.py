@@ -114,17 +114,16 @@ def antidiagonal_stream(p: int) -> Iterator[PExp]:
     """Yield a/p**b walking antidiagonals of the (a, b) grid.
 
     The walk visits a + b = k for k = 0, 1, 2, ... and runs each antidiagonal
-    from (0, k) to (k, 0).  Pairs whose value was already produced are
-    skipped, so the stream enumerates Z[1/p] cap [0, oo) without repetition.
+    from (0, k) to (k, 0).  It yields the pairs in lowest terms, b = 0 or
+    p not dividing a; any other pair has the value of (a/p, b - 1), met on an
+    earlier antidiagonal.  So the stream enumerates Z[1/p] cap [0, oo)
+    without repetition.
     """
-    seen: set[PExp] = set()
     k = 0
     while True:
         for a in range(k + 1):
-            e = canon(a, k - a, p)
-            if e not in seen:
-                seen.add(e)
-                yield e
+            if a % p or a == k:
+                yield PExp(a, k - a)
         k += 1
 
 

@@ -2,30 +2,31 @@
 
 The literal grammar, with insignificant whitespace:
 
-    series := term (('+' | '-') term)*
+    series := [sign] term (sign term)* [suffix]
     term   := coeff | coeff '*' mono | mono
     mono   := 'v' | 'v' '^' exp | 'v' '^' '(' exp ')'
-    exp    := int | int '/' int '^' int
+    exp    := [sign] int | [sign] int '/' int '^' int
     coeff  := int | int '/' int
+    suffix := '(' 'mod' 'val' '>=' [sign] int ')'
+    sign   := '+' | '-'
 
 Fractional exponents must spell their denominator as prime**power and the
 base must equal the session prime.  Printed output lists terms by ascending
 exponent, keeps coefficients in lowest terms, and appends the suffix
-"(mod val >= V)" exactly when the series is inexact; the parser accepts that
-suffix back, as well as a redundant leading sign.  The classical Laurent side
-uses the same grammar restricted to integer exponents, with 's' accepted as
-an alias for 'v' on input.
+"(mod val >= V)" exactly when the series is inexact.  The classical Laurent
+side uses the same grammar restricted to integer exponents and without the
+suffix.  's' is accepted as an alias for 'v' on input.
 
-Two readers share the grammar.  ``_scan`` reads a literal with one regular
-expression match per term; it covers the forms the printer writes, with any
-whitespace between tokens: an optional sign, a coefficient ``n`` or ``n/d``,
-an optional ``*`` before ``v`` or ``s``, an exponent ``e``, ``-e`` or
-``e/p^k`` with or without parentheses, and the precision suffix.  Text it
-does not consume completely, or that names a zero denominator, a wrong
-exponent base or a fractional exponent in Laurent mode, goes unchanged to
-the recursive-descent ``_Parser``.  That parser reads the whole grammar
-(also ``v^+3`` or ``v^(- 3)``), raises every ``ParseError`` with its
-position, and is the oracle that the tests compare the scanner against.
+One reader, ``_read``, takes every literal apart: one regular expression
+match per term, then one for the suffix.  Each piece of a match is optional
+and tried once, so the match stops where the text leaves the grammar, and
+``_read`` raises a ``ParseError`` that names the first missing piece at the
+token where it should stand.  A lexical fault (a character that starts no
+token, an unknown word, or a numeral past MAX_DIGITS) wins over any other
+fault, wherever it stands in the text.  The tests compare the reader with a
+tokenizer and a recursive-descent parser over the same grammar, kept in
+``tests/helpers.py`` as the oracle: value, error class, message and position
+all agree.
 """
 
 from __future__ import annotations
@@ -41,251 +42,125 @@ from .fields import PrimeField
 from .matrices import SMatrix
 from .series import PSeries, ResiduePoly
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z]+)|(>=)|([-+*/^()])")
-
 # Cap on the digits of one numeral in a literal or a JSON document, well
 # under the 4,300 digits past which Python refuses to convert a string to an
 # int.  It admits what the printer writes for series at the exponent cap
 # (MAX_EXP_BITS): at most 1,235 digits for a mixed-scale inverse at p = 2.
 MAX_DIGITS = 2000
-_LONG_NUMERAL_RE = re.compile(r"(?<![0-9])[0-9]{%d}" % (MAX_DIGITS + 1))
+_LONG_NUMERAL_RE = re.compile(r"(?<!\d)\d{%d}" % (MAX_DIGITS + 1))
 _LONG_NUMERAL = f"numerals of more than {MAX_DIGITS} digits are not accepted"
 
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        if m.group(1):
-            if len(m.group(1)) > MAX_DIGITS:
-                raise ParseError(_LONG_NUMERAL, i)
-            tokens.append(("num", m.group(1), i))
-        elif m.group(2):
-            word = m.group(2)
-            if word in ("v", "s"):
-                tokens.append(("var", word, i))
-            elif word in ("mod", "val"):
-                tokens.append(("name", word, i))
-            else:
-                raise ParseError(f"unexpected symbol {word!r}", i)
-        elif m.group(3):
-            tokens.append(("ge", ">=", i))
-        else:
-            tokens.append((m.group(4), m.group(4), i))
-        i = m.end()
-    tokens.append(("end", "", n))
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over the token list; prime None restricts the
-    exponents to integers (the classical Laurent mode)."""
-
-    def __init__(self, text: str, prime: int | None):
-        self.toks = _tokenize(text)
-        self.i = 0
-        self.prime = prime
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def advance(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}", tok[2])
-        return tok
-
-    def parse(self):
-        terms = []
-        sign = 1
-        tok = self.peek()
-        if tok[0] in ("+", "-"):
-            self.advance()
-            sign = -1 if tok[0] == "-" else 1
-        terms.append(self._term(sign))
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()
-            terms.append(self._term(-1 if op[0] == "-" else 1))
-        precision = None
-        if self.peek()[0] == "(":
-            precision = self._precision_suffix()
-        end = self.advance()
-        if end[0] != "end":
-            raise ParseError("unexpected trailing input", end[2])
-        return terms, precision
-
-    def _term(self, sign: int):
-        tok = self.peek()
-        if tok[0] == "num":
-            coeff = self._coefficient()
-            if self.peek()[0] == "*":
-                self.advance()
-                num, pw = self._mono()
-            else:
-                num, pw = 0, 0
-        elif tok[0] == "var":
-            coeff = Fraction(1)
-            num, pw = self._mono()
-        else:
-            raise ParseError("expected a coefficient or a monomial", tok[2])
-        return sign * coeff, num, pw
-
-    def _coefficient(self) -> Fraction:
-        tok = self.expect("num", "an integer")
-        value = Fraction(int(tok[1]))
-        if self.peek()[0] == "/":
-            self.advance()
-            den = self.expect("num", "a denominator")
-            if int(den[1]) == 0:
-                raise ParseError("zero denominator", den[2])
-            value /= int(den[1])
-        return value
-
-    def _mono(self):
-        self.expect("var", "a variable")
-        if self.peek()[0] != "^":
-            return 1, 0
-        self.advance()
-        if self.peek()[0] == "(":
-            self.advance()
-            num, pw = self._exponent()
-            closing = self.advance()
-            if closing[0] != ")":
-                raise ParseError("expected ')'", closing[2])
-        else:
-            num, pw = self._exponent()
-        return num, pw
-
-    def _exponent(self):
-        sign = 1
-        tok = self.peek()
-        if tok[0] in ("+", "-"):
-            self.advance()
-            sign = -1 if tok[0] == "-" else 1
-        numtok = self.expect("num", "an exponent numerator")
-        num = sign * int(numtok[1])
-        if self.peek()[0] != "/":
-            return num, 0
-        slash = self.advance()
-        if self.prime is None:
-            raise ParseError("integer exponent expected", slash[2])
-        base = self.expect("num", "a denominator base")
-        caret = self.advance()
-        if caret[0] != "^":
-            raise ParseError("expected '^' in the exponent denominator", caret[2])
-        pw = self.expect("num", "a denominator power")
-        if int(base[1]) != self.prime:
-            raise WrongPrimeDenominator(
-                f"denominator base {base[1]} is not the session prime {self.prime}",
-                base[2],
-            )
-        return num, int(pw[1])
-
-    def _precision_suffix(self) -> int:
-        self.expect("(", "'('")
-        tok = self.advance()
-        if tok[0] != "name" or tok[1] != "mod":
-            raise ParseError("expected 'mod'", tok[2])
-        tok = self.advance()
-        if tok[0] != "name" or tok[1] != "val":
-            raise ParseError("expected 'val'", tok[2])
-        tok = self.advance()
-        if tok[0] != "ge":
-            raise ParseError("expected '>='", tok[2])
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            op = self.advance()
-            sign = -1 if op[0] == "-" else 1
-        num = self.expect("num", "a precision value")
-        tok = self.advance()
-        if tok[0] != ")":
-            raise ParseError("expected ')'", tok[2])
-        return sign * int(num[1])
-
-
-# ----------------------------------------------------------------------
-# the one-match-per-term scanner
-
-# One term: sign (1), coefficient numerator (2) and denominator (3), '*' (4),
-# variable (5), '(' around the exponent (6), exponent numerator (7), base (8)
-# and power (9).  Every part is optional, so the match never fails; _scan
-# decides whether what it matched is a term.
-_TERM_RE = re.compile(
-    r"\s*([+-]?)\s*"
-    r"(?:([0-9]+)(?:\s*/\s*([0-9]+))?)?"
-    r"(\s*\*\s*)?"
-    r"(?:([vs])(?:\s*\^\s*(\()?\s*(-?[0-9]+)"
-    r"(?:\s*/\s*([0-9]+)\s*\^\s*([0-9]+))?(?(6)\s*\)))?)?"
+# The longest run of whole tokens, then the lexical fault that ends it, if
+# any: a numeral past MAX_DIGITS (1), an unknown word (2) or a character
+# that starts no token (3).
+_LEXICAL_RE = re.compile(
+    r"(?:\s|\d{1,%d}(?!\d)|(?:[vs]|mod|val)(?![A-Za-z])|>=|[-+*/^()])*"
+    r"(?:(\d)|([A-Za-z]+)|(.))?" % MAX_DIGITS,
+    re.S,
 )
-_TAIL_RE = re.compile(r"\s*(?:\(\s*mod\s+val\s*>=\s*(-?[0-9]+)\s*\)\s*)?")
+_SPACE_RE = re.compile(r"\s*")
+
+# One term.  Every piece is optional and tried once, inside the piece it
+# follows in the grammar: sign (1), numerator (2), '/' (3) and denominator
+# (4) of the coefficient, '*' (5), variable (6), '^' (7), '(' (8), sign (9)
+# and numerator (10) of the exponent, its '/' (11), base (12), '^' (13) and
+# power (14), and ')' (15) after '('.  _read names the first piece that the
+# grammar needs and the match lacks.
+_TERM_RE = re.compile(
+    r"\s*([+-])?\s*(?:(\d+)\s*(?:(/)\s*(?:(\d+)\s*)?)?)?(?:(\*)\s*)?"
+    r"(?:([vs])(?![A-Za-z])\s*(?:(\^)\s*(?:(\()\s*)?(?:([+-])\s*)?"
+    r"(?:(\d+)\s*(?:(/)\s*(?:(\d+)\s*(?:(\^)\s*(?:(\d+)\s*)?)?)?)?)?"
+    r"(?(8)(?:(\))\s*)?))?)?"
+)
+# The precision suffix in the same scheme: '(' (1), 'mod' (2), 'val' (3),
+# '>=' (4), sign (5), value (6) and ')' (7).
+_SUFFIX_RE = re.compile(
+    r"\s*(?:(\()\s*(?:(mod)(?![A-Za-z])\s*(?:(val)(?![A-Za-z])\s*(?:(>=)\s*"
+    r"(?:([+-])\s*)?(?:(\d+)\s*(?:(\))\s*)?)?)?)?)?)?"
+)
+_SUFFIX_PIECES = ((2, "'mod'"), (3, "'val'"), (4, "'>='"), (6, "a precision value"), (7, "')'"))
 
 
-def _scan(text: str, prime: int | None):
-    """``_Parser(text, prime).parse()`` for the forms the scanner reads, else
-    None.  A numeral longer than MAX_DIGITS is left to the parser, which
-    refuses it."""
-    if len(text) > MAX_DIGITS and _LONG_NUMERAL_RE.search(text):
-        return None
-    matches = []
+def _fail(text: str, message: str, position: int, cls=ParseError):
+    """Raise cls(message, position), unless text has a lexical fault: the
+    first of those wins wherever it stands, as if the whole text were split
+    into tokens before it is parsed."""
+    m = _LEXICAL_RE.match(text)
+    if m.group(1):
+        raise ParseError(_LONG_NUMERAL, m.start(1))
+    if m.group(2):
+        raise ParseError(f"unexpected symbol {m.group(2)!r}", m.start(2))
+    if m.group(3):
+        raise ParseError(f"unexpected character {m.group(3)!r}", m.start(3))
+    raise cls(message, position)
+
+
+def _expected(text: str, m, group: int, what: str):
+    """Fail with 'expected <what>' at the token after the last piece before
+    ``group`` that the match holds."""
+    end = max(m.start(), *map(m.end, range(1, group)))
+    _fail(text, f"expected {what}", _SPACE_RE.match(text, end).end())
+
+
+def _read(text: str, prime: int | None):
+    """The terms (coefficient, exponent numerator, power of p in the exponent
+    denominator) and the precision value (or None) of a literal.  prime None
+    restricts the exponents to integers (the classical Laurent mode)."""
+    if len(text) > MAX_DIGITS and (long := _LONG_NUMERAL_RE.search(text)):
+        _fail(text, _LONG_NUMERAL, long.start())
+    terms = []
     pos = 0
     while True:
         m = _TERM_RE.match(text, pos)
-        sign, num, star, var = m.group(1, 2, 4, 5)
-        # A term is a coefficient, a monomial, or both joined by '*'; every
-        # term after the first starts with its sign.
-        if num is None and var is None:
+        (sign, n, slash, d, star, var, caret, paren,
+         esign, e, eslash, base, ecaret, k, close) = m.groups()
+        if terms and sign is None:
             break
-        if (star is not None) != (num is not None and var is not None):
-            break
-        if matches and not sign:
-            break
-        matches.append(m.groups())
+        if n is None and (var is None or star):
+            _expected(text, m, 2, "a coefficient or a monomial")
+        c = 1 if n is None else int(n)
+        if slash:
+            if d is None:
+                _expected(text, m, 4, "a denominator")
+            if not int(d):
+                _fail(text, "zero denominator", m.start(4))
+            c = Fraction(c, int(d))
+        if star and var is None:
+            _expected(text, m, 6, "a variable")
+        if n is not None and var is not None and star is None:
+            _fail(text, "unexpected trailing input", m.start(6))
+        num, pw = (0 if var is None else 1), 0
+        if caret:
+            if e is None:
+                _expected(text, m, 10, "an exponent numerator")
+            num = -int(e) if esign == "-" else int(e)
+            if eslash:
+                if prime is None:
+                    _fail(text, "integer exponent expected", m.start(11))
+                if base is None:
+                    _expected(text, m, 12, "a denominator base")
+                if ecaret is None:
+                    _expected(text, m, 13, "'^' in the exponent denominator")
+                if k is None:
+                    _expected(text, m, 14, "a denominator power")
+                if int(base) != prime:
+                    msg = f"denominator base {base} is not the session prime {prime}"
+                    _fail(text, msg, m.start(12), WrongPrimeDenominator)
+                pw = int(k)
+            if paren and close is None:
+                _expected(text, m, 15, "')'")
+        terms.append((-c if sign == "-" else c, num, pw))
         pos = m.end()
-    tail = _TAIL_RE.fullmatch(text, pos)
-    if not matches or tail is None:
-        return None
-    terms = []
-    for sign, num, den, _, var, _, exp, base, pw in matches:
-        coeff = int(num) if num is not None else 1
-        if sign == "-":
-            coeff = -coeff
-        if den is None:
-            coeff = Fraction(coeff)
-        else:
-            den = int(den)
-            if den == 0:
-                return None
-            coeff = Fraction(coeff, den)
-        if var is None:
-            terms.append((coeff, 0, 0))
-        elif exp is None:
-            terms.append((coeff, 1, 0))
-        elif base is None:
-            terms.append((coeff, int(exp), 0))
-        else:
-            exp = int(exp)
-            if prime is None or int(base) != prime:
-                return None
-            terms.append((coeff, exp, int(pw)))
-    precision = tail.group(1)
-    return terms, None if precision is None else int(precision)
-
-
-def _parse_terms(text: str, prime: int | None):
-    scanned = _scan(text, prime)
-    return scanned if scanned is not None else _Parser(text, prime).parse()
+    m = _SUFFIX_RE.match(text, pos)
+    precision = None
+    if m.group(1):
+        for group, what in _SUFFIX_PIECES:
+            if m.group(group) is None:
+                _expected(text, m, group, what)
+        precision = -int(m.group(6)) if m.group(5) == "-" else int(m.group(6))
+    if m.end() < len(text):
+        _fail(text, "unexpected trailing input", m.end())
+    return terms, precision
 
 
 # ----------------------------------------------------------------------
@@ -302,23 +177,30 @@ MAX_EXP_BITS = 2**12
 MAX_PREC_BITS = 2**21
 
 
+def _cutoff(v: int, prime: int) -> int:
+    """The cutoff v of a precision suffix, refused past MAX_PREC_BITS: the
+    parser reads, and the printer writes, no cutoff above the cap."""
+    top = MAX_PREC_BITS // (prime - 1).bit_length()
+    if v > top:
+        raise ParseError(f"precision cutoffs above {top} are not accepted at p = {prime}")
+    return v
+
+
 def parse_series(text: str, prime: int) -> PSeries:
     if not is_prime(prime):
         raise ParseError(f"{prime} is not a prime")
-    terms, precision = _parse_terms(text, prime)
-    bits = (prime - 1).bit_length()
-    top = MAX_EXP_BITS // bits
+    terms, precision = _read(text, prime)
+    top = MAX_EXP_BITS // (prime - 1).bit_length()
     if any(pw > top for _, _, pw in terms):
         raise ParseError(f"exponent denominators above {prime}^{top} are not accepted")
-    top = MAX_PREC_BITS // bits
-    if precision is not None and precision > top:
-        raise ParseError(f"precision cutoffs above {top} are not accepted at p = {prime}")
+    if precision is not None:
+        _cutoff(precision, prime)
     pairs = [(canon(num, pw, prime), coeff) for coeff, num, pw in terms]
     return PSeries(prime, pairs, precision)
 
 
 def parse_laurent(text: str, field) -> LaurentPoly:
-    terms, precision = _parse_terms(text, None)
+    terms, precision = _read(text, None)
     if precision is not None:
         raise ParseError("precision tags are not allowed on Laurent polynomials")
     return LaurentPoly(field, [(num, coeff) for coeff, num, _ in terms])
@@ -378,7 +260,7 @@ def _format_terms(terms, prime: int | None = None) -> str:
 def format_series(f: PSeries) -> str:
     body = _format_terms(f.ordered_terms(), f.prime)
     if f.precision is not None:
-        body += f" (mod val >= {f.precision.v})"
+        body += f" (mod val >= {_cutoff(f.precision.v, f.prime)})"
     return body
 
 

@@ -1,5 +1,6 @@
 """Shared builders and frozen tables used across the test modules."""
 
+import re
 from fractions import Fraction
 
 from projectivoid import (
@@ -16,6 +17,8 @@ from projectivoid import (
     exp_neg,
 )
 from projectivoid.determinants import leibniz_det
+from projectivoid.errors import ParseError, WrongPrimeDenominator
+from projectivoid.literals import _LONG_NUMERAL, MAX_DIGITS
 
 
 def srs(p, triples, precision=None):
@@ -217,6 +220,178 @@ def oracle_det(A):
     """Determinant of a series matrix by Leibniz expansion over the PSeries
     entries themselves: every product and sum through the series layer."""
     return leibniz_det(A.rows, PSeries.one(A.prime))
+
+
+# ----------------------------------------------------------------------
+# Slow oracle for the literal reader: a tokenizer and a recursive-descent
+# parser over the whole grammar.  ``_Parser(text, prime).parse()`` returns
+# what ``literals._read`` returns, and raises the same errors at the same
+# positions.
+
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z]+)|(>=)|([-+*/^()])")
+
+
+def _tokenize(text: str):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        m = _TOKEN_RE.match(text, i)
+        if m is None:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        if m.group(1):
+            if len(m.group(1)) > MAX_DIGITS:
+                raise ParseError(_LONG_NUMERAL, i)
+            tokens.append(("num", m.group(1), i))
+        elif m.group(2):
+            word = m.group(2)
+            if word in ("v", "s"):
+                tokens.append(("var", word, i))
+            elif word in ("mod", "val"):
+                tokens.append(("name", word, i))
+            else:
+                raise ParseError(f"unexpected symbol {word!r}", i)
+        elif m.group(3):
+            tokens.append(("ge", ">=", i))
+        else:
+            tokens.append((m.group(4), m.group(4), i))
+        i = m.end()
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _Parser:
+    """Recursive descent over the token list; prime None restricts the
+    exponents to integers (the classical Laurent mode)."""
+
+    def __init__(self, text: str, prime: int | None):
+        self.toks = _tokenize(text)
+        self.i = 0
+        self.prime = prime
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def advance(self):
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, what: str):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}", tok[2])
+        return tok
+
+    def parse(self):
+        terms = []
+        sign = 1
+        tok = self.peek()
+        if tok[0] in ("+", "-"):
+            self.advance()
+            sign = -1 if tok[0] == "-" else 1
+        terms.append(self._term(sign))
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()
+            terms.append(self._term(-1 if op[0] == "-" else 1))
+        precision = None
+        if self.peek()[0] == "(":
+            precision = self._precision_suffix()
+        end = self.advance()
+        if end[0] != "end":
+            raise ParseError("unexpected trailing input", end[2])
+        return terms, precision
+
+    def _term(self, sign: int):
+        tok = self.peek()
+        if tok[0] == "num":
+            coeff = self._coefficient()
+            if self.peek()[0] == "*":
+                self.advance()
+                num, pw = self._mono()
+            else:
+                num, pw = 0, 0
+        elif tok[0] == "var":
+            coeff = Fraction(1)
+            num, pw = self._mono()
+        else:
+            raise ParseError("expected a coefficient or a monomial", tok[2])
+        return sign * coeff, num, pw
+
+    def _coefficient(self) -> Fraction:
+        tok = self.expect("num", "an integer")
+        value = Fraction(int(tok[1]))
+        if self.peek()[0] == "/":
+            self.advance()
+            den = self.expect("num", "a denominator")
+            if int(den[1]) == 0:
+                raise ParseError("zero denominator", den[2])
+            value /= int(den[1])
+        return value
+
+    def _mono(self):
+        self.expect("var", "a variable")
+        if self.peek()[0] != "^":
+            return 1, 0
+        self.advance()
+        if self.peek()[0] == "(":
+            self.advance()
+            num, pw = self._exponent()
+            closing = self.advance()
+            if closing[0] != ")":
+                raise ParseError("expected ')'", closing[2])
+        else:
+            num, pw = self._exponent()
+        return num, pw
+
+    def _exponent(self):
+        sign = 1
+        tok = self.peek()
+        if tok[0] in ("+", "-"):
+            self.advance()
+            sign = -1 if tok[0] == "-" else 1
+        numtok = self.expect("num", "an exponent numerator")
+        num = sign * int(numtok[1])
+        if self.peek()[0] != "/":
+            return num, 0
+        slash = self.advance()
+        if self.prime is None:
+            raise ParseError("integer exponent expected", slash[2])
+        base = self.expect("num", "a denominator base")
+        caret = self.advance()
+        if caret[0] != "^":
+            raise ParseError("expected '^' in the exponent denominator", caret[2])
+        pw = self.expect("num", "a denominator power")
+        if int(base[1]) != self.prime:
+            raise WrongPrimeDenominator(
+                f"denominator base {base[1]} is not the session prime {self.prime}",
+                base[2],
+            )
+        return num, int(pw[1])
+
+    def _precision_suffix(self) -> int:
+        self.expect("(", "'('")
+        tok = self.advance()
+        if tok[0] != "name" or tok[1] != "mod":
+            raise ParseError("expected 'mod'", tok[2])
+        tok = self.advance()
+        if tok[0] != "name" or tok[1] != "val":
+            raise ParseError("expected 'val'", tok[2])
+        tok = self.advance()
+        if tok[0] != "ge":
+            raise ParseError("expected '>='", tok[2])
+        sign = 1
+        if self.peek()[0] in ("+", "-"):
+            op = self.advance()
+            sign = -1 if op[0] == "-" else 1
+        num = self.expect("num", "a precision value")
+        tok = self.advance()
+        if tok[0] != ")":
+            raise ParseError("expected ')'", tok[2])
+        return sign * int(num[1])
 
 
 # ----------------------------------------------------------------------

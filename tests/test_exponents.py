@@ -124,6 +124,23 @@ def test_antidiagonal_distinct_and_covers_small_box():
     assert box <= set(vals)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 1000003])
+def test_antidiagonal_matches_a_walk_that_skips_seen_values(p):
+    # The stream yields the pairs in lowest terms; the oracle canonicalises
+    # every pair of the same walk and skips the values it has already seen.
+    seen, want, k = set(), [], 0
+    while len(want) < 20000:
+        for a in range(k + 1):
+            e = canon(a, k - a, p)
+            if e not in seen:
+                seen.add(e)
+                want.append(e)
+        k += 1
+    got = enumerate_antidiagonal(p, 20000)
+    assert got == want[:20000]
+    assert all(canon(e.num, e.pow, p) == e for e in got)
+
+
 def test_antidiagonal_rejects_bad_count():
     with pytest.raises(ValueError):
         enumerate_antidiagonal(2, 0)

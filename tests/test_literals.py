@@ -33,7 +33,7 @@ from projectivoid import (
     parse_series,
 )
 from projectivoid.literals import MAX_DIGITS
-from helpers import LITERAL_CORPUS, mono, mutate, srs
+from helpers import LITERAL_CORPUS, _Parser, mono, mutate, srs
 
 Q = RationalField()
 F2 = PrimeField(2)
@@ -249,13 +249,7 @@ def test_laurent_doc_prime_mismatch():
 
 
 # ----------------------------------------------------------------------
-# the term scanner against the recursive-descent parser
-
-
-def test_scanner_reads_the_corpus_and_printed_literals():
-    for text in LITERAL_CORPUS:
-        assert literals._scan(text, 2) is not None, text
-        assert literals._scan(format_series(parse_series(text, 2)), 2) is not None, text
+# the reader against the recursive-descent oracle in helpers
 
 
 def _outcome(parse, text, arg):
@@ -267,11 +261,12 @@ def _outcome(parse, text, arg):
 
 def _both_paths(parse, text, arg):
     fast = _outcome(parse, text, arg)
-    with mock.patch.object(literals, "_scan", lambda text, prime: None):
+    with mock.patch.object(literals, "_read", lambda text, prime: _Parser(text, prime).parse()):
         slow = _outcome(parse, text, arg)
     return fast, slow
 
 
+_THREE = "\u0663"  # ARABIC-INDIC DIGIT THREE
 _SPACE = st.sampled_from(["", "", "", " ", "  ", "\t"])
 _MUTATION_CHARS = "0123456789+-*/^() \tvsmodal>=w#.\u0663"
 
@@ -291,9 +286,9 @@ def _exponent_text(draw, prime):
 
 @st.composite
 def _literal_text(draw, prime):
-    """A literal from the grammar, with some of the forms the descent parser
-    alone reads (v^+3, a space after an exponent sign) and some that it
-    rejects (zero denominators, wrong bases, fractional Laurent exponents)."""
+    """A literal from the grammar, with rarer forms (v^+3, a space after an
+    exponent sign) and some that the reader rejects (zero denominators,
+    wrong bases, fractional Laurent exponents)."""
     sp = lambda: draw(_SPACE)
     out = []
     for i in range(draw(st.integers(1, 5))):
@@ -341,8 +336,7 @@ def test_parse_laurent_scanner_matches_descent_parser(field, text):
 @pytest.mark.parametrize(
     "text,same_as", [("v^+3", "v^3"), ("v^(- 3)", "v^-3"), ("v^2 (mod val >= +1)", "v^2 (mod val >= 1)")]
 )
-def test_forms_left_to_the_descent_parser(text, same_as):
-    assert literals._scan(text, 2) is None
+def test_signed_exponent_and_precision_forms(text, same_as):
     assert parse_series(text, 2) == parse_series(same_as, 2)
 
 
@@ -358,6 +352,10 @@ def test_oversized_integer_fails_as_in_the_descent_parser():
         f"1 + v^(1/2^{big})",
         f"1 + v (mod val >= {big})",
         f"1 + {big}*v # 2",
+        # Any decimal digit counts, as in the oracle's tokenizer: an
+        # Arabic-Indic three past the cap, and past Python's own int limit.
+        f"1 + {_THREE * (MAX_DIGITS + 1)}*v",
+        f"1 + {_THREE * 4301}*v",
     ):
         fast, slow = _both_paths(parse_series, text, 2)
         assert fast == slow and fast[1] is ParseError, text
@@ -367,6 +365,40 @@ def test_oversized_integer_fails_as_in_the_descent_parser():
     # A numeral at the cap is read, by both paths alike.
     fast, slow = _both_paths(parse_series, "1 + " + "7" * MAX_DIGITS + "*v^-3", 2)
     assert fast == slow and fast[0] == "ok"
+    fast, slow = _both_paths(parse_series, f"v^{_THREE}", 2)
+    assert fast == slow == ("ok", parse_series("v^3", 2))
+
+
+@pytest.mark.parametrize(
+    "text,prime,error",
+    [
+        # A lexical fault anywhere wins over an earlier syntax error ...
+        ("1 + + 2 #", 2, (ParseError, "unexpected character '#' (at position 8)")),
+        # ... and a wrong base, found once the exponent is read, over the
+        # missing ')' after it.
+        ("v^(1/3^1", 2, (WrongPrimeDenominator,
+                         "denominator base 3 is not the session prime 2 (at position 5)")),
+    ],
+)
+def test_error_precedence(text, prime, error):
+    fast, slow = _both_paths(parse_series, text, prime)
+    assert fast == slow == ("error", *error)
+
+
+@pytest.mark.parametrize("p", [2, 3, 1000003])
+def test_printed_precision_cutoffs_read_back(p):
+    # The printer and the parser share the cap on a precision cutoff: at the
+    # cap the literal round-trips, one past it neither side accepts.
+    top = literals.MAX_PREC_BITS // (p - 1).bit_length()
+    f = PSeries(p, {ZERO: 1}, top)
+    assert parse_series(format_series(f), p) == f
+    past = PSeries(p, {ZERO: 1}, top) * PSeries(p, {ZERO: p})
+    assert past.precision.v == top + 1
+    refused = f"precision cutoffs above {top} are not accepted at p = {p}"
+    with pytest.raises(ParseError, match=refused):
+        format_series(past)
+    with pytest.raises(ParseError, match=refused):
+        parse_series(f"1 (mod val >= {top + 1})", p)
 
 
 def test_printers_refuse_numerals_past_the_cap():
