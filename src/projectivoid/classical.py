@@ -6,9 +6,8 @@ over k[1/s], both with constant nonzero determinant.  The sorted exponent
 tuple (d1 <= ... <= dm) is the splitting type; it is the classical shadow of
 the degree invariant computed by the perfectoid side of this package.
 
-The factorization is found as follows.  First A is scaled by s^N so that all
-entries are polynomials in s.  Column operations over k[s] then make the
-matrix column-reduced: the matrix of top-degree column coefficients becomes
+The factorization is found as follows.  Column operations over k[s] make A
+column-reduced: the matrix of top-degree column coefficients becomes
 nonsingular.  Writing the reduced matrix as C * diag(s^k_j) with k_j the
 column degrees, C has entries in k[1/s] and constant nonzero determinant, so
 it is unimodular over k[t], t = 1/s, and V = C^-1.  V comes by Euclidean row
@@ -17,13 +16,25 @@ is not constant, so no step is worse than polynomial in the size.  Sorting
 the exponents with a permutation on both sides gives the certificate, which
 is re-multiplied exactly, with its own determinants, before being returned.
 
+Both steps run on bare integer kernels ``{n: a}``, reduced mod p over GF(p).
+Row i of A is scaled by R_i, the lcm of its denominators, and column j of
+the reduced matrix and of U keeps one denominator d_j, so the state is B' =
+diag(R) * A * U * diag(d) and U' = U * diag(d).  Neither scale changes the
+column degrees or which top-degree columns depend on the ones before them,
+so the kernel vector comes from fraction-free Gauss-Jordan elimination of
+the integer top-degree matrix, and each column operation sets the new d_j.
+Then V = diag(d) * C'^-1 * diag(R) for C' = B' * diag(s^-k_j), inverted by
+the same row elimination without fractions.  Laurent polynomials are built
+only for the certificate.
+
 ``LaurentPoly`` is stored as an integer kernel, numerators over one common
 denominator, like ``series.PSeries``: its products and its sums of products
 (``_dot``) run through ``series._convolve``, and its determinants run the
 routines of ``determinants`` on the bare numerator dicts
 (``series.scaled_det``).
 ``LMatrix`` is the ``determinants.SquareMatrix`` over Laurent polynomials,
-with the polynomial-side predicates that the certificate checks use.
+whose product sums each entry with one ``_dot``, with the polynomial-side
+predicates that the certificate checks use.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from typing import Iterable, Mapping
 
 from .determinants import SquareMatrix, det
 from .errors import InvalidAutomorphism, IterationLimitExceeded, NotInvertibleOverRing
-from .series import _convolve, _lift, _normalise, scaled_det
+from .series import _convolve, _gcd, _lift, _normalise, scaled_det, scaled_rows
 
 
 class LaurentPoly:
@@ -177,13 +188,16 @@ def _dot(field, pairs) -> LaurentPoly:
 
 
 def _poly(field, D: int, acc: dict) -> LaurentPoly:
-    """The polynomial of the kernel (D, acc), brought to normal form; over
-    GF(p), D is 1.  Nothing is validated."""
-    p = field.characteristic
-    if p:
+    """The polynomial of the kernel (D, acc), brought to normal form; D is
+    nonzero, and prime to p over GF(p).  Nothing is validated."""
+    if p := field.characteristic:
+        if D != 1:
+            D, acc = 1, _lift(acc, 1, pow(D, -1, p))
         acc = {n: r for n, a in acc.items() if (r := a % p)}
-    else:
+    elif D > 0:
         D, acc = _normalise(p, D, acc, None)
+    else:
+        D, acc = _normalise(p, -D, _lift(acc, 1, -1), None)
     f = object.__new__(LaurentPoly)
     f.field, f.D, f.ints = field, D, acc
     return f
@@ -198,6 +212,7 @@ class LMatrix(SquareMatrix):
     _one = staticmethod(LaurentPoly.one)
     _zero = staticmethod(LaurentPoly.zero)
     _skip = staticmethod(LaurentPoly.is_zero)
+    _sum = staticmethod(_dot)
 
     @staticmethod
     def _check(field, rows) -> None:
@@ -282,71 +297,101 @@ class FactorizationCertificate:
         return self.V * A * self.U == self.D
 
 
-def _kernel_vector(rows, field):
-    """A nonzero kernel vector of a square matrix over `field`, or None.
+def _reduce(p: int, acc: dict) -> dict:
+    """acc reduced mod p when p is nonzero, without its zero numerators."""
+    if p:
+        return {n: r for n, a in acc.items() if (r := a % p)}
+    return {n: a for n, a in acc.items() if a}
 
-    Gauss-Jordan elimination column by column; at the first column c with no
-    pivot, columns 0..c-1 are unit vectors, so the vector is read off it."""
+
+def _primitive(p: int, fs: list, d: int = 0) -> tuple[list, int]:
+    """The integer kernels fs and d, divided over Q by the gcd of d and all
+    the numerators of fs; unchanged over GF(p)."""
+    g = 1 if p else _gcd(d, (a for f in fs for a in f.values()))
+    if g > 1:
+        fs, d = [{n: a // g for n, a in f.items()} for f in fs], d // g
+    return fs, d
+
+
+def _kernel_vector(p: int, rows):
+    """A nonzero kernel vector (w_0, ..., w_c) of a square integer matrix,
+    taken mod p when p is nonzero, or None when the matrix is nonsingular.
+
+    Fraction-free Gauss-Jordan elimination column by column: the pivot row
+    clears its column from every other row, row_i <- pivot * row_i - a_ic *
+    row_pivot, and over Q each row is divided by its content.  At the first
+    column c with no pivot, column k < c is a multiple of the unit vector e_k,
+    so column c is a known combination of them and w_c is nonzero; the vector
+    is unique up to a factor, since columns 0..c-1 are independent."""
     m = len(rows)
     a = [list(r) for r in rows]
     for c in range(m):
-        pr = next((i for i in range(c, m) if not field.is_zero(a[i][c])), None)
+        pr = next((i for i in range(c, m) if a[i][c]), None)
         if pr is None:
-            return [field.neg(a[k][c]) for k in range(c)] + [field.one] + [field.zero] * (m - c - 1)
+            if p:
+                return [-a[k][c] * pow(a[k][k], -1, p) % p for k in range(c)] + [1]
+            L = lcm(*(a[k][k] for k in range(c)))
+            return [-a[k][c] * (L // a[k][k]) for k in range(c)] + [L]
         a[c], a[pr] = a[pr], a[c]
-        inv = field.inv(a[c][c])
-        a[c] = [field.mul(inv, x) for x in a[c]]
+        top = a[c]
         for i in range(m):
-            if i != c and not field.is_zero(a[i][c]):
-                fac = a[i][c]
-                a[i] = [field.sub(x, field.mul(fac, y)) for x, y in zip(a[i], a[c])]
+            if i != c and (x := a[i][c]):
+                row = [top[c] * y - x * z for y, z in zip(a[i], top)]
+                if p:
+                    a[i] = [y % p for y in row]
+                else:
+                    g = _gcd(0, row) or 1
+                    a[i] = [y // g for y in row]
     return None
 
 
-def _inverse(field, rows) -> list:
-    """The rows of C^-1 for C = rows over k[t], t = 1/s, where the t-degree
-    of f is -f.min_exp(), when det(C) is a nonzero constant.
+def _inverse(field, R: list, rows: list, d: list) -> list:
+    """The rows of diag(d) * C'^-1 * diag(R) as Laurent polynomials, where C'
+    = rows is a matrix of integer kernels over k[t], t = 1/s (mod p over
+    GF(p)), whose determinant is a nonzero constant.
 
-    Row elimination of [C | I]: in each column the entry of least t-degree is
-    the pivot and the entries below it are reduced modulo it, Euclid-style,
-    one leading term at a time, until only the pivot is left.  The pivots
-    multiply to det(C), so each must be a nonzero constant; back-substitution
-    then leaves C^-1 where I was."""
-    m = len(rows)
-    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
-    a = [list(r) + [one if i == k else zero for k in range(m)] for i, r in enumerate(rows)]
+    Row elimination of [C' | I] without fractions: in each column the entry
+    of least t-degree is the pivot and the entries below it are reduced
+    modulo it, Euclid-style, one leading term at a time: row_i <- lead *
+    row_i - c * s^k * row_j.  The pivots multiply to a constant times
+    det(C'), so each must be a nonzero constant; back-substitution, row_i <-
+    pivot_j * row_i - a_ij * row_j, then leaves a diagonal of constants where
+    C' was.  Over Q each new row is divided by its content, and each row by
+    its pivot once, at the end."""
+    p, m = field.characteristic, len(rows)
+    a = [list(r) + [{0: 1} if i == k else {} for k in range(m)] for i, r in enumerate(rows)]
 
-    def subtract(i, q, j, start):
-        """Row i minus q times row j, from column start on."""
-        ri, rj, q = a[i], a[j], -q
-        for k in range(start, 2 * m):
-            if not rj[k].is_zero():
-                ri[k] = _dot(field, ((ri[k], 1), (q, rj[k])))
+    def subtract(i, u, q, j):
+        """Row i <- u * row i - q * row j, for an integer u and a kernel q."""
+        q = {n: -c for n, c in q.items()}
+        new = []
+        for f, g in zip(a[i], a[j]):
+            if g or u != 1:
+                f = _reduce(p, _convolve(g, q, {n: u * c for n, c in f.items()}))
+            new.append(f)
+        a[i] = _primitive(p, new)[0]
 
     for j in range(m):
         while True:
-            live = [i for i in range(j, m) if not a[i][j].is_zero()]
+            live = [i for i in range(j, m) if a[i][j]]
             if live:
-                top = max(live, key=lambda i: a[i][j].min_exp())
+                top = max(live, key=lambda i: min(a[i][j]))
                 a[j], a[top] = a[top], a[j]
             if len(live) < 2:
                 break
-            low = a[j][j].min_exp()
-            inv = field.inv(a[j][j].coeff(low))
+            low = min(a[j][j])
+            lead = a[j][j][low]
             for i in range(j + 1, m):
-                while not a[i][j].is_zero() and (n := a[i][j].min_exp()) <= low:
-                    c = field.mul(a[i][j].coeff(n), inv)
-                    subtract(i, LaurentPoly.monomial(field, n - low, c), j, j)
-        parts = a[j][j].unit_parts()
-        if parts is None or parts[1] != 0:
+                while a[i][j] and (n := min(a[i][j])) <= low:
+                    subtract(i, lead, {n - low: a[i][j][n]}, j)
+        if a[j][j].keys() != {0}:
             raise RuntimeError("internal error: reduced matrix is not constant-determinant")
-        c = field.inv(parts[0])
-        a[j] = [f.scale(c) for f in a[j]]
     for j in reversed(range(m)):
         for i in range(j):
-            if not a[i][j].is_zero():
-                subtract(i, a[i][j], j, m)
-    return [r[m:] for r in a]
+            if a[i][j]:
+                subtract(i, a[j][j][0], a[i][j], j)
+    return [[_poly(field, a[j][j][0], _lift(f, 1, d[j] * r)) for r, f in zip(R, a[j][m:])]
+            for j in range(m)]
 
 
 def split(A: LMatrix, max_iterations: int | None = None):
@@ -358,47 +403,57 @@ def split(A: LMatrix, max_iterations: int | None = None):
     of column degrees strictly decreases on every pass).
     """
     field, m = A.field, A.m
+    p = field.characteristic
     parts = A.det().unit_parts()
     if parts is None:
         raise NotInvertibleOverRing("determinant is not of the form c * s^n")
 
-    # Clear denominators: B = s^N * A is polynomial in s.
-    lift = max(0, -min((f.min_exp() for r in A.rows for f in r if not f.is_zero()), default=0))
-    b_rows = [[f.shift(lift) for f in r] for r in A.rows]
-    u_rows = [list(r) for r in LMatrix.identity(field, m).rows]
+    # The integer state B' = diag(R) * A * U * diag(d) and U' = U * diag(d).
+    R, b_rows = scaled_rows(1, 0, A.rows)
+    u_rows = [[{0: 1} if i == j else {} for j in range(m)] for i in range(m)]
+    d = [1] * m
 
     span_total = sum(f.span() for r in A.rows for f in r if not f.is_zero())
     budget = max_iterations if max_iterations is not None else 10 * m * (span_total + 1)
 
+    # det(A) is nonzero, so no column is zero.
+    degrees = [max(max(r[j]) for r in b_rows if r[j]) for j in range(m)]
     iterations = 0
     while True:
-        # det(B) is nonzero, so no column is zero.
-        cdeg = [max(r[j].max_exp() for r in b_rows if not r[j].is_zero()) for j in range(m)]
-        top = [[b_rows[i][j].coeff(cdeg[j]) for j in range(m)] for i in range(m)]
-        w = _kernel_vector(top, field)
+        w = _kernel_vector(p, [[r[j].get(k, 0) for j, k in enumerate(degrees)] for r in b_rows])
         if w is None:
             break
         iterations += 1
         if iterations > budget:
             raise IterationLimitExceeded(f"column reduction did not settle within {budget} passes")
-        support = [j for j in range(m) if not field.is_zero(w[j])]
-        jstar = max(support, key=lambda j: (cdeg[j], j))
-        # Column operation col_jstar <- sum_j w_j * s^(k* - k_j) * col_j.
-        # The top-degree coefficients cancel, so the degree of that column
+        c = len(w) - 1
+        support = [j for j, x in enumerate(w) if x]
+        jstar = max(support, key=lambda j: (degrees[j], j))
+        # Column operation col_jstar <- sum_j w_j * s^(k* - k_j) * col_j,
+        # with w_j = d_j * w'_j / (d_c * w'_c) so that w_c = 1.  The
+        # top-degree coefficients cancel, so the degree of that column
         # strictly drops while the determinant only picks up w_jstar.  U
-        # takes the same operation, which keeps B = s^N * A * U.
-        factors = [
-            (j, LaurentPoly.monomial(field, cdeg[jstar] - cdeg[j], w[j])) for j in support
-        ]
+        # takes the same operation.  The stored column is the sum of the
+        # w'_j * s^(k* - k_j) * col'_j, over the denominator d_c * w'_c.
+        col = []
         for row in b_rows + u_rows:
-            row[jstar] = _dot(field, [(row[j], g) for j, g in factors if not row[j].is_zero()])
+            acc: dict = {}
+            for j in support:
+                _convolve(row[j], {degrees[jstar] - degrees[j]: w[j]}, acc)
+            col.append(_reduce(p, acc))
+        col, d[jstar] = _primitive(p, col, d[c] * w[c])
+        for row, f in zip(b_rows + u_rows, col):
+            row[jstar] = f
+        degrees[jstar] = max(max(f) for f in col[:m] if f)
 
-    # B is column-reduced: C = B * diag(s^-k_j) lives in k[1/s] and its
-    # determinant is the nonzero constant det(top).
-    v_rows = _inverse(field, [[f.shift(-k) for f, k in zip(r, cdeg)] for r in b_rows])
+    # The reduced matrix is C * diag(s^k_j) with C in k[1/s] of nonzero
+    # constant determinant det(top), so V = C^-1 = diag(d) * C'^-1 * diag(R)
+    # for C' = B' * diag(s^-k_j).
+    c_rows = [[{n - k: a for n, a in f.items()} for f, k in zip(r, degrees)] for r in b_rows]
+    v_rows = _inverse(field, R, c_rows, d)
+    u_rows = [[_poly(field, dj, f) for f, dj in zip(r, d)] for r in u_rows]
 
     # Sort the exponents: permute the rows of V and the columns of U alike.
-    degrees = [k - lift for k in cdeg]
     order = sorted(range(m), key=lambda j: (degrees[j], j))
     v_final = LMatrix(field, [v_rows[j] for j in order])
     u_final = LMatrix(field, [[r[j] for j in order] for r in u_rows])

@@ -140,7 +140,9 @@ class SquareMatrix:
     A subclass supplies ``_check(base, rows)``, which rejects entries outside
     the ring, the ring's ``_one(base)`` and ``_zero(base)``, ``_skip(f)``,
     which tells the product which entries contribute nothing, and the
-    ``_Mismatch`` error that a product over two different ``_BASE``s raises."""
+    ``_Mismatch`` error that a product over two different ``_BASE``s raises.
+    A ring may replace ``_sum(base, pairs)``, which adds up the two or more
+    products that make one entry of a product, by a sum normalised once."""
 
     __slots__ = ("base", "rows")
 
@@ -195,17 +197,26 @@ class SquareMatrix:
             raise DimensionMismatch(f"cannot multiply {self.m}x{self.m} by {other.m}x{other.m}")
         skip = self._skip
         cols = [[(k, g) for k, g in enumerate(col) if not skip(g)] for col in zip(*other.rows)]
-        zero = self._zero(self.base)
+        base, total = self.base, self._sum
+        zero = self._zero(base)
         out = []
         for r in self.rows:
             live = [None if skip(f) else f for f in r]
             row = []
             for col in cols:
-                acc = None
+                pairs = []
                 for k, g in col:
                     f = live[k]
                     if f is not None:
-                        acc = f * g if acc is None else acc + f * g
-                row.append(zero if acc is None else acc)
+                        pairs.append((f, g))
+                if len(pairs) > 1:
+                    row.append(total(base, pairs))
+                else:
+                    row.append(pairs[0][0] * pairs[0][1] if pairs else zero)
             out.append(row)
-        return type(self)(self.base, out)
+        return type(self)(base, out)
+
+    @staticmethod
+    def _sum(base, pairs):
+        """The sum of the products f * g over the pairs, left to right."""
+        return sum((f * g for f, g in pairs[1:]), pairs[0][0] * pairs[0][1])

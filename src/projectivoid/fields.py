@@ -36,14 +36,8 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
@@ -77,14 +71,8 @@ class RationalField:
     def add(self, a: Fraction, b: Fraction) -> Fraction:
         return a + b
 
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
-
     def mul(self, a: Fraction, b: Fraction) -> Fraction:
         return a * b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
 
     def inv(self, a: Fraction) -> Fraction:
         if a == 0:

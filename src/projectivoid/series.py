@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping
 
 from .coefficients import INFINITY, PadicCoeff, Valuation, _int_valuation
@@ -203,23 +203,27 @@ def _add(f: dict, g: dict) -> dict:
     return out
 
 
-def scaled_det(p: int, K: int, rows, det) -> tuple[int, dict]:
-    """Determinant of a square matrix whose entries f are the kernels
-    (f.K, f.D, f.ints), as a pair (D, acc) standing for acc / D on the grid
-    p^K.  Row i is scaled by the lcm D_i of its denominators, so its entries
-    become integer kernels, and the division-free routine det(rows) of
-    ``determinants`` runs on those dicts: det(A) = det(A') / prod(D_i).  An
+def scaled_rows(p: int, K: int, rows) -> tuple[list, list]:
+    """([D_i], rows): row i of a matrix of kernels (f.K, f.D, f.ints) times
+    the lcm D_i of its denominators, as integer kernels on the grid p^K.  An
     entry already on the grid and over D_i is handed over as its own
-    ``ints``, which the routines only read."""
-    D, scaled = 1, []
+    ``ints``, which the caller must only read."""
+    Ds, scaled = [], []
     for r in rows:
         D_i = 1
         for f in r:
             if D_i % f.D:
                 D_i = lcm(D_i, f.D)
-        D *= D_i
+        Ds.append(D_i)
         scaled.append([_lift(f.ints, p ** (K - f.K), D_i // f.D) for f in r])
-    return D, det(scaled)
+    return Ds, scaled
+
+
+def scaled_det(p: int, K: int, rows, det) -> tuple[int, dict]:
+    """The determinant of those rows as (D, acc), acc / D on the grid p^K:
+    the routine det of ``determinants`` on ``scaled_rows``, over prod(D_i)."""
+    Ds, scaled = scaled_rows(p, K, rows)
+    return prod(Ds), det(scaled)
 
 
 def kernel_det(p: int, rows, det) -> "PSeries":

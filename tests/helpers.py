@@ -5,17 +5,22 @@ from fractions import Fraction
 
 from projectivoid import (
     INFINITY,
+    FactorizationCertificate,
+    IterationLimitExceeded,
     LMatrix,
     LaurentPoly,
+    NotInvertibleOverRing,
     PSeries,
     PrimeField,
     SMatrix,
+    SplittingType,
     Valuation,
     ZERO,
     canon,
     exp_add,
     exp_neg,
 )
+from projectivoid.classical import _dot
 from projectivoid.determinants import leibniz_det
 from projectivoid.errors import ParseError, WrongPrimeDenominator
 from projectivoid.literals import _LONG_NUMERAL, MAX_DIGITS
@@ -392,6 +397,137 @@ class _Parser:
         if tok[0] != ")":
             raise ParseError("expected ')'", tok[2])
         return sign * int(num[1])
+
+
+# ----------------------------------------------------------------------
+# Slow oracle for classical.split: the column reduction and the inverse on
+# LaurentPoly objects, with the kernel vector in field elements, which the
+# integer working state of split replaced.  The field's subtraction and
+# negation are spelled through ``coerce``.
+
+
+def _oracle_kernel_vector(rows, field):
+    """A nonzero kernel vector of a square matrix over `field`, or None.
+
+    Gauss-Jordan elimination column by column; at the first column c with no
+    pivot, columns 0..c-1 are unit vectors, so the vector is read off it."""
+    m = len(rows)
+    a = [list(r) for r in rows]
+    for c in range(m):
+        pr = next((i for i in range(c, m) if not field.is_zero(a[i][c])), None)
+        if pr is None:
+            return [field.coerce(-a[k][c]) for k in range(c)] + [field.one] + [field.zero] * (m - c - 1)
+        a[c], a[pr] = a[pr], a[c]
+        inv = field.inv(a[c][c])
+        a[c] = [field.mul(inv, x) for x in a[c]]
+        for i in range(m):
+            if i != c and not field.is_zero(a[i][c]):
+                fac = a[i][c]
+                a[i] = [field.coerce(x - field.mul(fac, y)) for x, y in zip(a[i], a[c])]
+    return None
+
+
+def _oracle_inverse(field, rows) -> list:
+    """The rows of C^-1 for C = rows over k[t], t = 1/s, where the t-degree
+    of f is -f.min_exp(), when det(C) is a nonzero constant.
+
+    Row elimination of [C | I]: in each column the entry of least t-degree is
+    the pivot and the entries below it are reduced modulo it, Euclid-style,
+    one leading term at a time, until only the pivot is left.  The pivots
+    multiply to det(C), so each must be a nonzero constant; back-substitution
+    then leaves C^-1 where I was."""
+    m = len(rows)
+    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
+    a = [list(r) + [one if i == k else zero for k in range(m)] for i, r in enumerate(rows)]
+
+    def subtract(i, q, j, start):
+        """Row i minus q times row j, from column start on."""
+        ri, rj, q = a[i], a[j], -q
+        for k in range(start, 2 * m):
+            if not rj[k].is_zero():
+                ri[k] = _dot(field, ((ri[k], 1), (q, rj[k])))
+
+    for j in range(m):
+        while True:
+            live = [i for i in range(j, m) if not a[i][j].is_zero()]
+            if live:
+                top = max(live, key=lambda i: a[i][j].min_exp())
+                a[j], a[top] = a[top], a[j]
+            if len(live) < 2:
+                break
+            low = a[j][j].min_exp()
+            inv = field.inv(a[j][j].coeff(low))
+            for i in range(j + 1, m):
+                while not a[i][j].is_zero() and (n := a[i][j].min_exp()) <= low:
+                    c = field.mul(a[i][j].coeff(n), inv)
+                    subtract(i, LaurentPoly.monomial(field, n - low, c), j, j)
+        parts = a[j][j].unit_parts()
+        if parts is None or parts[1] != 0:
+            raise RuntimeError("internal error: reduced matrix is not constant-determinant")
+        c = field.inv(parts[0])
+        a[j] = [f.scale(c) for f in a[j]]
+    for j in reversed(range(m)):
+        for i in range(j):
+            if not a[i][j].is_zero():
+                subtract(i, a[i][j], j, m)
+    return [r[m:] for r in a]
+
+
+def split_oracle(A, max_iterations=None):
+    """What ``split(A, max_iterations)`` returns, raising the same errors."""
+    field, m = A.field, A.m
+    parts = A.det().unit_parts()
+    if parts is None:
+        raise NotInvertibleOverRing("determinant is not of the form c * s^n")
+
+    # Clear denominators: B = s^N * A is polynomial in s.
+    lift = max(0, -min((f.min_exp() for r in A.rows for f in r if not f.is_zero()), default=0))
+    b_rows = [[f.shift(lift) for f in r] for r in A.rows]
+    u_rows = [list(r) for r in LMatrix.identity(field, m).rows]
+
+    span_total = sum(f.span() for r in A.rows for f in r if not f.is_zero())
+    budget = max_iterations if max_iterations is not None else 10 * m * (span_total + 1)
+
+    iterations = 0
+    while True:
+        # det(B) is nonzero, so no column is zero.
+        cdeg = [max(r[j].max_exp() for r in b_rows if not r[j].is_zero()) for j in range(m)]
+        top = [[b_rows[i][j].coeff(cdeg[j]) for j in range(m)] for i in range(m)]
+        w = _oracle_kernel_vector(top, field)
+        if w is None:
+            break
+        iterations += 1
+        if iterations > budget:
+            raise IterationLimitExceeded(f"column reduction did not settle within {budget} passes")
+        support = [j for j in range(m) if not field.is_zero(w[j])]
+        jstar = max(support, key=lambda j: (cdeg[j], j))
+        # Column operation col_jstar <- sum_j w_j * s^(k* - k_j) * col_j.
+        # The top-degree coefficients cancel, so the degree of that column
+        # strictly drops while the determinant only picks up w_jstar.  U
+        # takes the same operation, which keeps B = s^N * A * U.
+        factors = [
+            (j, LaurentPoly.monomial(field, cdeg[jstar] - cdeg[j], w[j])) for j in support
+        ]
+        for row in b_rows + u_rows:
+            row[jstar] = _dot(field, [(row[j], g) for j, g in factors if not row[j].is_zero()])
+
+    # B is column-reduced: C = B * diag(s^-k_j) lives in k[1/s] and its
+    # determinant is the nonzero constant det(top).
+    v_rows = _oracle_inverse(field, [[f.shift(-k) for f, k in zip(r, cdeg)] for r in b_rows])
+
+    # Sort the exponents: permute the rows of V and the columns of U alike.
+    degrees = [k - lift for k in cdeg]
+    order = sorted(range(m), key=lambda j: (degrees[j], j))
+    v_final = LMatrix(field, [v_rows[j] for j in order])
+    u_final = LMatrix(field, [[r[j] for j in order] for r in u_rows])
+    d_final = LMatrix.diagonal_powers(field, [degrees[j] for j in order])
+
+    certificate = FactorizationCertificate(v_final, u_final, d_final)
+    if not certificate.verify(A):
+        raise RuntimeError("internal error: certificate failed to re-multiply")
+    if sum(degrees) != parts[1]:
+        raise RuntimeError("internal error: splitting degrees do not sum to det exponent")
+    return SplittingType(tuple(degrees[j] for j in order)), certificate
 
 
 # ----------------------------------------------------------------------

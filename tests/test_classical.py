@@ -25,8 +25,8 @@ from projectivoid import (
 )
 from projectivoid.classical import _inverse, _poly
 from projectivoid.determinants import berkowitz_det, laplace_det, leibniz_det
-from projectivoid.series import scaled_det
-from helpers import random_unimodular
+from projectivoid.series import scaled_det, scaled_rows
+from helpers import random_unimodular, split_oracle
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -57,7 +57,7 @@ def test_prime_field_rejects_bad_denominator():
 def test_rational_field_ops():
     assert Q.inv(Fraction(2, 3)) == Fraction(3, 2)
     assert Q.coerce(2) == Fraction(2)
-    assert Q.is_zero(Q.sub(Q.one, Q.one))
+    assert Q.is_zero(Q.add(Q.one, Q.coerce(-1)))
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +233,7 @@ def test_det_and_adjugate_match_leibniz_oracle(M, data):
     # C * C^-1 = I and det(C) * C^-1 is the adjugate, entry by entry.
     field = M.field
     C = data.draw(unimodular_over_inverse_ring(field, m))
-    inv = LMatrix(field, _inverse(field, C.rows))
+    inv = LMatrix(field, _inverse(field, *scaled_rows(1, 0, C.rows), [1] * m))
     assert C * inv == LMatrix.identity(field, m)
     c = leibniz_det(C.rows, one)
     for i in range(m):
@@ -245,7 +245,7 @@ def test_det_and_adjugate_match_leibniz_oracle(M, data):
     bent = [list(r) for r in C.rows]
     bent[0] = [f * lp(field, {0: 1, -1: 1}) for f in bent[0]]
     with pytest.raises(RuntimeError, match="not constant-determinant"):
-        _inverse(field, bent)
+        _inverse(field, *scaled_rows(1, 0, bent), [1] * m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -396,3 +396,57 @@ def test_certificate_verify_rejects_wrong_product():
     eye = LMatrix.identity(F2, 2)
     cert = FactorizationCertificate(eye, eye, LMatrix.diagonal_powers(F2, [0, 1]))
     assert not cert.verify(eye)
+
+
+# ----------------------------------------------------------------------
+# split against the LaurentPoly-object oracle
+
+
+def planted_split_input(field, m, seed, max_exp=2):
+    """V1 * diag(s^d) * U1 with m monomial shears per side, as the split
+    benchmark builds its inputs; over Q the shear coefficients and a
+    constant diagonal on each side carry denominators 2 and 3."""
+    rng = random.Random(seed)
+
+    def unit():
+        if field == Q:
+            return Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 3)))
+        return rng.randrange(1, field.p)
+
+    def side(sign):
+        M = LMatrix.diagonal(field, [LaurentPoly.constant(field, unit()) for _ in range(m)])
+        for _ in range(m if m > 1 else 0):
+            i, j = rng.sample(range(m), 2)
+            f = LaurentPoly.monomial(field, sign * rng.randrange(0, max_exp + 1), unit())
+            M = M * LMatrix.shear(field, m, i, j, f)
+        return M
+
+    degrees = [rng.randrange(-3, 4) for _ in range(m)]
+    return side(-1) * LMatrix.diagonal_powers(field, degrees) * side(1)
+
+
+def assert_same_split(A):
+    t, cert = split(A)
+    t_oracle, cert_oracle = split_oracle(A)
+    assert t == t_oracle
+    assert (cert.V, cert.U, cert.D) == (cert_oracle.V, cert_oracle.U, cert_oracle.D)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([F2, F3, F5, Q]), st.integers(1, 8), st.integers(0, 2**32))
+def test_split_matches_object_oracle(field, m, seed):
+    assert_same_split(planted_split_input(field, m, seed))
+
+
+@pytest.mark.parametrize("m", range(9, 15))
+def test_split_matches_object_oracle_large(m):
+    for k, field in enumerate((F2, F3, F5, Q)):
+        assert_same_split(planted_split_input(field, m, 100 * m + k, max_exp=1))
+
+
+def test_split_iteration_cap_on_both():
+    A = planted_split_input(Q, 4, 7)
+    with pytest.raises(IterationLimitExceeded):
+        split(A, max_iterations=0)
+    with pytest.raises(IterationLimitExceeded):
+        split_oracle(A, max_iterations=0)
