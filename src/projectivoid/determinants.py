@@ -2,27 +2,46 @@
 
 The fast routines run on integer kernels: every entry is a dict ``{n: a}``
 standing for the sum of the terms a * x^n, all on one exponent grid that the
-caller fixes (``series.scaled_det``), with no zero numerator.  Each sum of
-products is added into one dict through ``series._convolve`` and its zeros
-are dropped once, so ``{}`` is the zero determinant.  The routines never
-change their inputs.
+caller fixes (``series.scaled_det``), with no zero numerator.  ``{}`` is the
+zero determinant, and the routines never change their inputs.
 
 * Laplace expansion row by row, with the minors memoised by column subset,
-  costs at most n * 2^(n-1) products and skips zero entries.  ``det`` uses
-  it up to ``LAPLACE_MAX_M``.
-* The Berkowitz recursion costs O(n^4) ring operations.  ``det`` uses it
-  above that size.
+  costs at most n * 2^(n-1) products and skips zero entries.
+  ``laplace_det`` adds each sum of products into one dict through
+  ``series._convolve`` and drops its zeros once.
+* ``kronecker_det`` runs the same expansion on plain integers (Kronecker
+  substitution).  Row i is shifted down by its lowest exponent lo_i and each
+  entry is evaluated at x = 2^B, so one integer product does the work of a
+  whole ``_convolve``.  Evaluation at 2^B is a ring homomorphism Z[x] -> Z
+  and Laplace divides nowhere, so the packed result is exactly det(2^B),
+  whatever the size of the minors on the way.  Every coefficient of det is
+  at most the product of the rows' l1 norms (the sum of |a| over a row's
+  terms), and B is one bit more than that product's bit length, so the
+  balanced base-2^B digits of det(2^B) are exactly its coefficients, at the
+  exponents from sum(lo_i) up.
+* The Berkowitz recursion costs O(n^4) ring operations on dicts.
 * Leibniz expansion costs n! products over any ring with ``+``, unary ``-``
-  and ``*``; it is the oracle the tests compare the other two against.
+  and ``*``; it is the oracle the tests compare the other three against.
+
+``det`` picks the routine from the shape of the rows.  Above
+``LAPLACE_MAX_M`` it runs Berkowitz.  From ``PACK_MIN_M`` up it packs,
+unless the packed rows would take more than ``PACK_MAX_SLOTS`` base-2^B
+digits per input term, so that the packed work stays bounded by the input;
+a series grid can spread a few terms over up to 2^MAX_EXP_BITS slots, and
+such rows stay on dicts.  Otherwise it runs ``laplace_det``.  The rule costs
+one pass over the entries (``_plan``), whose results the packing reuses.
 
 ``SquareMatrix`` is the matrix type of both rings, series (``SMatrix``) and
-Laurent polynomials (``LMatrix``); both determinants go through ``det``.
+Laurent polynomials (``LMatrix``); ``SMatrix.det`` (through
+``series.kernel_det``, so also the three determinants of
+``matrices.act``) and ``LMatrix.det`` (so also ``classical.split`` and its
+certificate check) both go through ``det``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import permutations
+from itertools import chain, permutations
 
 from .errors import DimensionMismatch
 from .series import _convolve
@@ -31,6 +50,17 @@ from .series import _convolve
 # above it.  Measured on planted series (m = 7..11) and Laurent (m = 6..10)
 # matrices.
 LAPLACE_MAX_M = 8
+
+# Smallest size at which det packs the rows into integers, and the most
+# base-2^B digits the packed rows may take per input term.  Measured on the
+# determinants of the matrix and split benchmark pools (seed 7): packing
+# loses at m = 1 (0.8x), moves between 0.9x and 1.4x at m = 2 from one timing
+# to the next, for under 0.03 ms a determinant, and wins from m = 3 on both
+# pools (1.3-2.1x at m = 3, 1.8-4.5x at m = 6), also on Laurent matrices of
+# under one term per entry.  On random m = 3..6 matrices it breaks even at
+# 10-60 digits per term, the lower end at m = 3; the pools need at most 8.4.
+PACK_MIN_M = 3
+PACK_MAX_SLOTS = 10
 
 _ONE = {0: 1}  # the unit kernel; read, never written
 
@@ -94,6 +124,70 @@ def laplace_det(rows) -> dict:
     return minors.get((1 << len(rows)) - 1, {})
 
 
+def _plan(rows):
+    """(los, B, slots, terms), read in one sweep over the entries: the lowest
+    exponent lo_i of each row, the digit width B (one bit more than the bit
+    length of the product of the rows' l1 norms), the base-2^B digits the
+    packed rows take (m times the sum of the row widths) and the number of
+    terms.  None when a row is zero."""
+    m = len(rows)
+    los, bound, slots, terms = [], 1, 0, 0
+    for row in rows:
+        exps = [*chain.from_iterable(row)]
+        if not exps:
+            return None
+        lo = min(exps)
+        los.append(lo)
+        slots += m * (max(exps) - lo + 1)
+        terms += len(exps)
+        bound *= sum(map(abs, chain.from_iterable(map(dict.values, row))))
+    return los, bound.bit_length() + 1, slots, terms
+
+
+def kronecker_det(rows, plan=None) -> dict:
+    """Laplace expansion, as in ``laplace_det``, on the entries of row i
+    shifted down by lo_i and evaluated at x = 2^B (the plan of ``_plan``,
+    when the caller has it); the balanced base-2^B digits of the result are
+    the coefficients of det (see the module docstring)."""
+    plan = plan or _plan(rows)
+    if plan is None:
+        return {}
+    los, B = plan[:2]
+    minors = {0: 1}
+    for row, lo in zip(rows, los):
+        entries = []
+        for j, f in enumerate(row):
+            if f:
+                a = 0
+                for n, c in f.items():
+                    a += c << B * (n - lo)
+                entries.append((1 << j, a, -a))
+        nxt = {}
+        get = nxt.get
+        for cols, minor in minors.items():
+            for bit, a, neg in entries:
+                if not cols & bit:
+                    key = cols | bit
+                    nxt[key] = get(key, 0) + minor * (neg if (cols // bit).bit_count() & 1 else a)
+        minors = {cols: minor for cols, minor in nxt.items() if minor}
+    return _unpack(minors.get((1 << len(rows)) - 1, 0), B, sum(los))
+
+
+def _unpack(v: int, B: int, n: int) -> dict:
+    """The kernel {n + k: d_k} of the balanced base-2^B digits d_k of v."""
+    out = {}
+    half, mask, step = 1 << (B - 1), (1 << B) - 1, 1 << B
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= step
+        if d:
+            out[n] = d
+        v = (v - d) >> B
+        n += 1
+    return out
+
+
 def _sum(pairs) -> dict:
     """The sum of the products f * g over the pairs of kernels."""
     acc: dict = {}
@@ -129,8 +223,18 @@ def berkowitz_det(rows) -> dict:
 
 def det(rows) -> dict:
     """Determinant of a square matrix of integer kernels on one grid, by the
-    routine measured fastest at its size."""
-    return (laplace_det if len(rows) <= LAPLACE_MAX_M else berkowitz_det)(rows)
+    routine measured fastest on its shape (see the module docstring)."""
+    m = len(rows)
+    if m > LAPLACE_MAX_M:
+        return berkowitz_det(rows)
+    if m >= PACK_MIN_M:
+        plan = _plan(rows)
+        if plan is None:
+            return {}
+        _, _, slots, terms = plan
+        if slots <= PACK_MAX_SLOTS * terms:
+            return kronecker_det(rows, plan)
+    return laplace_det(rows)
 
 
 class SquareMatrix:

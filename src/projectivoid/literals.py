@@ -34,13 +34,15 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .classical import LaurentPoly, LMatrix
+from .coefficients import Valuation, _strip
 from .errors import ParseError, PrimeMismatch, RaggedMatrix, WrongPrimeDenominator
-from .exponents import PExp, canon, is_prime
+from .exponents import PExp, is_prime
 from .fields import PrimeField
 from .matrices import SMatrix
-from .series import PSeries, ResiduePoly
+from .series import PSeries, ResiduePoly, _series
 
 # Cap on the digits of one numeral in a literal or a JSON document, well
 # under the 4,300 digits past which Python refuses to convert a string to an
@@ -191,12 +193,22 @@ def parse_series(text: str, prime: int) -> PSeries:
         raise ParseError(f"{prime} is not a prime")
     terms, precision = _read(text, prime)
     top = MAX_EXP_BITS // (prime - 1).bit_length()
-    if any(pw > top for _, _, pw in terms):
+    K = max(pw for _, _, pw in terms)
+    if K > top:
         raise ParseError(f"exponent denominators above {prime}^{top} are not accepted")
     if precision is not None:
-        _cutoff(precision, prime)
-    pairs = [(canon(num, pw, prime), coeff) for coeff, num, pw in terms]
-    return PSeries(prime, pairs, precision)
+        precision = Valuation(_cutoff(precision, prime))
+    # The kernel (K, D, {n: a}) of the terms (a / D) * v^(n / p^K), with D the
+    # lcm of the coefficient denominators; _series brings it to normal form.
+    D = 1
+    for coeff, _, _ in terms:
+        if D % coeff.denominator:
+            D = lcm(D, coeff.denominator)
+    acc: dict[int, int] = {}
+    for coeff, num, pw in terms:
+        n = num * prime ** (K - pw)
+        acc[n] = acc.get(n, 0) + coeff.numerator * (D // coeff.denominator)
+    return _series(prime, K, D, acc, precision)
 
 
 def parse_laurent(text: str, field) -> LaurentPoly:
@@ -222,54 +234,56 @@ def _numeral(n: int) -> str:
     raise ParseError(_LONG_RESULT)
 
 
-def _rational_str(c) -> str:
-    """str(c) for an int or a Fraction c, through ``_numeral``."""
-    if c.denominator == 1:
-        return _numeral(c.numerator)
-    return f"{_numeral(c.numerator)}/{_numeral(c.denominator)}"
-
-
 def format_exponent(e: PExp, prime: int) -> str:
     if e.pow == 0:
         return _numeral(e.num)
     return f"{_numeral(e.num)}/{prime}^{e.pow}"
 
 
-def _format_terms(terms, prime: int | None = None) -> str:
-    """The literal of the (exponent, coefficient) pairs, given by ascending
-    exponent: PExp exponents over the prime, or int exponents of s when prime
-    is None (the Laurent side).  Every series, residue and Laurent printer
-    goes through here."""
+def _format_terms(items, K: int = 0, D: int = 1, prime: int | None = None) -> str:
+    """The literal of the kernel terms (a / D) * v^(n / p^K), for the (n, a)
+    pairs given by ascending n: a series or a residue polynomial over the
+    prime, or a Laurent polynomial when prime is None (then K is 0).  Each
+    exponent and coefficient is brought to lowest terms here; every series,
+    residue and Laurent printer goes through here."""
     pieces = []
-    for e, c in terms:
-        num, pw = (e, 0) if prime is None else (e.num, e.pow)
+    for n, a in items:
+        pw = K
+        if pw and not n % prime:
+            n, j = _strip(n, prime, pw)
+            pw -= j
         if pw:
-            mono = f"v^({_numeral(num)}/{prime}^{pw})"
+            mono = f"v^({_numeral(n)}/{prime}^{pw})"
         else:
-            mono = None if num == 0 else "v" if num == 1 else f"v^{_numeral(num)}"
+            mono = None if n == 0 else "v" if n == 1 else f"v^{_numeral(n)}"
         if pieces:
-            pieces.append(" - " if c < 0 else " + ")
-            c = abs(c)
+            pieces.append(" - " if a < 0 else " + ")
+            a = abs(a)
+        d = D
+        if d != 1:
+            g = gcd(a, d)
+            a, d = a // g, d // g
+        coeff = _numeral(a) if d == 1 else f"{_numeral(a)}/{_numeral(d)}"
         if mono is None:
-            pieces.append(_rational_str(c))
+            pieces.append(coeff)
         else:
-            pieces.append(mono if c == 1 else f"{_rational_str(c)}*{mono}")
+            pieces.append(mono if a == d == 1 else f"{coeff}*{mono}")
     return "".join(pieces) or "0"
 
 
 def format_series(f: PSeries) -> str:
-    body = _format_terms(f.ordered_terms(), f.prime)
+    body = _format_terms(sorted(f.ints.items()), f.K, f.D, f.prime)
     if f.precision is not None:
         body += f" (mod val >= {_cutoff(f.precision.v, f.prime)})"
     return body
 
 
 def format_residue(r: ResiduePoly) -> str:
-    return _format_terms(r.ordered_terms(), r.prime)
+    return _format_terms(sorted(r.ints.items()), r.K, 1, r.prime)
 
 
 def format_laurent(f: LaurentPoly) -> str:
-    return _format_terms(f.ordered_terms())
+    return _format_terms(sorted(f.ints.items()), 0, f.D)
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,12 @@ the determinant, an invariant of the equivalence A -> V * A * U by one-sided
 automorphisms: U over the non-negative subring, V over the non-positive one,
 each with a determinant dominated by its constant term.
 
-``SMatrix`` is the ``determinants.SquareMatrix`` over series; its determinant
-runs the shared size dispatch on the entries' integer kernels.
+``SMatrix`` is the ``determinants.SquareMatrix`` over series.  Its
+determinant, and so the transition test, ``bundle_degree`` and the three
+validations in ``act``, runs ``determinants.det`` on the entries' integer
+kernels lifted onto one grid: from m = 3 up to 8, rows dense enough on that
+grid are packed into one integer per entry (Kronecker substitution) and
+expanded in integer arithmetic; other rows stay on dicts.
 """
 
 from __future__ import annotations

@@ -41,8 +41,8 @@ products (those of ``classical.LaurentPoly`` and of the determinants too),
 
 A matrix determinant (``kernel_det``) lifts every entry once onto one grid,
 each row over its own denominator (``scaled_det``), runs a division-free
-routine of ``determinants`` on the bare integer dicts, which adds every
-product of a sum into one dict, and normalises only the determinant.
+routine of ``determinants`` on the bare integer dicts (packed into integers
+when the rows are dense enough), and normalises only the determinant.
 """
 
 from __future__ import annotations

@@ -1,18 +1,29 @@
 """Series-matrix determinants on the integer kernel against the per-entry
-Leibniz oracle, the series side against the Laurent side on integer
-exponents, and the size dispatch between Laplace and Berkowitz for both
-matrix types."""
+Leibniz oracle, the packed (Kronecker) Laplace against the dict routines,
+the series side against the Laurent side on integer exponents, and the
+dispatch between packed Laplace, dict Laplace and Berkowitz for both matrix
+types."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from projectivoid import LMatrix, LaurentPoly, PSeries, PrimeField, RationalField, SMatrix, canon
 from projectivoid import determinants
-from projectivoid.determinants import LAPLACE_MAX_M, _odd, berkowitz_det, laplace_det
+from projectivoid.determinants import (
+    LAPLACE_MAX_M,
+    _odd,
+    _plan,
+    berkowitz_det,
+    kronecker_det,
+    laplace_det,
+    leibniz_det,
+)
 from projectivoid.series import kernel_det
 from helpers import mono, oracle_det, random_unimodular
 
@@ -76,15 +87,93 @@ def _kernels(A):
 @settings(max_examples=100, deadline=None)
 @given(series_matrices())
 def test_each_strategy_matches_leibniz_oracle(case):
-    # Both routines run on the scaled integer kernels at every size, and
-    # neither changes the entries it reads: a row over denominator 1 on the
+    # Every routine runs on the scaled integer kernels at every size, and
+    # none changes the entries it reads: a row over denominator 1 on the
     # finest grid hands over the entries' own dicts.
     A, _ = case
     want = oracle_det(A)
     before = _kernels(A)
-    for routine in (laplace_det, berkowitz_det):
+    for routine in (kronecker_det, laplace_det, berkowitz_det):
         assert kernel_det(A.prime, A.rows, routine) == want
         assert _kernels(A) == before
+
+
+# ----------------------------------------------------------------------
+# packed Laplace against the dict routines on bare integer kernels
+
+
+def _leibniz(rows):
+    """The Leibniz oracle on integer kernels, through Laurent polynomials
+    over Q, whose kernel over integer numerators is the dict itself."""
+    Q = RationalField()
+    d = leibniz_det([[LaurentPoly(Q, f) for f in r] for r in rows], LaurentPoly.one(Q))
+    assert d.D == 1
+    return d.ints
+
+
+@st.composite
+def kernel_rows(draw):
+    """An m x m matrix of integer kernels, m = 1..LAPLACE_MAX_M.  Each row is
+    dense (two to four terms per entry on a few exponents) or sparse (most
+    entries zero, the rest single terms far apart), coefficients take either
+    sign and reach 2^70 in some matrices, so that B passes 64 bits, and some
+    matrices get a zero row or a row that is another one negated, whose
+    determinant cancels to {}."""
+    m = draw(st.integers(1, LAPLACE_MAX_M))
+    big = draw(st.sampled_from([9, 2**70]))
+    coeff = st.integers(-big, big).filter(bool)
+    dense = st.dictionaries(st.integers(-1, 3), coeff, min_size=2, max_size=4)
+    sparse = st.just({}) | st.dictionaries(st.integers(-20, 20), coeff, min_size=1, max_size=1)
+    rows = []
+    for _ in range(m):
+        entry = draw(st.sampled_from([dense, sparse]))
+        rows.append([draw(entry) for _ in range(m)])
+    shape = draw(st.sampled_from(["plain", "zero row", "negated row"]))
+    if shape == "zero row":
+        rows[draw(st.integers(0, m - 1))] = [{}] * m
+    elif shape == "negated row" and m >= 2:
+        i, j = draw(st.permutations(range(m)))[:2]
+        rows[i] = [{n: -a for n, a in f.items()} for f in rows[j]]
+    else:
+        shape = "plain"
+    return rows, shape != "plain"
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_rows())
+def test_packed_laplace_matches_dict_routines(case):
+    rows, degenerate = case
+    before = copy.deepcopy(rows)
+    want = laplace_det(rows)
+    assert kronecker_det(rows) == want
+    assert kronecker_det(rows, _plan(rows)) == want
+    assert berkowitz_det(rows) == want
+    assert determinants.det(rows) == want
+    if len(rows) <= 6:
+        assert _leibniz(rows) == want
+    if degenerate:
+        assert want == {}
+    assert rows == before
+
+
+@pytest.mark.parametrize("c", [1, 2**21, 2**21 - 1, 3])
+@pytest.mark.parametrize("m", [1, 3, LAPLACE_MAX_M])
+def test_packed_laplace_at_the_digit_bound(m, c):
+    # One single-term entry per row and column: |det| is the product of the
+    # rows' l1 norms, the largest value the packing bound admits, with that
+    # product a power of two (c = 2^21), one less (2^21 - 1) or neither.
+    rng = random.Random(m * c)
+    perm = list(range(m))
+    rng.shuffle(perm)
+    signs = [rng.choice((-1, 1)) for _ in range(m)]
+    exps = [rng.randint(-5, 5) for _ in range(m)]
+    rows = [[{exps[i]: signs[i] * c} if j == perm[i] else {} for j in range(m)] for i in range(m)]
+    value = _perm_sign(perm) * prod(signs) * c**m
+    want = {sum(exps): value}
+    _, B, _, _ = _plan(rows)
+    norms = [sum(abs(a) for f in r for a in f.values()) for r in rows]
+    assert abs(value) == prod(norms) < 2 ** (B - 1)
+    assert kronecker_det(rows) == laplace_det(rows) == berkowitz_det(rows) == want
 
 
 @pytest.mark.parametrize("m", [LAPLACE_MAX_M, LAPLACE_MAX_M + 2])
@@ -160,18 +249,19 @@ def _planted(rng, p, m):
     return A, want
 
 
-def _refuse(rows):
+def _refuse(rows, *_):
     raise AssertionError(f"this strategy must not run at m = {len(rows)}")
 
 
 def _only(monkeypatch, m):
-    """Let det run just the strategy it must pick at size m.  The dispatch
+    """Let det run just the strategies it may pick at size m.  The dispatch
     reads the routines from the globals of ``determinants``, so they are
     patched there."""
-    # Laplace's 2^m minors must never be built above the crossover, and
-    # Berkowitz must not run at or below it.
-    other = "laplace_det" if m > LAPLACE_MAX_M else "berkowitz_det"
-    monkeypatch.setattr(determinants, other, _refuse)
+    # Laplace's 2^m minors, packed or on dicts, must never be built above the
+    # crossover, and Berkowitz must not run at or below it.
+    others = ("laplace_det", "kronecker_det") if m > LAPLACE_MAX_M else ("berkowitz_det",)
+    for name in others:
+        monkeypatch.setattr(determinants, name, _refuse)
 
 
 @pytest.mark.parametrize("m", [LAPLACE_MAX_M, 10, 12])
@@ -196,3 +286,29 @@ def test_lmatrix_det_dispatch_on_planted_matrices(monkeypatch, field, m):
     )
     _only(monkeypatch, m)
     assert A.det() == LaurentPoly.monomial(field, sum(degrees))
+
+
+@pytest.mark.parametrize("m", [3, 6, LAPLACE_MAX_M])
+@pytest.mark.parametrize("p", [2, 3])
+def test_dense_series_rows_are_packed(monkeypatch, p, m):
+    # The planted series matrices have several terms per entry on a few
+    # exponents: det must pack them, never run Laplace on dicts.
+    A, want = _planted(random.Random(m), p, m)
+    monkeypatch.setattr(determinants, "laplace_det", _refuse)
+    assert A.det() == want
+
+
+@pytest.mark.parametrize("m", [3, LAPLACE_MAX_M])
+def test_wide_grid_stays_on_dicts(monkeypatch, m):
+    # v^(1/2^12) and v^40 on one grid are 40 * 2^12 slots apart, so the
+    # packed rows would take m * 40 * 2^12 / 2 digits per term, far past
+    # PACK_MAX_SLOTS.
+    # The circulant with a on the diagonal and b next to it cyclically has
+    # det = a^m + (-1)^(m - 1) * b^m.
+    a, b, zero = mono(2, 1, 12), mono(2, 40), PSeries.zero(2)
+    A = SMatrix(2, [[a if j == i else b if j == (i + 1) % m else zero for j in range(m)] for i in range(m)])
+    monkeypatch.setattr(determinants, "kronecker_det", _refuse)
+    a_m, b_m = PSeries.one(2), PSeries.one(2)
+    for _ in range(m):
+        a_m, b_m = a_m * a, b_m * b
+    assert A.det() == (a_m + b_m if m % 2 else a_m - b_m)
