@@ -214,9 +214,10 @@ def _cmd_verify_split(args):
 
 
 # Largest --prec that invert accepts.  Inverting 1 - 2*v + 4*v^(1/2^1) takes
-# 0.2 s at precision 500 and 1.8 s at 1000 (CPython 3.11, 2-vCPU Xeon); the
-# work grows faster than the square of the precision and with the number of
-# terms, so the cap keeps headroom for slower hosts and longer inputs.
+# 0.08 s of CPU at precision 500 and 0.7 s at 1000 (CPython 3.11.7, 2-vCPU
+# Xeon); the work grows faster than the square of the precision and with the
+# number of terms (a five-term unit takes 1.0 s at 200), so the cap keeps
+# headroom for slower hosts and longer inputs.
 MAX_PREC = 500
 
 # The other caps, timed the same way at doubling sizes (CPU seconds, worst of

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .classical import LaurentPoly, LMatrix
 from .coefficients import Valuation, _strip
@@ -42,7 +42,7 @@ from .errors import ParseError, PrimeMismatch, RaggedMatrix, WrongPrimeDenominat
 from .exponents import PExp, is_prime
 from .fields import PrimeField
 from .matrices import SMatrix
-from .series import PSeries, ResiduePoly, _series
+from .series import PSeries, ResiduePoly, _kernel, _series
 
 # Cap on the digits of one numeral in a literal or a JSON document, well
 # under the 4,300 digits past which Python refuses to convert a string to an
@@ -198,17 +198,7 @@ def parse_series(text: str, prime: int) -> PSeries:
         raise ParseError(f"exponent denominators above {prime}^{top} are not accepted")
     if precision is not None:
         precision = Valuation(_cutoff(precision, prime))
-    # The kernel (K, D, {n: a}) of the terms (a / D) * v^(n / p^K), with D the
-    # lcm of the coefficient denominators; _series brings it to normal form.
-    D = 1
-    for coeff, _, _ in terms:
-        if D % coeff.denominator:
-            D = lcm(D, coeff.denominator)
-    acc: dict[int, int] = {}
-    for coeff, num, pw in terms:
-        n = num * prime ** (K - pw)
-        acc[n] = acc.get(n, 0) + coeff.numerator * (D // coeff.denominator)
-    return _series(prime, K, D, acc, precision)
+    return _series(prime, K, *_kernel(prime, K, terms), precision)
 
 
 def parse_laurent(text: str, field) -> LaurentPoly:

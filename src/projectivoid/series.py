@@ -36,8 +36,9 @@ no denominator, ``(K, {n: a})`` with each a in 1..p-1, built by one
 constructor, ``_residue``; its ``coeffs`` is a view like ``terms``.  Each
 kernel loop is written once: ``_convolve`` for every product and sum of
 products (those of ``classical.LaurentPoly`` and of the determinants too),
-``_add`` for sums, and ``exponents.canon`` to read an n / p^K back as a
-``PExp``.
+``_add`` for sums, ``_kernel`` to read outside terms (for the constructor
+and the literal parser), and ``exponents.canon`` to read an n / p^K back as
+a ``PExp``.
 
 A matrix determinant (``kernel_det``) lifts every entry once onto one grid,
 each row over its own denominator (``scaled_det``), runs a division-free
@@ -77,10 +78,21 @@ class SubringTag(Enum):
 # the integer kernel
 
 
-def _grid(exps, p: int, K: int) -> list[int]:
-    """Numerators of the exponents on the common scale p^K.  Each term builds
-    its own power: a table of all of p^0 .. p^K would be O(K^2) bits."""
-    return [e.num * p ** (K - e.pow) for e in exps]
+def _kernel(p: int, K: int, terms) -> tuple[int, dict]:
+    """(D, {n: a}): the terms (c, num, pw), each c * v^(num / p^pw) with c an
+    int or a Fraction and pw <= K, as numerators over the lcm D of the
+    coefficient denominators on the grid p^K, equal exponents merged.  Each
+    term builds its own power: a table of all of p^0 .. p^K would be
+    O(K^2) bits."""
+    D = 1
+    for c, _, _ in terms:
+        if D % c.denominator:
+            D = lcm(D, c.denominator)
+    acc: dict[int, int] = {}
+    for c, num, pw in terms:
+        n = num * p ** (K - pw)
+        acc[n] = acc.get(n, 0) + c.numerator * (D // c.denominator)
+    return D, acc
 
 
 # gcd and lcm are folded pairwise: unpacking many values into one call
@@ -251,20 +263,15 @@ class PSeries:
             precision = Valuation(precision)
         if isinstance(precision, Valuation) and precision.is_infinite:
             precision = None
-        exps, coeffs = [], []
+        K, triples = 0, []
         for e, c in terms.items() if isinstance(terms, Mapping) else terms:
-            if e.pow < 0:
+            pw = e.pow
+            if pw < 0:
                 raise ValueError("denominator exponent must be non-negative")
-            exps.append(e)
-            coeffs.append(_rational(c, prime))
-        K, D = max((e.pow for e in exps), default=0), 1
-        for c in coeffs:
-            if D % c.denominator:
-                D = lcm(D, c.denominator)
-        acc: dict[int, int] = {}
-        for n, c in zip(_grid(exps, prime, K), coeffs):
-            acc[n] = acc.get(n, 0) + c.numerator * (D // c.denominator)
-        self._store(prime, K, D, acc, precision)
+            if pw > K:
+                K = pw
+            triples.append((_rational(c, prime), e.num, pw))
+        self._store(prime, K, *_kernel(prime, K, triples), precision)
 
     def _store(self, prime: int, K: int, D: int, acc: dict, precision) -> None:
         """Keep the kernel (K, D, acc) in normal form."""
@@ -491,6 +498,18 @@ class PSeries:
         positive valuation, for the result to agree with the true inverse
         modulo valuation >= target; monomial units invert exactly.  The sum
         runs on the grid of f and only the result is normalised.
+
+        One modulus is enough.  g is kept over g_den = |a_e| / gcd(a_e, the
+        other numerators), and a_e has the least valuation of them, so g_den
+        is prime to p.  A numerator a over g_den^i then has valuation >=
+        cutoff exactly when q = p^cutoff divides it, for every power i and
+        for the sum.  Power i is kept as bare numerators over g_den^i, with
+        no gcd taken, and the sum over the fixed denominator g_den^steps:
+        each term of a power that survives the cutoff is added once, times
+        g_den^(steps - i), and the sum is never rescaled or swept.  A
+        coefficient of the sum that reaches the cutoff is dropped at once;
+        that per-step truncation decides the representative, and the oracle
+        does the same.
         """
         if isinstance(target, Valuation):
             if target.is_infinite:
@@ -515,17 +534,25 @@ class PSeries:
         )
         w = _gauss(p, g_den, g.values()).v
         cutoff = target + max(_int_valuation(a_e, p) - _int_valuation(D, p), 0)
-        acc_den, acc = 1, {0: 1}
-        pow_den, power = 1, {0: 1}
-        for _ in range(-(-cutoff // w)):
-            pow_den, power = _normalise(p, pow_den * g_den, _convolve(power, g, {}), cutoff)
+        steps = -(-cutoff // w)
+        q, den = p ** cutoff, g_den ** steps
+        acc, power, scale = {0: den}, {0: 1}, den
+        get = acc.get
+        for _ in range(steps):
+            scale //= g_den
+            product, power = _convolve(g, power, {}), {}
+            for n, a in product.items():
+                if a % q:
+                    power[n] = a
+                    s = get(n, 0) + a * scale
+                    if s % q:
+                        acc[n] = s
+                    else:
+                        del acc[n]
             if not power:
                 break
-            den = lcm(acc_den, pow_den)
-            acc = _add(_lift(acc, 1, den // acc_den), _lift(power, 1, den // pow_den))
-            acc_den, acc = _normalise(p, den, acc, cutoff)
         acc = {n - n_e: a * lead for n, a in acc.items()}
-        return _series(p, K, acc_den * abs(a_e), acc, Valuation(target))
+        return _series(p, K, den * abs(a_e), acc, Valuation(target))
 
     def reduce(self) -> "ResiduePoly":
         """Term-wise image in the residue field, for series of norm <= 1."""

@@ -618,6 +618,8 @@ GOLDEN_CLI = [
     (["invert", "--prime", "2", "--prec", "4", "1 - 2*v"],
      "1 + 2*v + 4*v^2 + 8*v^3 (mod val >= 4)\n"),
     (["invert", "--prime", "2", "--prec", "10", "v^(1/2^1)"], "v^(-1/2^1)\n"),
+    (["invert", "--prime", "2", "--prec", "5", "1 + 6*v + 4*v^2"],
+     "1 - 6*v - 168*v^3 + 1296*v^4 (mod val >= 5)\n"),
     (["degree", "--prime", "2", "1 + v"], "1\n"),
     (["degree", "--prime", "2", "2*v + v^(1/2^1) + 4*v^2"], "1/2^1\n"),
     (["reduce", "--prime", "2", "3 + 2*v"], "1\n"),

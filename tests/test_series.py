@@ -24,9 +24,10 @@ from projectivoid import (
     ZeroSeries,
     canon,
     exp_add,
+    format_series,
     parse_series,
 )
-from helpers import mono, random_multidominant, srs
+from helpers import mono, oracle_inverse, random_multidominant, srs
 
 
 def exps(p, lo=-6, hi=7, max_pow=2):
@@ -348,6 +349,17 @@ def test_invert_keeps_terms_above_cutoff_for_small_leading_coefficient():
     )
     assert got == want
     assert (f * got).equals_mod(PSeries.one(2), 3)
+
+
+def test_invert_drops_a_running_sum_at_the_cutoff():
+    # 1 / (1 + 6v + 4v^2) at p = 2 to valuation 5: after the third power the
+    # sum at v^4 is 16 - 432 = -2^5 * 13, at the cutoff, so it is dropped,
+    # and the fourth power adds 1296 to nothing.  Summing first and
+    # truncating once would leave 880 there.
+    f = parse_series("1 + 6*v + 4*v^2", 2)
+    want = "1 - 6*v - 168*v^3 + 1296*v^4 (mod val >= 5)"
+    assert format_series(f.inverse(5)) == want
+    assert format_series(oracle_inverse(f, 5)) == want
 
 
 def test_invert_errors():

@@ -59,15 +59,20 @@ def operands(draw, count=2, exact=False):
 
 
 @st.composite
-def units(draw):
-    """v^e * a0 * (1 + tail), the tail of strictly larger valuation than a0;
-    a0 may have positive or negative valuation."""
+def units(draw, tail=(0, 3)):
+    """v^e * a0 * (1 + tail), the tail of strictly larger valuation than a0
+    and of tail[0] to tail[1] drawn terms; a0 may have positive or negative
+    valuation."""
     p = draw(PRIMES)
     e = draw(exps(p, -8, 8))
     v0 = draw(st.integers(-2, 2))
     pairs = {e: Fraction(draw(st.sampled_from([1, -1, p + 1, -(2 * p + 1)]))) * Fraction(p) ** v0}
     for rel, dv, c in draw(
-        st.lists(st.tuples(exps(p, -6, 6), st.integers(1, 3), st.sampled_from([1, -1, p + 1])), max_size=3)
+        st.lists(
+            st.tuples(exps(p, -6, 6), st.integers(1, 3), st.sampled_from([1, -1, p + 1])),
+            min_size=tail[0],
+            max_size=tail[1],
+        )
     ):
         if rel != ZERO:
             x = exp_add(e, rel, p)
@@ -123,6 +128,14 @@ def test_inverse_matches_oracle(f, target):
     want = oracle_inverse(f, target)
     assert got.terms == want.terms
     assert got.precision == want.precision
+
+
+@settings(max_examples=40, deadline=None)
+@given(units(tail=(2, 4)), st.integers(1, 25))
+def test_inverse_of_longer_units_equals_oracle(f, target):
+    # two to four tail terms, a0 of valuation -2..2 (guard digits when it is
+    # positive) and targets past 12: the whole kernel agrees, not only terms
+    assert f.inverse(target) == oracle_inverse(f, target)
 
 
 def test_kernel_keeps_precision_edge_cases():
