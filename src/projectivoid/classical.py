@@ -29,9 +29,10 @@ only for the certificate.
 
 ``LaurentPoly`` is stored as an integer kernel, numerators over one common
 denominator, like ``series.PSeries``: its products and its sums of products
-(``_dot``) run through ``series._convolve``, and its determinants run the
-routines of ``determinants`` on the bare numerator dicts
-(``series.scaled_det``).
+(``_dot``) run through ``series._convolve``, and its normal form through
+``series._reduce``.  ``LMatrix.det`` lifts each row over its own
+denominator (``series.scaled_rows``), calls ``determinants.det`` on the bare
+numerator dicts and normalises the result once.
 ``LMatrix`` is the ``determinants.SquareMatrix`` over Laurent polynomials,
 whose product sums each entry with one ``_dot``, with the polynomial-side
 predicates that the certificate checks use.
@@ -41,12 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Mapping
 
 from .determinants import SquareMatrix, det
 from .errors import InvalidAutomorphism, IterationLimitExceeded, NotInvertibleOverRing
-from .series import _convolve, _gcd, _lift, _normalise, scaled_det, scaled_rows
+from .series import _convolve, _gcd, _lift, _normalise, _reduce, scaled_rows
 
 
 class LaurentPoly:
@@ -60,7 +61,7 @@ class LaurentPoly:
     from exponent to field element on each access."""
 
     __slots__ = ("field", "D", "ints")
-    K = 0  # integer exponents: the grid p^0 of the kernel series.scaled_det reads
+    K = 0  # integer exponents: the grid p^0 of the kernel series.scaled_rows reads
 
     def __init__(self, field, coeffs: Mapping | Iterable = ()):
         """Validate and merge outside input: the sum of the monomials c * s^n
@@ -193,7 +194,7 @@ def _poly(field, D: int, acc: dict) -> LaurentPoly:
     if p := field.characteristic:
         if D != 1:
             D, acc = 1, _lift(acc, 1, pow(D, -1, p))
-        acc = {n: r for n, a in acc.items() if (r := a % p)}
+        acc = _reduce(p, acc)
     elif D > 0:
         D, acc = _normalise(p, D, acc, None)
     else:
@@ -231,9 +232,10 @@ class LMatrix(SquareMatrix):
 
     def det(self) -> LaurentPoly:
         """Division-free determinant through ``determinants.det``, run on the
-        numerator dicts of the rows (``series.scaled_det``) and reduced mod p
+        numerator dicts of the rows (``series.scaled_rows``) and reduced mod p
         once, at the end, over GF(p).  The entries are not changed."""
-        return _poly(self.field, *scaled_det(1, 0, self.rows, det))
+        Ds, scaled = scaled_rows(1, 0, self.rows)
+        return _poly(self.field, prod(Ds), det(scaled))
 
     def is_polynomial(self) -> bool:
         return all(f.in_poly_ring() for r in self.rows for f in r)
@@ -295,13 +297,6 @@ class FactorizationCertificate:
         if not self.D.is_diagonal_of_powers():
             return False
         return self.V * A * self.U == self.D
-
-
-def _reduce(p: int, acc: dict) -> dict:
-    """acc reduced mod p when p is nonzero, without its zero numerators."""
-    if p:
-        return {n: r for n, a in acc.items() if (r := a % p)}
-    return {n: a for n, a in acc.items() if a}
 
 
 def _primitive(p: int, fs: list, d: int = 0) -> tuple[list, int]:

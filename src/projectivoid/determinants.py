@@ -2,64 +2,55 @@
 
 The fast routines run on integer kernels: every entry is a dict ``{n: a}``
 standing for the sum of the terms a * x^n, all on one exponent grid that the
-caller fixes (``series.scaled_det``), with no zero numerator.  ``{}`` is the
+caller fixes (``series.scaled_rows``), with no zero numerator.  ``{}`` is the
 zero determinant, and the routines never change their inputs.
 
-* Laplace expansion row by row, with the minors memoised by column subset,
-  costs at most n * 2^(n-1) products and skips zero entries.
-  ``laplace_det`` adds each sum of products into one dict through
-  ``series._convolve`` and drops its zeros once.
-* ``kronecker_det`` runs the same expansion on plain integers (Kronecker
-  substitution).  Row i is shifted down by its lowest exponent lo_i and each
-  entry is evaluated at x = 2^B, so one integer product does the work of a
-  whole ``_convolve``.  Evaluation at 2^B is a ring homomorphism Z[x] -> Z
-  and Laplace divides nowhere, so the packed result is exactly det(2^B),
-  whatever the size of the minors on the way.  Every coefficient of det is
-  at most the product of the rows' l1 norms (the sum of |a| over a row's
-  terms), and B is one bit more than that product's bit length, so the
-  balanced base-2^B digits of det(2^B) are exactly its coefficients, at the
-  exponents from sum(lo_i) up.
+* ``kronecker_det`` runs Laplace expansion row by row, with the minors
+  memoised by column subset, at most n * 2^(n-1) products that skip zero
+  entries, on plain integers (Kronecker substitution).  Row i is shifted
+  down by its lowest exponent lo_i and each entry is evaluated at x = 2^B, so
+  one integer product does the work of a whole ``series._convolve``.
+  Evaluation at 2^B is a ring homomorphism Z[x] -> Z and Laplace divides
+  nowhere, so the packed result is exactly det(2^B), whatever the size of
+  the minors on the way.  Every coefficient of det is at most the product of
+  the rows' l1 norms (the sum of |a| over a row's terms), and B is one bit
+  more than that product's bit length, so the balanced base-2^B digits of
+  det(2^B) are exactly its coefficients, at the exponents from sum(lo_i) up.
 * The Berkowitz recursion costs O(n^4) ring operations on dicts.
 * Leibniz expansion costs n! products over any ring with ``+``, unary ``-``
-  and ``*``; it is the oracle the tests compare the other three against.
+  and ``*``; it is the oracle the tests compare the other two against.
 
-``det`` picks the routine from the shape of the rows.  Above
-``LAPLACE_MAX_M`` it runs Berkowitz.  From ``PACK_MIN_M`` up it packs,
-unless the packed rows would take more than ``PACK_MAX_SLOTS`` base-2^B
-digits per input term, so that the packed work stays bounded by the input;
-a series grid can spread a few terms over up to 2^MAX_EXP_BITS slots, and
-such rows stay on dicts.  Otherwise it runs ``laplace_det``.  The rule costs
-one pass over the entries (``_plan``), whose results the packing reuses.
+``det`` has one rule: up to ``LAPLACE_MAX_M`` rows, when the rows are dense
+on their grid (the packed rows take at most ``PACK_MAX_SLOTS`` base-2^B
+digits per input term, so that the packed work stays bounded by the input),
+it runs ``kronecker_det``; otherwise it runs ``berkowitz_det``.  A series
+grid can spread a few terms over up to 2^MAX_EXP_BITS slots, and such rows
+go to Berkowitz.  The rule costs one pass over the entries (``_plan``),
+whose results the packing reuses.
 
 ``SquareMatrix`` is the matrix type of both rings, series (``SMatrix``) and
-Laurent polynomials (``LMatrix``); ``SMatrix.det`` (through
-``series.kernel_det``, so also the three determinants of
-``matrices.act``) and ``LMatrix.det`` (so also ``classical.split`` and its
-certificate check) both go through ``det``.
+Laurent polynomials (``LMatrix``).  ``SMatrix.det`` (so also the three
+determinants of ``matrices.act``) and ``LMatrix.det`` (so also
+``classical.split`` and its certificate check) each lift their entries with
+``series.scaled_rows``, call ``det`` and normalise the result once.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import chain, permutations
 
 from .errors import DimensionMismatch
-from .series import _convolve
+from .series import _convolve, _reduce
 
 # Largest size at which det expands by memoised minors; Berkowitz takes over
 # above it.  Measured on planted series (m = 7..11) and Laurent (m = 6..10)
 # matrices.
 LAPLACE_MAX_M = 8
 
-# Smallest size at which det packs the rows into integers, and the most
-# base-2^B digits the packed rows may take per input term.  Measured on the
-# determinants of the matrix and split benchmark pools (seed 7): packing
-# loses at m = 1 (0.8x), moves between 0.9x and 1.4x at m = 2 from one timing
-# to the next, for under 0.03 ms a determinant, and wins from m = 3 on both
-# pools (1.3-2.1x at m = 3, 1.8-4.5x at m = 6), also on Laurent matrices of
-# under one term per entry.  On random m = 3..6 matrices it breaks even at
-# 10-60 digits per term, the lower end at m = 3; the pools need at most 8.4.
-PACK_MIN_M = 3
+# The most base-2^B digits the packed rows may take per input term.  On
+# random m = 3..6 matrices packing breaks even at 10-60 digits per term, the
+# lower end at m = 3; the matrix, split and cli benchmark pools (seed 7)
+# need at most 8.4, at every m.
 PACK_MAX_SLOTS = 10
 
 _ONE = {0: 1}  # the unit kernel; read, never written
@@ -100,30 +91,6 @@ def _neg(f: dict) -> dict:
     return {n: -a for n, a in f.items()}
 
 
-def _nonzero(acc: dict) -> dict:
-    return {n: a for n, a in acc.items() if a}
-
-
-def laplace_det(rows) -> dict:
-    """Expansion along the rows, top down, minors memoised by column subset.
-
-    After row k, ``minors`` maps each set S of k + 1 columns (a bit mask) to
-    the determinant of rows 0..k and columns S.  Expanding that minor along
-    its last row gives the entry at column j the sign (-1)^(number of columns
-    in S above j), so each row is negated once.  Every product of a new minor
-    goes into one dict; zero entries and zero minors are skipped."""
-    minors = {0: _ONE}
-    for row in rows:
-        entries = [(1 << j, a, _neg(a)) for j, a in enumerate(row) if a]
-        nxt = defaultdict(dict)
-        for cols, minor in minors.items():
-            for bit, a, neg in entries:
-                if not cols & bit:
-                    _convolve(minor, neg if (cols // bit).bit_count() & 1 else a, nxt[cols | bit])
-        minors = {cols: minor for cols, acc in nxt.items() if (minor := _nonzero(acc))}
-    return minors.get((1 << len(rows)) - 1, {})
-
-
 def _plan(rows):
     """(los, B, slots, terms), read in one sweep over the entries: the lowest
     exponent lo_i of each row, the digit width B (one bit more than the bit
@@ -145,10 +112,16 @@ def _plan(rows):
 
 
 def kronecker_det(rows, plan=None) -> dict:
-    """Laplace expansion, as in ``laplace_det``, on the entries of row i
+    """Laplace expansion along the rows, top down, on the entries of row i
     shifted down by lo_i and evaluated at x = 2^B (the plan of ``_plan``,
     when the caller has it); the balanced base-2^B digits of the result are
-    the coefficients of det (see the module docstring)."""
+    the coefficients of det (see the module docstring).
+
+    After row k, ``minors`` maps each set S of k + 1 columns (a bit mask) to
+    the determinant of rows 0..k and columns S.  Expanding that minor along
+    its last row gives the entry at column j the sign (-1)^(number of columns
+    in S above j), so each row is negated once.  Zero entries and zero
+    minors are skipped."""
     plan = plan or _plan(rows)
     if plan is None:
         return {}
@@ -193,7 +166,7 @@ def _sum(pairs) -> dict:
     acc: dict = {}
     for f, g in pairs:
         _convolve(f, g, acc)
-    return _nonzero(acc)
+    return _reduce(0, acc)
 
 
 def charpoly(rows) -> list:
@@ -222,19 +195,17 @@ def berkowitz_det(rows) -> dict:
 
 
 def det(rows) -> dict:
-    """Determinant of a square matrix of integer kernels on one grid, by the
-    routine measured fastest on its shape (see the module docstring)."""
-    m = len(rows)
-    if m > LAPLACE_MAX_M:
-        return berkowitz_det(rows)
-    if m >= PACK_MIN_M:
+    """Determinant of a square matrix of integer kernels on one grid: packed
+    Laplace for up to ``LAPLACE_MAX_M`` rows dense on their grid, Berkowitz
+    otherwise (see the module docstring)."""
+    if len(rows) <= LAPLACE_MAX_M:
         plan = _plan(rows)
         if plan is None:
             return {}
         _, _, slots, terms = plan
         if slots <= PACK_MAX_SLOTS * terms:
             return kronecker_det(rows, plan)
-    return laplace_det(rows)
+    return berkowitz_det(rows)
 
 
 class SquareMatrix:

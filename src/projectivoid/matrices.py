@@ -8,16 +8,18 @@ each with a determinant dominated by its constant term.
 
 ``SMatrix`` is the ``determinants.SquareMatrix`` over series.  Its
 determinant, and so the transition test, ``bundle_degree`` and the three
-validations in ``act``, runs ``determinants.det`` on the entries' integer
-kernels lifted onto one grid: from m = 3 up to 8, rows dense enough on that
-grid are packed into one integer per entry (Kronecker substitution) and
-expanded in integer arithmetic; other rows stay on dicts.
+validations in ``act``, lifts the entries' integer kernels onto one grid
+(``series.scaled_rows``), calls ``determinants.det`` on them and normalises
+the result once.  Up to m = 8, rows dense on that grid are packed into one
+integer per entry (Kronecker substitution) and expanded in integer
+arithmetic; other rows run the Berkowitz recursion on dicts.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import prod
 
 from .determinants import SquareMatrix, det
 from .errors import (
@@ -26,7 +28,7 @@ from .errors import (
     PrimeMismatch,
 )
 from .exponents import PExp, ZERO, canon, exp_neg
-from .series import PSeries, SubringTag, kernel_det
+from .series import PSeries, SubringTag, _series, scaled_rows
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,15 @@ class SMatrix(SquareMatrix):
 
     def det(self) -> PSeries:
         """Exact determinant: ``determinants.det`` run on the entries' integer
-        kernels, lifted onto one grid, and normalised once (see
-        ``series.kernel_det``).  The entries are not changed."""
-        if any(not f.is_exact() for r in self.rows for f in r):
+        kernels, all lifted onto the finest grid p^K of the entries, each row
+        over its own denominator, and normalised once.  The entries are not
+        changed."""
+        rows = self.rows
+        if any(not f.is_exact() for r in rows for f in r):
             raise ValueError("operation requires exact matrix entries")
-        return kernel_det(self.prime, self.rows, det)
+        p, K = self.prime, max(f.K for r in rows for f in r)
+        Ds, scaled = scaled_rows(p, K, rows)
+        return _series(p, K, prod(Ds), det(scaled), None)
 
     def is_transition(self) -> bool:
         return self.det().is_unit(SubringTag.FULL)

@@ -36,14 +36,12 @@ no denominator, ``(K, {n: a})`` with each a in 1..p-1, built by one
 constructor, ``_residue``; its ``coeffs`` is a view like ``terms``.  Each
 kernel loop is written once: ``_convolve`` for every product and sum of
 products (those of ``classical.LaurentPoly`` and of the determinants too),
-``_add`` for sums, ``_kernel`` to read outside terms (for the constructor
-and the literal parser), and ``exponents.canon`` to read an n / p^K back as
-a ``PExp``.
-
-A matrix determinant (``kernel_det``) lifts every entry once onto one grid,
-each row over its own denominator (``scaled_det``), runs a division-free
-routine of ``determinants`` on the bare integer dicts (packed into integers
-when the rows are dense enough), and normalises only the determinant.
+``_add`` for sums, ``_reduce`` to drop zero numerators or take them mod p
+(for every kernel type and the determinant sums), ``_kernel`` to read
+outside terms (for the constructor and the literal parser), and
+``exponents.canon`` to read an n / p^K back as a ``PExp``.  ``scaled_rows``
+lifts the entries of a matrix onto one grid, each row over its own
+denominator, for the determinants and ``classical.split``.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .coefficients import INFINITY, PadicCoeff, Valuation, _int_valuation
@@ -122,11 +120,18 @@ def _modulus(p: int, D: int, cutoff: int) -> int | None:
     return p ** m if m > 0 else None
 
 
+def _reduce(p: int, acc: dict) -> dict:
+    """acc reduced mod p when p is nonzero, without its zero numerators."""
+    if p:
+        return {n: r for n, a in acc.items() if (r := a % p)}
+    return {n: a for n, a in acc.items() if a}
+
+
 def _normalise(p: int, D: int, acc: dict, cutoff: int | None):
     """Drop zero terms and terms of valuation >= cutoff, then divide out the
     gcd of D and the numerators."""
     if cutoff is None:
-        acc = {n: a for n, a in acc.items() if a}
+        acc = _reduce(0, acc)
     else:
         q = _modulus(p, D, cutoff)
         if q is None:
@@ -229,21 +234,6 @@ def scaled_rows(p: int, K: int, rows) -> tuple[list, list]:
         Ds.append(D_i)
         scaled.append([_lift(f.ints, p ** (K - f.K), D_i // f.D) for f in r])
     return Ds, scaled
-
-
-def scaled_det(p: int, K: int, rows, det) -> tuple[int, dict]:
-    """The determinant of those rows as (D, acc), acc / D on the grid p^K:
-    the routine det of ``determinants`` on ``scaled_rows``, over prod(D_i)."""
-    Ds, scaled = scaled_rows(p, K, rows)
-    return prod(Ds), det(scaled)
-
-
-def kernel_det(p: int, rows, det) -> "PSeries":
-    """Determinant of a square matrix of exact series on integer kernels:
-    all entries go on one exponent grid p^K (``scaled_det``), and only the
-    determinant is normalised."""
-    K = max(f.K for r in rows for f in r)
-    return _series(p, K, *scaled_det(p, K, rows, det), None)
 
 
 class PSeries:
@@ -591,7 +581,7 @@ def _residue(p: int, K: int, acc: dict) -> "ResiduePoly":
     numerators mod p, zeros dropped, the grid coarsened."""
     r = object.__new__(ResiduePoly)
     r.prime = p
-    r.K, r.ints = _coarsen(p, K, {n: c for n, a in acc.items() if (c := a % p)})
+    r.K, r.ints = _coarsen(p, K, _reduce(p, acc))
     return r
 
 

@@ -170,6 +170,20 @@ def test_domain_errors_exit_one(capsys, argv, error):
     assert err.startswith(error)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("text,cutoff", [("0 (mod val >= 3)", "3"), ("1 (mod val >= -3)", "-3")])
+def test_norm_refuses_an_inexact_zero(capsys, fmt, text, cutoff):
+    # No stored term means only val >= cutoff is known, not an exact zero:
+    # the norm is undetermined, so it is refused rather than printed as inf.
+    code, out, err = run(capsys, "norm", "--prime", "2", "--format", fmt, text)
+    assert (code, out) == (1, "")
+    assert err.startswith("ValueError: ") and f"val >= {cutoff}" in err
+    assert err.count("\n") == 1
+    # Stored terms below the cutoff determine the norm.
+    code, out, _ = run(capsys, "norm", "--prime", "2", "--format", fmt, "4*v + 2 (mod val >= 3)")
+    assert (code, out) == (0, '{"valuation": 1}\n' if fmt == "json" else "1\n")
+
+
 def test_act_side_violation_exits_one(capsys):
     triple = json.dumps(
         {

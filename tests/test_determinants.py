@@ -1,8 +1,7 @@
 """Series-matrix determinants on the integer kernel against the per-entry
-Leibniz oracle, the packed (Kronecker) Laplace against the dict routines,
+Leibniz oracle, the packed (Kronecker) Laplace against Berkowitz on dicts,
 the series side against the Laurent side on integer exponents, and the
-dispatch between packed Laplace, dict Laplace and Berkowitz for both matrix
-types."""
+dispatch between packed Laplace and Berkowitz for both matrix types."""
 
 import copy
 import itertools
@@ -21,10 +20,9 @@ from projectivoid.determinants import (
     _plan,
     berkowitz_det,
     kronecker_det,
-    laplace_det,
     leibniz_det,
 )
-from projectivoid.series import kernel_det
+from projectivoid.series import _series, scaled_rows
 from helpers import mono, oracle_det, random_unimodular
 
 
@@ -84,22 +82,30 @@ def _kernels(A):
     return [[dict(f.ints) for f in r] for r in A.rows]
 
 
+def _routine_det(A, routine):
+    """det(A) as SMatrix.det computes it, with the routine in place of
+    ``determinants.det``."""
+    p, K = A.prime, max(f.K for r in A.rows for f in r)
+    Ds, scaled = scaled_rows(p, K, A.rows)
+    return _series(p, K, prod(Ds), routine(scaled), None)
+
+
 @settings(max_examples=100, deadline=None)
 @given(series_matrices())
 def test_each_strategy_matches_leibniz_oracle(case):
-    # Every routine runs on the scaled integer kernels at every size, and
-    # none changes the entries it reads: a row over denominator 1 on the
+    # Both routines run on the scaled integer kernels at every size, and
+    # neither changes the entries it reads: a row over denominator 1 on the
     # finest grid hands over the entries' own dicts.
     A, _ = case
     want = oracle_det(A)
     before = _kernels(A)
-    for routine in (kronecker_det, laplace_det, berkowitz_det):
-        assert kernel_det(A.prime, A.rows, routine) == want
+    for routine in (kronecker_det, berkowitz_det):
+        assert _routine_det(A, routine) == want
         assert _kernels(A) == before
 
 
 # ----------------------------------------------------------------------
-# packed Laplace against the dict routines on bare integer kernels
+# packed Laplace against Berkowitz on bare integer kernels
 
 
 def _leibniz(rows):
@@ -144,10 +150,9 @@ def kernel_rows(draw):
 def test_packed_laplace_matches_dict_routines(case):
     rows, degenerate = case
     before = copy.deepcopy(rows)
-    want = laplace_det(rows)
+    want = berkowitz_det(rows)
     assert kronecker_det(rows) == want
     assert kronecker_det(rows, _plan(rows)) == want
-    assert berkowitz_det(rows) == want
     assert determinants.det(rows) == want
     if len(rows) <= 6:
         assert _leibniz(rows) == want
@@ -173,13 +178,13 @@ def test_packed_laplace_at_the_digit_bound(m, c):
     _, B, _, _ = _plan(rows)
     norms = [sum(abs(a) for f in r for a in f.values()) for r in rows]
     assert abs(value) == prod(norms) < 2 ** (B - 1)
-    assert kronecker_det(rows) == laplace_det(rows) == berkowitz_det(rows) == want
+    assert kronecker_det(rows) == berkowitz_det(rows) == want
 
 
 @pytest.mark.parametrize("m", [LAPLACE_MAX_M, LAPLACE_MAX_M + 2])
 def test_det_leaves_entries_unchanged(m):
     # Series and GF(3) entries (D = 1, so the routines read the entries' own
-    # dicts), Laplace at the crossover and Berkowitz above.
+    # dicts), packed Laplace at the crossover and Berkowitz above.
     rng = random.Random(m)
     for M in (_planted(rng, 2, m)[0], random_unimodular(rng, PrimeField(3), m, factors=m)):
         before = _kernels(M)
@@ -257,11 +262,10 @@ def _only(monkeypatch, m):
     """Let det run just the strategies it may pick at size m.  The dispatch
     reads the routines from the globals of ``determinants``, so they are
     patched there."""
-    # Laplace's 2^m minors, packed or on dicts, must never be built above the
-    # crossover, and Berkowitz must not run at or below it.
-    others = ("laplace_det", "kronecker_det") if m > LAPLACE_MAX_M else ("berkowitz_det",)
-    for name in others:
-        monkeypatch.setattr(determinants, name, _refuse)
+    # Laplace's 2^m minors must never be built above the crossover, and
+    # Berkowitz must not run at or below it on these dense rows.
+    other = "kronecker_det" if m > LAPLACE_MAX_M else "berkowitz_det"
+    monkeypatch.setattr(determinants, other, _refuse)
 
 
 @pytest.mark.parametrize("m", [LAPLACE_MAX_M, 10, 12])
@@ -288,25 +292,26 @@ def test_lmatrix_det_dispatch_on_planted_matrices(monkeypatch, field, m):
     assert A.det() == LaurentPoly.monomial(field, sum(degrees))
 
 
-@pytest.mark.parametrize("m", [3, 6, LAPLACE_MAX_M])
+@pytest.mark.parametrize("m", [1, 2, 3, 6, LAPLACE_MAX_M])
 @pytest.mark.parametrize("p", [2, 3])
 def test_dense_series_rows_are_packed(monkeypatch, p, m):
     # The planted series matrices have several terms per entry on a few
-    # exponents: det must pack them, never run Laplace on dicts.
+    # exponents: det must pack them at every size up to the crossover, never
+    # run Berkowitz.
     A, want = _planted(random.Random(m), p, m)
-    monkeypatch.setattr(determinants, "laplace_det", _refuse)
+    monkeypatch.setattr(determinants, "berkowitz_det", _refuse)
     assert A.det() == want
 
 
-@pytest.mark.parametrize("m", [3, LAPLACE_MAX_M])
+@pytest.mark.parametrize("m", [1, 3, LAPLACE_MAX_M])
 def test_wide_grid_stays_on_dicts(monkeypatch, m):
     # v^(1/2^12) and v^40 on one grid are 40 * 2^12 slots apart, so the
     # packed rows would take m * 40 * 2^12 / 2 digits per term, far past
-    # PACK_MAX_SLOTS.
-    # The circulant with a on the diagonal and b next to it cyclically has
-    # det = a^m + (-1)^(m - 1) * b^m.
+    # PACK_MAX_SLOTS: det runs Berkowitz at every size, never packs.
+    # The circulant with a on the diagonal and b next to it cyclically (so
+    # a + b at m = 1) has det = a^m + (-1)^(m - 1) * b^m.
     a, b, zero = mono(2, 1, 12), mono(2, 40), PSeries.zero(2)
-    A = SMatrix(2, [[a if j == i else b if j == (i + 1) % m else zero for j in range(m)] for i in range(m)])
+    A = SMatrix(2, [[(a if j == i else zero) + (b if j == (i + 1) % m else zero) for j in range(m)] for i in range(m)])
     monkeypatch.setattr(determinants, "kronecker_det", _refuse)
     a_m, b_m = PSeries.one(2), PSeries.one(2)
     for _ in range(m):
