@@ -10,22 +10,27 @@ The factorization is found as follows.  Column operations over k[s] make A
 column-reduced: the matrix of top-degree column coefficients becomes
 nonsingular.  Writing the reduced matrix as C * diag(s^k_j) with k_j the
 column degrees, C has entries in k[1/s] and constant nonzero determinant, so
-it is unimodular over k[t], t = 1/s, and V = C^-1.  V comes by Euclidean row
-elimination of [C | I] over k[t], which also detects a C whose determinant
-is not constant, so no step is worse than polynomial in the size.  Sorting
-the exponents with a permutation on both sides gives the certificate, which
-is re-multiplied exactly, with its own determinants, before being returned.
+it is unimodular over k[t], t = 1/s, and V = C^-1.  Sorting the exponents
+with a permutation on both sides gives the certificate, which is checked
+before it is returned.
 
-Both steps run on bare integer kernels ``{n: a}``, reduced mod p over GF(p).
-Row i of A is scaled by R_i, the lcm of its denominators, and column j of
-the reduced matrix and of U keeps one denominator d_j, so the state is B' =
-diag(R) * A * U * diag(d) and U' = U * diag(d).  Neither scale changes the
-column degrees or which top-degree columns depend on the ones before them,
-so the kernel vector comes from fraction-free Gauss-Jordan elimination of
-the integer top-degree matrix, and each column operation sets the new d_j.
-Then V = diag(d) * C'^-1 * diag(R) for C' = B' * diag(s^-k_j), inverted by
-the same row elimination without fractions.  Laurent polynomials are built
-only for the certificate.
+Every step runs on bare integer kernels ``{n: a}``, reduced mod p over
+GF(p).  Row i of A is scaled by R_i, the lcm of its denominators, and column
+j of the reduced matrix and of U keeps one denominator d_j, so the state is
+B' = diag(R) * A * U * diag(d) and U' = U * diag(d).  Neither scale changes
+the column degrees or which top-degree columns depend on the ones before
+them, so the kernel vector comes from fraction-free Gauss-Jordan elimination
+of the integer top-degree matrix, and each column operation sets the new
+d_j.  Then V = diag(d) * C'^-1 * diag(R) for C' = B' * diag(s^-k_j).
+``_inverse`` shifts each row and column of C' to polynomials, packs every
+entry into one integer (Kronecker substitution, as in
+``determinants.kronecker_det``) and runs fraction-free Gauss-Jordan
+elimination (Bareiss) on the packed [C' | I]; its last pivot, unpacked,
+shows whether det(C') is a nonzero constant.  The certificate check
+(``FactorizationCertificate.verify``) multiplies V * A * U on integer
+kernels and replaces the two Laurent determinants of the sides by scalar
+rank tests of their s^0 coefficients, which the product identity makes
+enough.  Laurent polynomials are built only for the certificate.
 
 ``LaurentPoly`` is stored as an integer kernel, numerators over one common
 denominator, like ``series.PSeries``: its products and its sums of products
@@ -35,7 +40,7 @@ denominator (``series.scaled_rows``), calls ``determinants.det`` on the bare
 numerator dicts and normalises the result once.
 ``LMatrix`` is the ``determinants.SquareMatrix`` over Laurent polynomials,
 whose product sums each entry with one ``_dot``, with the polynomial-side
-predicates that the certificate checks use.
+predicates that the certificate check uses.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Mapping
 
-from .determinants import SquareMatrix, det
+from .determinants import SquareMatrix, _pack, _plan, _unpack, det
 from .errors import InvalidAutomorphism, IterationLimitExceeded, NotInvertibleOverRing
 from .series import _convolve, _gcd, _lift, _normalise, _reduce, scaled_rows
 
@@ -132,10 +137,10 @@ class LaurentPoly:
         return self._value(a), n
 
     def in_poly_ring(self) -> bool:
-        return all(n >= 0 for n in self.ints)
+        return not self.ints or min(self.ints) >= 0
 
     def in_inverse_ring(self) -> bool:
-        return all(n <= 0 for n in self.ints)
+        return not self.ints or max(self.ints) <= 0
 
     def _check(self, other: "LaurentPoly") -> None:
         if self.field is not other.field and self.field != other.field:
@@ -290,13 +295,70 @@ class FactorizationCertificate:
     D: LMatrix
 
     def verify(self, A: LMatrix) -> bool:
-        if not _unimodular(self.U, LMatrix.is_polynomial):
+        """Whether U lies over k[s] and V over k[1/s], both unimodular, D is
+        a diagonal of powers s^d_i and V * A * U == D.
+
+        Unimodularity needs no Laurent determinant once the product holds.
+        Then det V * det A * det U = s^(sum d_i), a unit of k[s, 1/s], so
+        each factor is a unit, that is a monomial.  U lies over k[s], so det
+        U = a * s^k with k >= 0, and setting s = 0 is a ring map k[s] -> k,
+        so det U(0) = a * 0^k, nonzero exactly when k = 0: U is unimodular
+        exactly when the s^0 coefficients of its entries form a nonsingular
+        matrix over k.  The same argument over k[1/s] covers V.  (Without
+        the product, U = [[1 + s]] has U(0) = 1 and is not unimodular.)
+
+        The product runs on integer kernels (mod p over GF(p)): each matrix
+        over the lcm L of its denominators, so it is L_V * L_A * L_U * D.  A
+        field or size mismatch among V, A and U raises ValueError or
+        DimensionMismatch, as the LMatrix product does, unless a side is not
+        unimodular; a D over another field or of another size is False."""
+        V, U, D = self.V, self.U, self.D
+        if not (U.is_polynomial() and V.is_inverse_polynomial() and D.is_diagonal_of_powers()):
             return False
-        if not _unimodular(self.V, LMatrix.is_inverse_polynomial):
+        (L_V, v), (L_A, a), (L_U, u) = _kernels(V), _kernels(A), _kernels(U)
+        for M, rows in ((U, u), (V, v)):
+            at_zero = [[f.get(0, 0) for f in r] for r in rows]
+            if _kernel_vector(M.field.characteristic, at_zero) is not None:
+                return False
+        if not (V.field == A.field == U.field and V.m == A.m == U.m):
+            # The LMatrix product raises the mismatch; a side whose
+            # determinant is not a nonzero constant is False before that.
+            if U.constant_det() is not None and V.constant_det() is not None:
+                V * A * U
             return False
-        if not self.D.is_diagonal_of_powers():
+        if D.field != A.field:
             return False
-        return self.V * A * self.U == self.D
+        p, L = A.field.characteristic, L_V * L_A * L_U
+        want = [[_lift(f.ints, 1, L) for f in r] for r in D.rows]
+        return _times(p, _times(p, v, a), u) == want
+
+
+def _kernels(M: LMatrix) -> tuple[int, list]:
+    """(L, rows): the entries of M as integer kernels over the lcm L of all
+    their denominators."""
+    L = 1
+    for r in M.rows:
+        for f in r:
+            if L % f.D:
+                L = lcm(L, f.D)
+    return L, [[_lift(f.ints, 1, L // f.D) for f in r] for r in M.rows]
+
+
+def _times(p: int, left: list, right: list) -> list:
+    """The product of two matrices of integer kernels, each entry reduced
+    once (mod p when p is nonzero)."""
+    cols = [[(k, g) for k, g in enumerate(col) if g] for col in zip(*right)]
+    out = []
+    for r in left:
+        row = []
+        for col in cols:
+            acc: dict = {}
+            for k, g in col:
+                if f := r[k]:
+                    _convolve(f, g, acc)
+            row.append(_reduce(p, acc) if acc else acc)
+        out.append(row)
+    return out
 
 
 def _primitive(p: int, fs: list, d: int = 0) -> tuple[list, int]:
@@ -345,48 +407,55 @@ def _inverse(field, R: list, rows: list, d: list) -> list:
     = rows is a matrix of integer kernels over k[t], t = 1/s (mod p over
     GF(p)), whose determinant is a nonzero constant.
 
-    Row elimination of [C' | I] without fractions: in each column the entry
-    of least t-degree is the pivot and the entries below it are reduced
-    modulo it, Euclid-style, one leading term at a time: row_i <- lead *
-    row_i - c * s^k * row_j.  The pivots multiply to a constant times
-    det(C'), so each must be a nonzero constant; back-substitution, row_i <-
-    pivot_j * row_i - a_ij * row_j, then leaves a diagonal of constants where
-    C' was.  Over Q each new row is divided by its content, and each row by
-    its pivot once, at the end."""
+    Row i of C' times s^-lo_i, lo_i its lowest exponent, then column j
+    times s^-co_j, co_j the lowest exponent left in it, make a matrix P over
+    Z[s], with C' = diag(s^lo) * P * diag(s^co); the column shifts keep
+    sparse rows of spread exponents narrow.  Each entry of P is packed at s
+    = 2^B (``determinants._plan``), giving the integer matrix M = P(2^B).
+    Fraction-free Gauss-Jordan elimination of [M | I] (Bareiss): with pivot
+    a_kk, every other row becomes (a_kk * row_i - a_ik * row_k) / prev, prev
+    the pivot before, and a zero pivot swaps in a lower row.  Each entry is
+    a minor of [M | I], so each division is exact, and at the end the left
+    half is delta * I and the right half delta * M^-1 = +-adj(M), where
+    delta = +-det(M).  Evaluation at 2^B is a ring map Z[s] -> Z, and the
+    coefficients of det(P) and adj(P) are at most the product of the rows'
+    l1 norms, below 2^(B-1), so the balanced base-2^B digits give them back.
+    With c * s^e the unpacked delta, taken mod p over GF(p), det(C') = c *
+    s^(e + sum lo + sum co) is a nonzero constant exactly when e = -sum lo -
+    sum co, and then V_ji = d_j * R_i * adj_ji * s^(-co_j - lo_i - e) / c,
+    as C'^-1 = diag(s^-co) * P^-1 * diag(s^-lo)."""
     p, m = field.characteristic, len(rows)
-    a = [list(r) + [{0: 1} if i == k else {} for k in range(m)] for i, r in enumerate(rows)]
-
-    def subtract(i, u, q, j):
-        """Row i <- u * row i - q * row j, for an integer u and a kernel q."""
-        q = {n: -c for n, c in q.items()}
-        new = []
-        for f, g in zip(a[i], a[j]):
-            if g or u != 1:
-                f = _reduce(p, _convolve(g, q, {n: u * c for n, c in f.items()}))
-            new.append(f)
-        a[i] = _primitive(p, new)[0]
-
-    for j in range(m):
-        while True:
-            live = [i for i in range(j, m) if a[i][j]]
-            if live:
-                top = max(live, key=lambda i: min(a[i][j]))
-                a[j], a[top] = a[top], a[j]
-            if len(live) < 2:
-                break
-            low = min(a[j][j])
-            lead = a[j][j][low]
-            for i in range(j + 1, m):
-                while a[i][j] and (n := min(a[i][j])) <= low:
-                    subtract(i, lead, {n - low: a[i][j][n]}, j)
-        if a[j][j].keys() != {0}:
-            raise RuntimeError("internal error: reduced matrix is not constant-determinant")
-    for j in reversed(range(m)):
-        for i in range(j):
-            if a[i][j]:
-                subtract(i, a[j][j][0], a[i][j], j)
-    return [[_poly(field, a[j][j][0], _lift(f, 1, d[j] * r)) for r, f in zip(R, a[j][m:])]
-            for j in range(m)]
+    # A zero row has no plan; it packs to zeros and leaves no pivot below.
+    los, B = (_plan(rows) or ([0] * m, 1))[:2]
+    cos = [min((min(f) - lo for f, lo in zip(col, los) if f), default=0) for col in zip(*rows)]
+    a = [[_pack(f, lo + co, B) if f else 0 for f, co in zip(r, cos)]
+         + [int(i == k) for k in range(m)] for i, (r, lo) in enumerate(zip(rows, los))]
+    # Step k leaves column k zero but for the pivot, and every pivot so far
+    # on the diagonal, so each row keeps only the columns from k + 1 on.
+    prev = 1
+    for k in range(m):
+        pr = next((i for i in range(k, m) if a[i][0]), None)
+        if pr is None:  # det(M) = 0
+            prev = 0
+            break
+        a[k], a[pr] = a[pr], a[k]
+        pivot, *top = a[k]
+        for i, (x, *row) in enumerate(a):
+            if i == k:
+                a[i] = top
+            elif x:
+                a[i] = [(pivot * y - x * z) // prev for y, z in zip(row, top)]
+            else:
+                a[i] = [pivot * y // prev for y in row]
+        prev = pivot
+    e = -sum(los) - sum(cos)
+    delta = _reduce(p, _unpack(prev, B, 0))
+    if delta.keys() != {e}:
+        raise RuntimeError("internal error: reduced matrix is not constant-determinant")
+    D, u = (1, pow(delta[e], -1, p)) if p else (delta[e], 1)
+    zero = LaurentPoly.zero(field)
+    return [[_poly(field, D, _lift(_unpack(v, B, -lo - co - e), 1, dj * r * u)) if v else zero
+             for r, lo, v in zip(R, los, row)] for dj, co, row in zip(d, cos, a)]
 
 
 def split(A: LMatrix, max_iterations: int | None = None):

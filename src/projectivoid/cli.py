@@ -83,10 +83,7 @@ def _matrix_lines(args, doc: dict):
 
 def _cmd_norm(args):
     f = _series_input(args)
-    if f.is_zero() and not f.is_exact():
-        raise ValueError(
-            f"no term is known below val >= {f.precision}: the valuation is not determined"
-        )
+    f.check_determined()
     v = f.gauss_valuation()
     return _result(args, "valuation", None if v.is_infinite else v.v, str(v))
 

@@ -131,9 +131,7 @@ def kronecker_det(rows, plan=None) -> dict:
         entries = []
         for j, f in enumerate(row):
             if f:
-                a = 0
-                for n, c in f.items():
-                    a += c << B * (n - lo)
+                a = _pack(f, lo, B)
                 entries.append((1 << j, a, -a))
         nxt = {}
         get = nxt.get
@@ -144,6 +142,15 @@ def kronecker_det(rows, plan=None) -> dict:
                     nxt[key] = get(key, 0) + minor * (neg if (cols // bit).bit_count() & 1 else a)
         minors = {cols: minor for cols, minor in nxt.items() if minor}
     return _unpack(minors.get((1 << len(rows)) - 1, 0), B, sum(los))
+
+
+def _pack(f: dict, lo: int, B: int) -> int:
+    """The kernel f shifted down by lo (at most its lowest exponent) and
+    evaluated at x = 2^B."""
+    a = 0
+    for n, c in f.items():
+        a += c << B * (n - lo)
+    return a
 
 
 def _unpack(v: int, B: int, n: int) -> dict:

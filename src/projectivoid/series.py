@@ -131,7 +131,8 @@ def _normalise(p: int, D: int, acc: dict, cutoff: int | None):
     """Drop zero terms and terms of valuation >= cutoff, then divide out the
     gcd of D and the numerators."""
     if cutoff is None:
-        acc = _reduce(0, acc)
+        if 0 in acc.values():
+            acc = _reduce(0, acc)
     else:
         q = _modulus(p, D, cutoff)
         if q is None:
@@ -415,12 +416,23 @@ class PSeries:
     # Gauss valuation and dominant part
 
     def gauss_valuation(self) -> Valuation:
-        """Minimum coefficient valuation; infinite for the zero series."""
+        """Minimum coefficient valuation of the stored terms; infinite when
+        none is stored (see ``check_determined``)."""
         return _gauss(self.prime, self.D, self.ints.values())
+
+    def check_determined(self) -> None:
+        """Raise ValueError when no term is stored below the cutoff: then the
+        unknown tail decides the Gauss valuation and the dominant terms.  A
+        stored term lies below the cutoff, so it decides them otherwise."""
+        if not self.ints and self.precision is not None:
+            raise ValueError(
+                f"no term is known below val >= {self.precision}: the valuation is not determined"
+            )
 
     def _dominant(self) -> list[int]:
         """Grid numerators n of the terms attaining the Gauss valuation."""
         if not self.ints:
+            self.check_determined()
             raise ZeroSeries("the zero series has no dominant terms")
         p = self.prime
         q = p ** (_int_valuation(_gcd(0, self.ints.values()), p) + 1)
@@ -436,6 +448,7 @@ class PSeries:
 
     def normalize_gauss(self) -> "PSeries":
         """Scale by a power of p so the Gauss valuation becomes 0."""
+        self.check_determined()
         gv = self.gauss_valuation()
         if gv.is_infinite:
             raise ZeroSeries("cannot normalize the zero series")

@@ -20,10 +20,11 @@ from projectivoid import (
     exp_add,
     exp_neg,
 )
-from projectivoid.classical import _dot
+from projectivoid.classical import _dot, _poly, _primitive, _unimodular
 from projectivoid.determinants import leibniz_det
 from projectivoid.errors import ParseError, WrongPrimeDenominator
 from projectivoid.literals import _LONG_NUMERAL, MAX_DIGITS
+from projectivoid.series import _convolve, _lift, _reduce
 
 
 def srs(p, triples, precision=None):
@@ -473,6 +474,69 @@ def _oracle_inverse(field, rows) -> list:
     return [r[m:] for r in a]
 
 
+def verify_oracle(cert, A) -> bool:
+    """What ``cert.verify(A)`` returns, by the four checks it replaced: U
+    unimodular over k[s] and V over k[1/s], each by its Laurent determinant,
+    D a diagonal of powers, and the LMatrix product V * A * U == D."""
+    if not _unimodular(cert.U, LMatrix.is_polynomial):
+        return False
+    if not _unimodular(cert.V, LMatrix.is_inverse_polynomial):
+        return False
+    if not cert.D.is_diagonal_of_powers():
+        return False
+    return cert.V * A * cert.U == cert.D
+
+
+def euclid_inverse(field, R: list, rows: list, d: list) -> list:
+    """What ``classical._inverse(field, R, rows, d)`` returns, by the
+    Euclidean row elimination it replaced: the rows of diag(d) * C'^-1 *
+    diag(R) for C' = rows, integer kernels over k[t], t = 1/s (mod p over
+    GF(p)), with a nonzero constant determinant.
+
+    Row elimination of [C' | I] without fractions: in each column the entry
+    of least t-degree is the pivot and the entries below it are reduced
+    modulo it, Euclid-style, one leading term at a time: row_i <- lead *
+    row_i - c * s^k * row_j.  The pivots multiply to a constant times
+    det(C'), so each must be a nonzero constant; back-substitution, row_i <-
+    pivot_j * row_i - a_ij * row_j, then leaves a diagonal of constants where
+    C' was.  Over Q each new row is divided by its content, and each row by
+    its pivot once, at the end."""
+    p, m = field.characteristic, len(rows)
+    a = [list(r) + [{0: 1} if i == k else {} for k in range(m)] for i, r in enumerate(rows)]
+
+    def subtract(i, u, q, j):
+        """Row i <- u * row i - q * row j, for an integer u and a kernel q."""
+        q = {n: -c for n, c in q.items()}
+        new = []
+        for f, g in zip(a[i], a[j]):
+            if g or u != 1:
+                f = _reduce(p, _convolve(g, q, {n: u * c for n, c in f.items()}))
+            new.append(f)
+        a[i] = _primitive(p, new)[0]
+
+    for j in range(m):
+        while True:
+            live = [i for i in range(j, m) if a[i][j]]
+            if live:
+                top = max(live, key=lambda i: min(a[i][j]))
+                a[j], a[top] = a[top], a[j]
+            if len(live) < 2:
+                break
+            low = min(a[j][j])
+            lead = a[j][j][low]
+            for i in range(j + 1, m):
+                while a[i][j] and (n := min(a[i][j])) <= low:
+                    subtract(i, lead, {n - low: a[i][j][n]}, j)
+        if a[j][j].keys() != {0}:
+            raise RuntimeError("internal error: reduced matrix is not constant-determinant")
+    for j in reversed(range(m)):
+        for i in range(j):
+            if a[i][j]:
+                subtract(i, a[j][j][0], a[i][j], j)
+    return [[_poly(field, a[j][j][0], _lift(f, 1, d[j] * r)) for r, f in zip(R, a[j][m:])]
+            for j in range(m)]
+
+
 def split_oracle(A, max_iterations=None):
     """What ``split(A, max_iterations)`` returns, raising the same errors."""
     field, m = A.field, A.m
@@ -523,7 +587,7 @@ def split_oracle(A, max_iterations=None):
     d_final = LMatrix.diagonal_powers(field, [degrees[j] for j in order])
 
     certificate = FactorizationCertificate(v_final, u_final, d_final)
-    if not certificate.verify(A):
+    if not verify_oracle(certificate, A):
         raise RuntimeError("internal error: certificate failed to re-multiply")
     if sum(degrees) != parts[1]:
         raise RuntimeError("internal error: splitting degrees do not sum to det exponent")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projectivoid import (
+    DimensionMismatch,
     DivisionByZero,
     FactorizationCertificate,
     InvalidAutomorphism,
@@ -26,7 +27,7 @@ from projectivoid import (
 from projectivoid.classical import _inverse, _poly
 from projectivoid.determinants import berkowitz_det, kronecker_det, leibniz_det
 from projectivoid.series import scaled_rows
-from helpers import random_unimodular, split_oracle
+from helpers import euclid_inverse, random_unimodular, split_oracle, verify_oracle
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -248,6 +249,89 @@ def test_det_and_adjugate_match_leibniz_oracle(M, data):
         _inverse(field, *scaled_rows(1, 0, bent), [1] * m)
 
 
+def _kernel_copy(rows):
+    return [[dict(f) for f in r] for r in rows]
+
+
+def assert_inverse_matches_oracle(C, rng):
+    """_inverse of the integer rows of C, with random column scales d, is
+    euclid_inverse's, diag(d) * C^-1, and leaves its input as it was."""
+    field, m = C.field, C.m
+    R, rows = scaled_rows(1, 0, C.rows)
+    p = field.characteristic
+    d = [rng.choice([x for x in (1, 2, -3, 4, 6, -7) if not p or x % p]) for _ in range(m)]
+    before = _kernel_copy(rows), list(R), list(d)
+    got = _inverse(field, R, rows, d)
+    assert (_kernel_copy(rows), R, d) == before
+    assert got == euclid_inverse(field, R, rows, d)
+    assert LMatrix(field, got) * C == LMatrix.diagonal(field, [LaurentPoly.constant(field, x) for x in d])
+
+
+def spread_unimodular(field, m, seed, max_exp=40):
+    """A product of m monomial shears over k[1/s] with exponents up to
+    max_exp, times a permutation and a constant diagonal: sparse rows whose
+    exponents spread far apart."""
+    rng = random.Random(seed)
+    unit = (lambda: rng.choice([1, -1, 2, Fraction(1, 3)])) if field == Q else (lambda: rng.randrange(1, field.p))
+    M = LMatrix.diagonal(field, [LaurentPoly.constant(field, unit()) for _ in range(m)])
+    for _ in range(m if m > 1 else 0):
+        i, j = rng.sample(range(m), 2)
+        M = M * LMatrix.shear(field, m, i, j, LaurentPoly.monomial(field, -rng.randrange(max_exp + 1), unit()))
+    perm = list(range(m))
+    rng.shuffle(perm)
+    return LMatrix(field, [M.rows[i] for i in perm])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F2, F3, F5, Q]), st.integers(1, 7), st.data())
+def test_packed_inverse_matches_euclidean_oracle(field, m, data):
+    C = data.draw(unimodular_over_inverse_ring(field, m))
+    seed = data.draw(st.integers(0, 2**32))
+    assert_inverse_matches_oracle(C, random.Random(seed))
+    assert_inverse_matches_oracle(spread_unimodular(field, m, seed), random.Random(seed))
+
+
+def _permutation(field, perm, rng):
+    """Row i holds a nonzero constant at column perm[i] and zeros elsewhere."""
+    m = len(perm)
+    unit = (lambda: rng.choice([1, -2, Fraction(3, 2)])) if field == Q else (lambda: rng.randrange(1, field.p))
+    return LMatrix(field, [[LaurentPoly.constant(field, unit()) if j == perm[i] else LaurentPoly.zero(field)
+                            for j in range(m)] for i in range(m)])
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+@pytest.mark.parametrize("field", [F2, F3, F5, Q], ids=["GF2", "GF3", "GF5", "Q"])
+def test_packed_inverse_pivot_swaps(field, m):
+    # Antidiagonal and permutation matrices leave a zero pivot in most
+    # columns; products with shears over k[1/s] add exponents.
+    rng = random.Random(m)
+    antidiagonal = _permutation(field, list(reversed(range(m))), rng)
+    perm = list(range(m))
+    rng.shuffle(perm)
+    for C in (antidiagonal, _permutation(field, perm, rng)):
+        assert_inverse_matches_oracle(C, rng)
+        shears = random_unimodular(rng, field, m, side=-1, factors=m, max_deg=1)
+        assert_inverse_matches_oracle(C * shears, rng)
+        assert_inverse_matches_oracle(shears * C, rng)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, Q], ids=["GF2", "GF3", "GF5", "Q"])
+def test_packed_inverse_refuses_singular_and_nonconstant(field):
+    zero, one, t = LaurentPoly.zero(field), LaurentPoly.one(field), LaurentPoly.monomial(field, -1)
+    cases = [
+        [[one, t], [zero, zero]],  # a zero row
+        [[one, t], [one, t]],  # equal rows
+        [[t, zero], [zero, one]],  # det = s^-1
+        [[one + t, zero], [zero, one]],  # det = 1 + s^-1
+    ]
+    if field == F3:
+        cases.append([[one, one + one], [one + one, one]])  # det = -3 over Z, 0 over GF(3)
+    for rows in cases:
+        R, scaled = scaled_rows(1, 0, rows)
+        with pytest.raises(RuntimeError, match="not constant-determinant"):
+            _inverse(field, R, scaled, [1, 1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([F2, F3, F5, Q]).flatmap(sparse_lmatrices))
 def test_determinant_strategies_agree(M):
@@ -400,6 +484,124 @@ def test_certificate_verify_rejects_wrong_product():
     assert not cert.verify(eye)
 
 
+def _diag(field, pairs):
+    return LMatrix.diagonal(field, [LaurentPoly.monomial(field, n, c) for n, c in pairs])
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, Q], ids=["GF2", "GF3", "GF5", "Q"])
+def test_certificate_verify_rejects_forged_sides(field):
+    # The product identity holds in each, but a side has determinant s^+-1,
+    # so it is not unimodular; its s^0 coefficients are singular.
+    eye = LMatrix.identity(field, 2)
+    forged = [
+        (eye, _diag(field, [(1, 1), (0, 1)]), LMatrix.diagonal_powers(field, [1, 0])),
+        (_diag(field, [(-1, 1), (0, 1)]), _diag(field, [(1, 1), (0, 1)]), eye),
+        (_diag(field, [(-1, 1), (0, 1)]), eye, LMatrix.diagonal_powers(field, [-1, 0])),
+    ]
+    for V, U, D in forged:
+        assert V * eye * U == D
+        cert = FactorizationCertificate(V, U, D)
+        assert not cert.verify(eye)
+        assert not verify_oracle(cert, eye)
+    # Constant factors that cancel are a valid certificate.
+    c = field.coerce(2) if field.characteristic != 2 else 1
+    V, U = _diag(field, [(0, field.inv(c)), (0, 1)]), _diag(field, [(0, c), (0, 1)])
+    assert FactorizationCertificate(V, U, eye).verify(eye)
+
+
+def test_certificate_verify_mismatches():
+    A = LMatrix.diagonal_powers(F3, [0, 1])
+    _, cert = split(A)
+    assert cert.verify(A)
+    with pytest.raises(ValueError, match="different fields"):
+        cert.verify(LMatrix.diagonal_powers(F5, [0, 1]))
+    with pytest.raises(DimensionMismatch):
+        cert.verify(LMatrix.diagonal_powers(F3, [0, 1, 0]))
+    # A D over another field or of another size is False, as the matrix
+    # comparison makes it.
+    assert not FactorizationCertificate(cert.V, cert.U, LMatrix.diagonal_powers(F5, [0, 1])).verify(A)
+    assert not FactorizationCertificate(cert.V, cert.U, LMatrix.diagonal_powers(F3, [0, 1, 2])).verify(A)
+    # A side that is not unimodular is False before any mismatch is raised,
+    # also when its s^0 coefficients are nonsingular: U = [[1 + s]].
+    bent = LMatrix(Q, [[lp(Q, {0: 1, 1: 1})]])
+    one = LMatrix.identity(Q, 1)
+    for cert in (FactorizationCertificate(one, bent, one), FactorizationCertificate(bent, one, one)):
+        assert not verify_oracle(cert, LMatrix.identity(F3, 1))
+        assert not cert.verify(LMatrix.identity(F3, 1))
+        assert not cert.verify(LMatrix.identity(Q, 2))
+    with pytest.raises(ValueError, match="different fields"):
+        FactorizationCertificate(one, one, one).verify(LMatrix.identity(F3, 1))
+
+
+def _corrupt(cert, rng):
+    """The certificate changed in one of several ways, some of which keep it
+    valid (constants that cancel) and some of which keep the product
+    identity but break a side."""
+    V, U, D = cert.V, cert.U, cert.D
+    field, m = V.field, V.m
+    j = rng.randrange(m)
+    c = field.coerce(rng.choice([1, 2, 3]))
+    if field.is_zero(c):
+        c = field.one
+    kind = rng.randrange(7)
+
+    def one_at(f):
+        return LMatrix.diagonal(field, [f if k == j else LaurentPoly.one(field) for k in range(m)])
+
+    def bump(M, n):
+        rows = [list(r) for r in M.rows]
+        i, k = rng.randrange(m), rng.randrange(m)
+        rows[i][k] = rows[i][k] + LaurentPoly.monomial(field, n, c)
+        return LMatrix(field, rows)
+
+    if kind == 0:
+        return cert
+    if kind == 1:  # constants that cancel: still valid
+        return FactorizationCertificate(
+            one_at(LaurentPoly.constant(field, field.inv(c))) * V, U * one_at(LaurentPoly.constant(field, c)), D
+        )
+    if kind == 2:  # U times s in column j, D likewise: product holds, U is not unimodular
+        s = one_at(LaurentPoly.monomial(field, 1))
+        return FactorizationCertificate(V, U * s, D * s)
+    if kind == 3:  # V times 1/s in row j, D likewise
+        t = one_at(LaurentPoly.monomial(field, -1))
+        return FactorizationCertificate(t * V, U, t * D)
+    if kind == 4:
+        return FactorizationCertificate(V, bump(U, rng.randrange(0, 3)), D)
+    if kind == 5:
+        return FactorizationCertificate(bump(V, -rng.randrange(0, 3)), U, D)
+    degrees = [D.entry(k, k).unit_parts()[1] for k in range(m)]
+    degrees[j] += rng.choice([-1, 1])
+    return FactorizationCertificate(V, U, LMatrix.diagonal_powers(field, degrees))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([F2, F3, F5, Q]), st.integers(1, 5), st.integers(0, 2**32))
+def test_certificate_verify_matches_four_step_oracle(field, m, seed):
+    A = planted_split_input(field, m, seed)
+    _, cert = split(A)
+    rng = random.Random(seed)
+    for _ in range(3):
+        forged = _corrupt(cert, rng)
+        assert forged.verify(A) == verify_oracle(forged, A)
+
+
+def test_certificate_verify_needs_no_laurent_determinant_or_product(monkeypatch):
+    A = planted_split_input(Q, 5, 11)
+    _, cert = split(A)
+    eye = LMatrix.identity(F3, 2)
+    forged = FactorizationCertificate(eye, _diag(F3, [(1, 1), (0, 1)]), LMatrix.diagonal_powers(F3, [1, 0]))
+
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(LMatrix, "det", refuse)
+    monkeypatch.setattr(LMatrix, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    assert cert.verify(A)
+    assert not forged.verify(eye)
+
+
 # ----------------------------------------------------------------------
 # split against the LaurentPoly-object oracle
 
@@ -444,6 +646,24 @@ def test_split_matches_object_oracle(field, m, seed):
 def test_split_matches_object_oracle_large(m):
     for k, field in enumerate((F2, F3, F5, Q)):
         assert_same_split(planted_split_input(field, m, 100 * m + k, max_exp=1))
+
+
+@pytest.mark.parametrize("m", range(7, 13))
+@pytest.mark.parametrize("field", [F2, F3, F5, Q], ids=["GF2", "GF3", "GF5", "Q"])
+def test_split_matches_object_oracle_with_pivot_swaps(field, m):
+    # A planted input, and the same input under an antidiagonal and a random
+    # permutation, whose reduced matrices C' have zero leading minors, so
+    # the packed Gauss-Jordan of V = C'^-1 swaps rows.  split leaves the
+    # entries of its input as they were.
+    rng = random.Random(10 * m + field.characteristic)
+    planted = planted_split_input(field, m, rng.randrange(2**32), max_exp=1)
+    perm = list(range(m))
+    rng.shuffle(perm)
+    for P in ([], list(reversed(range(m))), perm):
+        A = _permutation(field, P, rng) * planted if P else planted
+        before = [[(f.D, dict(f.ints)) for f in r] for r in A.rows]
+        assert_same_split(A)
+        assert [[(f.D, dict(f.ints)) for f in r] for r in A.rows] == before
 
 
 def test_split_iteration_cap_on_both():

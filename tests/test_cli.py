@@ -467,3 +467,20 @@ def test_fuzzed_calls_exit_cleanly(argv, golden):
     # The parser is shared between calls: the next call must not see this one.
     golden_argv, expected = golden
     assert _call(golden_argv)[:4] == (0, False, expected, "")
+
+
+@pytest.mark.parametrize("command", ["norm", "degree"])
+@pytest.mark.parametrize("text,cutoff", [("0 (mod val >= 3)", "3"), ("1 (mod val >= -3)", "-3")])
+def test_series_known_only_modulo_its_cutoff_is_refused(capsys, command, text, cutoff):
+    # No stored term lies below the cutoff, so neither the valuation nor the
+    # dominant terms are known: a domain error (exit 1) that names the
+    # cutoff, not the ZeroSeries of an exact zero.
+    code, out, err = run(capsys, command, "--prime", "2", text)
+    assert (code, out) == (1, "")
+    assert err == f"ValueError: no term is known below val >= {cutoff}: the valuation is not determined\n"
+
+
+def test_degree_and_norm_of_exact_zero_are_unchanged(capsys):
+    assert run(capsys, "norm", "--prime", "2", "0") == (0, "inf\n", "")
+    code, out, err = run(capsys, "degree", "--prime", "2", "0")
+    assert (code, out, err) == (1, "", "ZeroSeries: the zero series has no dominant terms\n")

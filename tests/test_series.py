@@ -204,6 +204,32 @@ def test_dominant_terms_of_zero():
         PSeries.zero(2).dominant_terms()
 
 
+@pytest.mark.parametrize("text", ["0 (mod val >= 3)", "1 (mod val >= -3)", "2 (mod val >= 1)"])
+def test_truncated_series_with_no_stored_term_names_its_cutoff(text):
+    # The stored terms are gone below the cutoff, so the tail decides the
+    # valuation and the dominant terms: every query that needs them refuses
+    # with the cutoff in the message; gauss_valuation keeps its inf, which
+    # the precision rules read as "no stored term".
+    f = parse_series(text, 2)
+    cutoff = text.split(">= ")[1].rstrip(")")
+    want = f"no term is known below val >= {cutoff}: the valuation is not determined"
+    for query in (f.check_determined, f.dominant_terms, f.degree, f.normalize_gauss):
+        with pytest.raises(ValueError) as info:
+            query()
+        assert type(info.value) is ValueError and str(info.value) == want
+    assert f.gauss_valuation().is_infinite
+    assert f.equals_mod(PSeries.zero(2), f.precision)
+
+
+def test_determined_series_pass_the_check():
+    for text in ("0", "v (mod val >= 3)", "4 + v^(1/2^1) (mod val >= 3)"):
+        f = parse_series(text, 2)
+        assert f.check_determined() is None
+    assert parse_series("4 + v (mod val >= 3)", 2).degree() == PExp(1, 0)
+    with pytest.raises(ZeroSeries):
+        PSeries.zero(2).normalize_gauss()
+
+
 def test_degree_examples():
     assert srs(2, [(1, 1, 1), (3, 1, 2)]).degree() == PExp(1, 1)
     assert srs(2, [(0, 0, 1), (1, 0, 1)]).degree() == PExp(1, 0)

@@ -115,7 +115,9 @@ def test_unary_operations_match_oracle(fs, data):
     assert f.truncate(cutoff) == oracle_truncate(f, cutoff)
     assert f.gauss_valuation() == oracle_gauss(f)
     if f.is_zero():
-        with pytest.raises(ZeroSeries):
+        # An exact zero has no dominant terms; a truncated series with no
+        # stored term has unknown ones, decided by its tail.
+        with pytest.raises(ZeroSeries if f.is_exact() else ValueError):
             f.dominant_terms()
     else:
         assert f.dominant_terms() == oracle_dominant(f)
