@@ -21,12 +21,10 @@ B' = diag(R) * A * U * diag(d) and U' = U * diag(d).  Neither scale changes
 the column degrees or which top-degree columns depend on the ones before
 them, so the kernel vector comes from fraction-free Gauss-Jordan elimination
 of the integer top-degree matrix, and each column operation sets the new
-d_j.  Then V = diag(d) * C'^-1 * diag(R) for C' = B' * diag(s^-k_j).
-``_inverse`` shifts each row and column of C' to polynomials, packs every
-entry into one integer (Kronecker substitution, as in
-``determinants.kronecker_det``) and runs fraction-free Gauss-Jordan
-elimination (Bareiss) on the packed [C' | I]; its last pivot, unpacked,
-shows whether det(C') is a nonzero constant.  The certificate check
+d_j.  Then V = diag(d) * C'^-1 * diag(R) for C' = B' * diag(s^-k_j), from
+the determinant and adjugate of C' (``determinants.adjugate``, packed
+fraction-free Gauss-Jordan elimination); the determinant, taken mod p over
+GF(p), shows whether it is a nonzero constant.  The certificate check
 (``FactorizationCertificate.verify``) multiplies V * A * U on integer
 kernels and replaces the two Laurent determinants of the sides by scalar
 rank tests of their s^0 coefficients, which the product identity makes
@@ -50,7 +48,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Mapping
 
-from .determinants import SquareMatrix, _pack, _plan, _unpack, det
+from .determinants import SquareMatrix, adjugate, det
 from .errors import InvalidAutomorphism, IterationLimitExceeded, NotInvertibleOverRing
 from .series import _convolve, _gcd, _lift, _normalise, _reduce, scaled_rows
 
@@ -405,57 +403,17 @@ def _kernel_vector(p: int, rows):
 def _inverse(field, R: list, rows: list, d: list) -> list:
     """The rows of diag(d) * C'^-1 * diag(R) as Laurent polynomials, where C'
     = rows is a matrix of integer kernels over k[t], t = 1/s (mod p over
-    GF(p)), whose determinant is a nonzero constant.
-
-    Row i of C' times s^-lo_i, lo_i its lowest exponent, then column j
-    times s^-co_j, co_j the lowest exponent left in it, make a matrix P over
-    Z[s], with C' = diag(s^lo) * P * diag(s^co); the column shifts keep
-    sparse rows of spread exponents narrow.  Each entry of P is packed at s
-    = 2^B (``determinants._plan``), giving the integer matrix M = P(2^B).
-    Fraction-free Gauss-Jordan elimination of [M | I] (Bareiss): with pivot
-    a_kk, every other row becomes (a_kk * row_i - a_ik * row_k) / prev, prev
-    the pivot before, and a zero pivot swaps in a lower row.  Each entry is
-    a minor of [M | I], so each division is exact, and at the end the left
-    half is delta * I and the right half delta * M^-1 = +-adj(M), where
-    delta = +-det(M).  Evaluation at 2^B is a ring map Z[s] -> Z, and the
-    coefficients of det(P) and adj(P) are at most the product of the rows'
-    l1 norms, below 2^(B-1), so the balanced base-2^B digits give them back.
-    With c * s^e the unpacked delta, taken mod p over GF(p), det(C') = c *
-    s^(e + sum lo + sum co) is a nonzero constant exactly when e = -sum lo -
-    sum co, and then V_ji = d_j * R_i * adj_ji * s^(-co_j - lo_i - e) / c,
-    as C'^-1 = diag(s^-co) * P^-1 * diag(s^-lo)."""
-    p, m = field.characteristic, len(rows)
-    # A zero row has no plan; it packs to zeros and leaves no pivot below.
-    los, B = (_plan(rows) or ([0] * m, 1))[:2]
-    cos = [min((min(f) - lo for f, lo in zip(col, los) if f), default=0) for col in zip(*rows)]
-    a = [[_pack(f, lo + co, B) if f else 0 for f, co in zip(r, cos)]
-         + [int(i == k) for k in range(m)] for i, (r, lo) in enumerate(zip(rows, los))]
-    # Step k leaves column k zero but for the pivot, and every pivot so far
-    # on the diagonal, so each row keeps only the columns from k + 1 on.
-    prev = 1
-    for k in range(m):
-        pr = next((i for i in range(k, m) if a[i][0]), None)
-        if pr is None:  # det(M) = 0
-            prev = 0
-            break
-        a[k], a[pr] = a[pr], a[k]
-        pivot, *top = a[k]
-        for i, (x, *row) in enumerate(a):
-            if i == k:
-                a[i] = top
-            elif x:
-                a[i] = [(pivot * y - x * z) // prev for y, z in zip(row, top)]
-            else:
-                a[i] = [pivot * y // prev for y in row]
-        prev = pivot
-    e = -sum(los) - sum(cos)
-    delta = _reduce(p, _unpack(prev, B, 0))
-    if delta.keys() != {e}:
+    GF(p)), whose determinant (``determinants.adjugate``, mod p over GF(p))
+    is a nonzero constant c: V_ji = d_j * R_i * adj(C')_ji / c."""
+    p = field.characteristic
+    delta, adj = adjugate(rows)
+    delta = _reduce(p, delta)
+    if delta.keys() != {0}:
         raise RuntimeError("internal error: reduced matrix is not constant-determinant")
-    D, u = (1, pow(delta[e], -1, p)) if p else (delta[e], 1)
+    D, u = (1, pow(delta[0], -1, p)) if p else (delta[0], 1)
     zero = LaurentPoly.zero(field)
-    return [[_poly(field, D, _lift(_unpack(v, B, -lo - co - e), 1, dj * r * u)) if v else zero
-             for r, lo, v in zip(R, los, row)] for dj, co, row in zip(d, cos, a)]
+    return [[_poly(field, D, _lift(f, 1, dj * r * u)) if f else zero for r, f in zip(R, row)]
+            for dj, row in zip(d, adj)]
 
 
 def split(A: LMatrix, max_iterations: int | None = None):

@@ -6,10 +6,11 @@ object per line.  Exit codes: 0 on success, 1 for domain errors (the error
 class name goes to stderr), 2 for unparseable input or bad usage, including
 a size above its cap: ``invert --prec`` above ``MAX_PREC``, ``enumerate
 --count`` above ``MAX_COUNT``, ``rand-auto --rank`` above ``MAX_RANK`` and
-``--shears`` above ``MAX_SHEARS``, a ``family`` of more than
-``MAX_FAMILY`` matrices, a series literal whose exponent denominators
-exceed ``literals.MAX_EXP_BITS``, and a numeral of more than
-``literals.MAX_DIGITS`` digits in a literal, a JSON document or a result.
+``--shears`` above ``MAX_SHEARS``, a ``family`` of more than ``MAX_FAMILY``
+matrices, a matrix document of more than ``literals.MAX_M`` rows, a series
+literal whose exponent denominators exceed ``literals.MAX_EXP_BITS``, and a
+numeral of more than ``literals.MAX_DIGITS`` digits in a literal, a JSON
+document or a result.
 
 ``main(argv)`` can be called any number of times in one process.  The
 argument parser is built on the first call and reused; parsing keeps no

@@ -5,34 +5,41 @@ standing for the sum of the terms a * x^n, all on one exponent grid that the
 caller fixes (``series.scaled_rows``), with no zero numerator.  ``{}`` is the
 zero determinant, and the routines never change their inputs.
 
-* ``kronecker_det`` runs Laplace expansion row by row, with the minors
-  memoised by column subset, at most n * 2^(n-1) products that skip zero
-  entries, on plain integers (Kronecker substitution).  Row i is shifted
-  down by its lowest exponent lo_i and each entry is evaluated at x = 2^B, so
-  one integer product does the work of a whole ``series._convolve``.
-  Evaluation at 2^B is a ring homomorphism Z[x] -> Z and Laplace divides
-  nowhere, so the packed result is exactly det(2^B), whatever the size of
-  the minors on the way.  Every coefficient of det is at most the product of
-  the rows' l1 norms (the sum of |a| over a row's terms), and B is one bit
-  more than that product's bit length, so the balanced base-2^B digits of
-  det(2^B) are exactly its coefficients, at the exponents from sum(lo_i) up.
+Only this module packs rows into integers (Kronecker substitution): row i
+is shifted down by its lowest exponent lo_i and each entry evaluated at x =
+2^B, so one integer product does the work of a whole ``series._convolve``.
+Every coefficient of every minor is at most the product of the rows' l1
+norms (the sum of |a| over a row's terms), below 2^(B-1), so a packed minor
+is zero exactly when the minor is, and its balanced base-2^B digits are the
+minor's coefficients.
+
+* ``bareiss_det`` is fraction-free Gaussian elimination (Bareiss, Math.
+  Comp. 22, 1968) on the packed rows, O(n^3) integer products: a_ij <- (a_kk
+  * a_ij - a_ik * a_kj) / prev, prev the pivot before.  Every intermediate
+  is a minor (Sylvester's identity), so each division is exact; a zero
+  pivot swaps in a lower row and flips the sign.
+* ``adjugate`` runs that elimination on [M | I] over every row
+  (Gauss-Jordan), with each column shifted down too, and returns the
+  adjugate with the determinant.  ``bareiss_det`` keeps its own forward
+  loop and row shifts only, because both simpler designs measured slower on
+  the matrix benchmark pool: Gauss-Jordan does about twice the products, and
+  column shifts cost more than they save.
 * The Berkowitz recursion costs O(n^4) ring operations on dicts.
 * Leibniz expansion costs n! products over any ring with ``+``, unary ``-``
   and ``*``; it is the oracle the tests compare the other two against.
 
-``det`` has one rule: up to ``LAPLACE_MAX_M`` rows, when the rows are dense
-on their grid (the packed rows take at most ``PACK_MAX_SLOTS`` base-2^B
-digits per input term, so that the packed work stays bounded by the input),
-it runs ``kronecker_det``; otherwise it runs ``berkowitz_det``.  A series
-grid can spread a few terms over up to 2^MAX_EXP_BITS slots, and such rows
-go to Berkowitz.  The rule costs one pass over the entries (``_plan``),
-whose results the packing reuses.
+``det`` has one rule: ``bareiss_det`` when the rows are dense on their grid
+(the packed rows take at most ``PACK_MAX_SLOTS`` base-2^B digits per input
+term, so that the packed work stays bounded by the input), else
+``berkowitz_det``.  A series grid can spread a few terms over up to
+2^MAX_EXP_BITS slots, and such rows go to Berkowitz.  The rule costs one
+pass over the entries (``_plan``), which the packing reuses.
 
 ``SquareMatrix`` is the matrix type of both rings, series (``SMatrix``) and
 Laurent polynomials (``LMatrix``).  ``SMatrix.det`` (so also the three
 determinants of ``matrices.act``) and ``LMatrix.det`` (so also
-``classical.split`` and its certificate check) each lift their entries with
-``series.scaled_rows``, call ``det`` and normalise the result once.
+``classical.split``) each lift their entries with ``series.scaled_rows``,
+call ``det`` and normalise the result once.
 """
 
 from __future__ import annotations
@@ -42,15 +49,12 @@ from itertools import chain, permutations
 from .errors import DimensionMismatch
 from .series import _convolve, _reduce
 
-# Largest size at which det expands by memoised minors; Berkowitz takes over
-# above it.  Measured on planted series (m = 7..11) and Laurent (m = 6..10)
-# matrices.
-LAPLACE_MAX_M = 8
-
 # The most base-2^B digits the packed rows may take per input term.  On
-# random m = 3..6 matrices packing breaks even at 10-60 digits per term, the
-# lower end at m = 3; the matrix, split and cli benchmark pools (seed 7)
-# need at most 8.4, at every m.
+# random three-term entries with spread exponents Bareiss breaks even with
+# Berkowitz at about 14 digits per term at m = 3, 8 at m = 6 and 3 at m = 16
+# (2-bit coefficients; BENCH_17.json); on products of shears and planted
+# matrices it won at every size up to m = 40, at 1.5 to 3.4 digits per term.
+# The matrix, split and cli benchmark pools (seed 7, m <= 6) need at most 6.9.
 PACK_MAX_SLOTS = 10
 
 _ONE = {0: 1}  # the unit kernel; read, never written
@@ -95,9 +99,8 @@ def _plan(rows):
     """(los, B, slots, terms), read in one sweep over the entries: the lowest
     exponent lo_i of each row, the digit width B (one bit more than the bit
     length of the product of the rows' l1 norms), the base-2^B digits the
-    packed rows take (m times the sum of the row widths) and the number of
-    terms.  None when a row is zero."""
-    m = len(rows)
+    packed rows take (each row's width times its nonzero entries, summed)
+    and the number of terms.  None when a row is zero."""
     los, bound, slots, terms = [], 1, 0, 0
     for row in rows:
         exps = [*chain.from_iterable(row)]
@@ -105,43 +108,10 @@ def _plan(rows):
             return None
         lo = min(exps)
         los.append(lo)
-        slots += m * (max(exps) - lo + 1)
+        slots += sum(map(bool, row)) * (max(exps) - lo + 1)
         terms += len(exps)
         bound *= sum(map(abs, chain.from_iterable(map(dict.values, row))))
     return los, bound.bit_length() + 1, slots, terms
-
-
-def kronecker_det(rows, plan=None) -> dict:
-    """Laplace expansion along the rows, top down, on the entries of row i
-    shifted down by lo_i and evaluated at x = 2^B (the plan of ``_plan``,
-    when the caller has it); the balanced base-2^B digits of the result are
-    the coefficients of det (see the module docstring).
-
-    After row k, ``minors`` maps each set S of k + 1 columns (a bit mask) to
-    the determinant of rows 0..k and columns S.  Expanding that minor along
-    its last row gives the entry at column j the sign (-1)^(number of columns
-    in S above j), so each row is negated once.  Zero entries and zero
-    minors are skipped."""
-    plan = plan or _plan(rows)
-    if plan is None:
-        return {}
-    los, B = plan[:2]
-    minors = {0: 1}
-    for row, lo in zip(rows, los):
-        entries = []
-        for j, f in enumerate(row):
-            if f:
-                a = _pack(f, lo, B)
-                entries.append((1 << j, a, -a))
-        nxt = {}
-        get = nxt.get
-        for cols, minor in minors.items():
-            for bit, a, neg in entries:
-                if not cols & bit:
-                    key = cols | bit
-                    nxt[key] = get(key, 0) + minor * (neg if (cols // bit).bit_count() & 1 else a)
-        minors = {cols: minor for cols, minor in nxt.items() if minor}
-    return _unpack(minors.get((1 << len(rows)) - 1, 0), B, sum(los))
 
 
 def _pack(f: dict, lo: int, B: int) -> int:
@@ -166,6 +136,68 @@ def _unpack(v: int, B: int, n: int) -> dict:
         v = (v - d) >> B
         n += 1
     return out
+
+
+def bareiss_det(rows, plan) -> dict:
+    """Fraction-free Gaussian elimination on the rows packed by their
+    ``_plan`` into a new integer matrix, updated in place; the last pivot,
+    signed by the row swaps and unpacked, is det."""
+    if plan is None:
+        return {}
+    los, B = plan[:2]
+    a = [[_pack(f, lo, B) if f else 0 for f in row] for row, lo in zip(rows, los)]
+    m, sign, prev = len(a), 1, 1
+    for k in range(m):
+        if not a[k][k]:
+            pr = next((i for i in range(k + 1, m) if a[i][k]), None)
+            if pr is None:
+                return {}
+            a[k], a[pr], sign = a[pr], a[k], -sign
+        top = a[k]
+        pivot = top[k]
+        for row in a[k + 1:]:
+            for j in range(k + 1, m):
+                row[j] = (pivot * row[j] - row[k] * top[j]) // prev
+        prev = pivot
+    return _unpack(sign * prev, B, sum(los))
+
+
+def adjugate(rows):
+    """(det, adj) of a square matrix of integer kernels, with adj * rows =
+    det * I, both in the rows' own exponents; adj is None when det is {}.
+
+    rows = diag(x^lo) * P * diag(x^co), lo_i the lowest exponent of row i,
+    co_j the lowest left in column j, and P over Z[x].  Gauss-Jordan
+    elimination of [P(2^B) | I] leaves delta * I on the left and delta *
+    P(2^B)^-1 = sign * adj(P)(2^B) on the right, where delta = sign *
+    det(P)(2^B) and sign is that of the row swaps; then adj(rows)_ji =
+    adj(P)_ji * x^(sum lo + sum co - co_j - lo_i)."""
+    plan = _plan(rows)
+    if plan is None:
+        return {}, None
+    los, B, m = plan[0], plan[1], len(rows)
+    cos = [min((min(f) - lo for f, lo in zip(col, los) if f), default=0) for col in zip(*rows)]
+    a = [[_pack(f, lo + co, B) if f else 0 for f, co in zip(r, cos)]
+         + [int(i == k) for k in range(m)] for i, (r, lo) in enumerate(zip(rows, los))]
+    # After step k column k is zero in every row but the pivot's, and no
+    # column up to k is read again, so those entries are not written.
+    sign, prev = 1, 1
+    for k in range(m):
+        if not a[k][k]:
+            pr = next((i for i in range(k + 1, m) if a[i][k]), None)
+            if pr is None:
+                return {}, None
+            a[k], a[pr], sign = a[pr], a[k], -sign
+        top = a[k]
+        pivot = top[k]
+        for row in a:
+            if row is not top:
+                for j in range(k + 1, 2 * m):
+                    row[j] = (pivot * row[j] - row[k] * top[j]) // prev
+        prev = pivot
+    n = sum(los) + sum(cos)
+    adj = [[_unpack(sign * v, B, n - lo - co) for lo, v in zip(los, row[m:])] for co, row in zip(cos, a)]
+    return _unpack(sign * prev, B, n), adj
 
 
 def _sum(pairs) -> dict:
@@ -203,15 +235,11 @@ def berkowitz_det(rows) -> dict:
 
 def det(rows) -> dict:
     """Determinant of a square matrix of integer kernels on one grid: packed
-    Laplace for up to ``LAPLACE_MAX_M`` rows dense on their grid, Berkowitz
-    otherwise (see the module docstring)."""
-    if len(rows) <= LAPLACE_MAX_M:
-        plan = _plan(rows)
-        if plan is None:
-            return {}
-        _, _, slots, terms = plan
-        if slots <= PACK_MAX_SLOTS * terms:
-            return kronecker_det(rows, plan)
+    Bareiss for rows dense on their grid, Berkowitz otherwise (see the module
+    docstring)."""
+    plan = _plan(rows)
+    if plan is None or plan[2] <= PACK_MAX_SLOTS * plan[3]:
+        return bareiss_det(rows, plan)
     return berkowitz_det(rows)
 
 

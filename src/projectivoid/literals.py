@@ -307,11 +307,21 @@ def _doc_prime(doc: dict, prime: int | None) -> int:
     return p
 
 
+# Cap on the size m of a matrix document.  CPU seconds of one CLI call at m =
+# 10/20/40 (CPython 3.11.7): det of a permutation 0.01/0.02/0.03, split of a
+# dense shear product over Q 0.02/0.12/14, det of random three-term entries
+# 0.01/0.10/7.9, with 70-bit coefficients 0.04/3.3/362, and with rows too
+# spread to pack (v^(1/2^12) + v^(40+i+j)) 0.19/35/over 200.
+MAX_M = 40
+
+
 def _doc_grid(doc: dict):
     m = doc.get("m")
     # JSON true loads as a bool, which is an int subclass.
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ParseError("'m' must be a positive integer")
+    if m > MAX_M:
+        raise ParseError(f"matrices larger than {MAX_M} x {MAX_M} are not accepted")
     entries = doc.get("entries")
     if (
         not isinstance(entries, list)

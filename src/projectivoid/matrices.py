@@ -10,9 +10,9 @@ each with a determinant dominated by its constant term.
 determinant, and so the transition test, ``bundle_degree`` and the three
 validations in ``act``, lifts the entries' integer kernels onto one grid
 (``series.scaled_rows``), calls ``determinants.det`` on them and normalises
-the result once.  Up to m = 8, rows dense on that grid are packed into one
-integer per entry (Kronecker substitution) and expanded in integer
-arithmetic; other rows run the Berkowitz recursion on dicts.
+the result once.  Rows dense on that grid, at any m, are packed into one
+integer per entry (Kronecker substitution) and eliminated fraction-free in
+integer arithmetic; other rows run the Berkowitz recursion on dicts.
 """
 
 from __future__ import annotations

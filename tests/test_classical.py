@@ -24,8 +24,8 @@ from projectivoid import (
     split,
     splitting_invariance_check,
 )
-from projectivoid.classical import _inverse, _poly
-from projectivoid.determinants import berkowitz_det, kronecker_det, leibniz_det
+from projectivoid.classical import _inverse, _poly, _times
+from projectivoid.determinants import _plan, adjugate, bareiss_det, berkowitz_det, leibniz_det
 from projectivoid.series import scaled_rows
 from helpers import euclid_inverse, random_unimodular, split_oracle, verify_oracle
 
@@ -315,6 +315,52 @@ def test_packed_inverse_pivot_swaps(field, m):
         assert_inverse_matches_oracle(shears * C, rng)
 
 
+def assert_adjugate(M):
+    """determinants.adjugate of the integer rows of M: det as Berkowitz
+    gives it, adj * rows = det * I over Z (or adj None for det {}), and the
+    rows left as they were."""
+    _, rows = scaled_rows(1, 0, M.rows)
+    before = _kernel_copy(rows)
+    det, adj = adjugate(rows)
+    assert _kernel_copy(rows) == before
+    assert det == berkowitz_det(rows)
+    if not det:
+        assert adj is None
+        return
+    m = len(rows)
+    assert _times(0, adj, rows) == [[det if i == j else {} for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 12])
+@pytest.mark.parametrize("field", [F2, F3, F5, Q], ids=["GF2", "GF3", "GF5", "Q"])
+def test_adjugate_times_rows_is_det(field, m):
+    # Shear products over both one-sided rings with a diagonal of powers
+    # between them (rows of both signs of exponent); permutation and
+    # antidiagonal matrices and their products with shears, which swap rows
+    # at most pivots; column-shifted spread rows; and singular matrices, with
+    # a repeated row, a zero row or a zero column.
+    rng = random.Random(m)
+    degrees = [rng.randint(-2, 2) for _ in range(m)]
+    shears = random_unimodular(rng, field, m, side=-1, factors=m, max_deg=1)
+    perm = list(range(m))
+    rng.shuffle(perm)
+    cases = [
+        shears * LMatrix.diagonal_powers(field, degrees) * random_unimodular(rng, field, m, side=1, factors=m),
+        _permutation(field, list(reversed(range(m))), rng),
+        _permutation(field, perm, rng) * shears,
+        shears * _permutation(field, perm, rng),
+        spread_unimodular(field, m, m),
+    ]
+    zero = LaurentPoly.zero(field)
+    rows = [list(r) for r in cases[0].rows]
+    cases.append(LMatrix(field, [[zero] * m] + rows[1:]))
+    cases.append(LMatrix(field, [[zero] + r[1:] for r in rows]))
+    if m > 1:
+        cases.append(LMatrix(field, [rows[1]] + rows[1:]))
+    for M in cases:
+        assert_adjugate(M)
+
+
 @pytest.mark.parametrize("field", [F2, F3, F5, Q], ids=["GF2", "GF3", "GF5", "Q"])
 def test_packed_inverse_refuses_singular_and_nonconstant(field):
     zero, one, t = LaurentPoly.zero(field), LaurentPoly.one(field), LaurentPoly.monomial(field, -1)
@@ -338,8 +384,8 @@ def test_determinant_strategies_agree(M):
     d = leibniz_det(M.rows, LaurentPoly.one(M.field))
     assert M.det() == d
     Ds, scaled = scaled_rows(1, 0, M.rows)
-    for routine in (kronecker_det, berkowitz_det):
-        assert _poly(M.field, prod(Ds), routine(scaled)) == d
+    for got in (bareiss_det(scaled, _plan(scaled)), berkowitz_det(scaled)):
+        assert _poly(M.field, prod(Ds), got) == d
 
 
 def test_lmatrix_side_predicates():

@@ -18,7 +18,7 @@ from projectivoid import (
     splitting_invariance_check,
 )
 from projectivoid.exponents import MAX_CALKIN_WILF_TERMS
-from projectivoid.literals import MAX_DIGITS, MAX_EXP_BITS, MAX_PREC_BITS
+from projectivoid.literals import MAX_DIGITS, MAX_EXP_BITS, MAX_M, MAX_PREC_BITS
 from projectivoid.cli import MAX_COUNT, MAX_FAMILY, MAX_PREC, MAX_RANK, MAX_SHEARS, main
 from helpers import (
     ACT_TRIPLE,
@@ -292,6 +292,26 @@ def test_family_size_cap(capsys):
         code, out, err = run(capsys, "family", "--prime", prime, "--max-pow", max_pow)
         assert (code, out) == (2, "")
         assert err.startswith("ParseError") and f"more than {MAX_FAMILY} matrices" in err
+
+
+def _identity_doc(m, p=None):
+    doc = {"m": m, "entries": [["1" if i == j else "0" for j in range(m)] for i in range(m)]}
+    return json.dumps(dict(doc, p=p) if p else doc)
+
+
+def test_matrix_size_cap(capsys):
+    # At the cap the identity runs; one row more is refused with one stderr
+    # line before any entry is parsed.
+    for argv in (["det", "--prime", "2"], ["transition", "--prime", "2"], ["split", "--field", "rational"]):
+        code, out, _ = run(capsys, *argv, _identity_doc(MAX_M, 2 if "--prime" in argv else None))
+        assert code == 0 and out
+        code, out, err = run(capsys, *argv, _identity_doc(MAX_M + 1, 2 if "--prime" in argv else None))
+        assert (code, out) == (2, "")
+        assert err == f"ParseError: matrices larger than {MAX_M} x {MAX_M} are not accepted\n"
+    triple = json.dumps({"V": json.loads(_identity_doc(1, 2)), "A": json.loads(_identity_doc(MAX_M + 1, 2)),
+                         "U": json.loads(_identity_doc(1, 2))})
+    code, out, err = run(capsys, "act", "--prime", "2", triple)
+    assert (code, out) == (2, "") and err.startswith("ParseError: matrices larger than")
 
 
 def test_invert_prec_at_cap_is_accepted(capsys):

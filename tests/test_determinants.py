@@ -1,7 +1,8 @@
 """Series-matrix determinants on the integer kernel against the per-entry
-Leibniz oracle, the packed (Kronecker) Laplace against Berkowitz on dicts,
-the series side against the Laurent side on integer exponents, and the
-dispatch between packed Laplace and Berkowitz for both matrix types."""
+Leibniz oracle, packed (Kronecker) Bareiss against Berkowitz on dicts, the
+series side against the Laurent side on integer exponents, and the dispatch
+between packed Bareiss and Berkowitz for both matrix types.  The tests named
+"packed_laplace" check ``bareiss_det``, the packed routine."""
 
 import copy
 import itertools
@@ -14,15 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from projectivoid import LMatrix, LaurentPoly, PSeries, PrimeField, RationalField, SMatrix, canon
 from projectivoid import determinants
-from projectivoid.determinants import (
-    LAPLACE_MAX_M,
-    _odd,
-    _plan,
-    berkowitz_det,
-    kronecker_det,
-    leibniz_det,
-)
-from projectivoid.series import _series, scaled_rows
+from projectivoid.determinants import _odd, _plan, bareiss_det, berkowitz_det, leibniz_det
+from projectivoid.series import _convolve, _series, scaled_rows
 from helpers import mono, oracle_det, random_unimodular
 
 
@@ -82,6 +76,10 @@ def _kernels(A):
     return [[dict(f.ints) for f in r] for r in A.rows]
 
 
+def _bareiss(rows):
+    return bareiss_det(rows, _plan(rows))
+
+
 def _routine_det(A, routine):
     """det(A) as SMatrix.det computes it, with the routine in place of
     ``determinants.det``."""
@@ -99,13 +97,13 @@ def test_each_strategy_matches_leibniz_oracle(case):
     A, _ = case
     want = oracle_det(A)
     before = _kernels(A)
-    for routine in (kronecker_det, berkowitz_det):
+    for routine in (_bareiss, berkowitz_det):
         assert _routine_det(A, routine) == want
         assert _kernels(A) == before
 
 
 # ----------------------------------------------------------------------
-# packed Laplace against Berkowitz on bare integer kernels
+# packed Bareiss against Berkowitz on bare integer kernels
 
 
 def _leibniz(rows):
@@ -119,13 +117,13 @@ def _leibniz(rows):
 
 @st.composite
 def kernel_rows(draw):
-    """An m x m matrix of integer kernels, m = 1..LAPLACE_MAX_M.  Each row is
-    dense (two to four terms per entry on a few exponents) or sparse (most
-    entries zero, the rest single terms far apart), coefficients take either
-    sign and reach 2^70 in some matrices, so that B passes 64 bits, and some
-    matrices get a zero row or a row that is another one negated, whose
+    """An m x m matrix of integer kernels, m = 1..9.  Each row is dense (two
+    to four terms per entry on a few exponents) or sparse (most entries zero,
+    the rest single terms far apart), coefficients take either sign and reach
+    2^70 in some matrices, so that B passes 64 bits, and some matrices get a
+    zero row, a zero column or a row that is another one negated, whose
     determinant cancels to {}."""
-    m = draw(st.integers(1, LAPLACE_MAX_M))
+    m = draw(st.integers(1, 9))
     big = draw(st.sampled_from([9, 2**70]))
     coeff = st.integers(-big, big).filter(bool)
     dense = st.dictionaries(st.integers(-1, 3), coeff, min_size=2, max_size=4)
@@ -134,9 +132,13 @@ def kernel_rows(draw):
     for _ in range(m):
         entry = draw(st.sampled_from([dense, sparse]))
         rows.append([draw(entry) for _ in range(m)])
-    shape = draw(st.sampled_from(["plain", "zero row", "negated row"]))
+    shape = draw(st.sampled_from(["plain", "zero row", "zero column", "negated row"]))
     if shape == "zero row":
         rows[draw(st.integers(0, m - 1))] = [{}] * m
+    elif shape == "zero column":
+        j = draw(st.integers(0, m - 1))
+        for row in rows:
+            row[j] = {}
     elif shape == "negated row" and m >= 2:
         i, j = draw(st.permutations(range(m)))[:2]
         rows[i] = [{n: -a for n, a in f.items()} for f in rows[j]]
@@ -151,8 +153,7 @@ def test_packed_laplace_matches_dict_routines(case):
     rows, degenerate = case
     before = copy.deepcopy(rows)
     want = berkowitz_det(rows)
-    assert kronecker_det(rows) == want
-    assert kronecker_det(rows, _plan(rows)) == want
+    assert bareiss_det(rows, _plan(rows)) == want
     assert determinants.det(rows) == want
     if len(rows) <= 6:
         assert _leibniz(rows) == want
@@ -161,12 +162,46 @@ def test_packed_laplace_matches_dict_routines(case):
     assert rows == before
 
 
+@pytest.mark.parametrize("m", [12, 20])
+def test_bareiss_matches_berkowitz_at_larger_sizes(m):
+    # Past the sizes the strategy above draws: dense rows of two-term
+    # entries, rows of three nonzero entries each, the antidiagonal (a row
+    # swap at each of the first m // 2 steps), and the first two with a zero
+    # row, a zero column or a row that is another one negated.
+    rng = random.Random(m)
+    dense = [[{n: rng.randint(-9, 9) or 1 for n in range(2)} for _ in range(m)] for _ in range(m)]
+    # Row i has entries at perm[i] and at two random columns.
+    perm = list(range(m))
+    rng.shuffle(perm)
+    sparse = [[{} for _ in range(m)] for _ in range(m)]
+    for i, row in enumerate(sparse):
+        for j in {perm[i], *rng.sample(range(m), 2)}:
+            row[j] = {n: rng.randint(-9, 9) or 1 for n in rng.sample(range(-4, 5), 2)}
+    antidiagonal = [[{i: 1} if j == m - 1 - i else {} for j in range(m)] for i in range(m)]
+    cases = [dense, sparse, antidiagonal]
+    for rows in (dense, sparse):
+        i, j = rng.sample(range(m), 2)
+        cases.append([r if k != i else [{}] * m for k, r in enumerate(rows)])
+        cases.append([[f if k != j else {} for k, f in enumerate(r)] for r in rows])
+        cases.append([r if k != i else [{n: -a for n, a in f.items()} for f in rows[j]] for k, r in enumerate(rows)])
+    wants = []
+    for rows in cases:
+        before = copy.deepcopy(rows)
+        wants.append(berkowitz_det(rows))
+        assert bareiss_det(rows, _plan(rows)) == wants[-1]
+        assert determinants.det(rows) == wants[-1]
+        assert rows == before
+    assert [bool(want) for want in wants] == [True] * 3 + [False] * 6
+
+
 @pytest.mark.parametrize("c", [1, 2**21, 2**21 - 1, 3])
-@pytest.mark.parametrize("m", [1, 3, LAPLACE_MAX_M])
+@pytest.mark.parametrize("m", [1, 3, 8, 9, 12, 20])
 def test_packed_laplace_at_the_digit_bound(m, c):
     # One single-term entry per row and column: |det| is the product of the
     # rows' l1 norms, the largest value the packing bound admits, with that
     # product a power of two (c = 2^21), one less (2^21 - 1) or neither.
+    # The matrix is a signed permutation, so Bareiss swaps rows wherever it
+    # leaves a zero pivot.
     rng = random.Random(m * c)
     perm = list(range(m))
     rng.shuffle(perm)
@@ -178,15 +213,15 @@ def test_packed_laplace_at_the_digit_bound(m, c):
     _, B, _, _ = _plan(rows)
     norms = [sum(abs(a) for f in r for a in f.values()) for r in rows]
     assert abs(value) == prod(norms) < 2 ** (B - 1)
-    assert kronecker_det(rows) == berkowitz_det(rows) == want
+    assert bareiss_det(rows, _plan(rows)) == berkowitz_det(rows) == want
 
 
-@pytest.mark.parametrize("m", [LAPLACE_MAX_M, LAPLACE_MAX_M + 2])
+@pytest.mark.parametrize("m", [8, 10])
 def test_det_leaves_entries_unchanged(m):
     # Series and GF(3) entries (D = 1, so the routines read the entries' own
-    # dicts), packed Laplace at the crossover and Berkowitz above.
+    # dicts), packed Bareiss on dense rows and Berkowitz on spread ones.
     rng = random.Random(m)
-    for M in (_planted(rng, 2, m)[0], random_unimodular(rng, PrimeField(3), m, factors=m)):
+    for M in (_planted(rng, 2, m)[0], random_unimodular(rng, PrimeField(3), m, factors=m), _spread(m)):
         before = _kernels(M)
         M.det()
         assert _kernels(M) == before
@@ -195,9 +230,9 @@ def test_det_leaves_entries_unchanged(m):
 @st.composite
 def integer_exponent_matrices(draw):
     """(p, rows): an m x m matrix of {n: c}, integer n and rational c, with
-    m = 1..5 or one size past the crossover."""
+    m = 1..5 or 9."""
     p = draw(st.sampled_from([2, 3, 5]))
-    m = draw(st.sampled_from([1, 2, 3, 4, 5, LAPLACE_MAX_M + 1]))
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 9]))
     coeff = st.fractions(-4, 4, max_denominator=12).filter(bool)
     entry = st.dictionaries(st.integers(-3, 3), coeff, max_size=2)
     return p, [[draw(entry) for _ in range(m)] for _ in range(m)]
@@ -258,25 +293,22 @@ def _refuse(rows, *_):
     raise AssertionError(f"this strategy must not run at m = {len(rows)}")
 
 
-def _only(monkeypatch, m):
-    """Let det run just the strategies it may pick at size m.  The dispatch
-    reads the routines from the globals of ``determinants``, so they are
-    patched there."""
-    # Laplace's 2^m minors must never be built above the crossover, and
-    # Berkowitz must not run at or below it on these dense rows.
-    other = "kronecker_det" if m > LAPLACE_MAX_M else "berkowitz_det"
-    monkeypatch.setattr(determinants, other, _refuse)
+def _packed_only(monkeypatch):
+    """Let det run packed Bareiss only.  The dispatch reads the routines from
+    the globals of ``determinants``, so Berkowitz is patched there."""
+    monkeypatch.setattr(determinants, "berkowitz_det", _refuse)
 
 
-@pytest.mark.parametrize("m", [LAPLACE_MAX_M, 10, 12])
+@pytest.mark.parametrize("m", [8, 9, 10, 12, 20])
 @pytest.mark.parametrize("p", [2, 3])
 def test_det_dispatch_on_planted_matrices(monkeypatch, p, m):
+    # Dense rows pack at every size: Berkowitz never runs on them.
     A, want = _planted(random.Random(m), p, m)
-    _only(monkeypatch, m)
+    _packed_only(monkeypatch)
     assert A.det() == want
 
 
-@pytest.mark.parametrize("m", [LAPLACE_MAX_M, 10])
+@pytest.mark.parametrize("m", [8, 9, 10, 12, 20])
 @pytest.mark.parametrize("field", [PrimeField(3), RationalField()], ids=["GF3", "Q"])
 def test_lmatrix_det_dispatch_on_planted_matrices(monkeypatch, field, m):
     # V1 * diag(s^d) * U1 with V1 and U1 products of shears, so of
@@ -288,32 +320,52 @@ def test_lmatrix_det_dispatch_on_planted_matrices(monkeypatch, field, m):
         * LMatrix.diagonal_powers(field, degrees)
         * random_unimodular(rng, field, m, side=1, factors=m)
     )
-    _only(monkeypatch, m)
+    _packed_only(monkeypatch)
     assert A.det() == LaurentPoly.monomial(field, sum(degrees))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 6, LAPLACE_MAX_M])
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 8])
 @pytest.mark.parametrize("p", [2, 3])
 def test_dense_series_rows_are_packed(monkeypatch, p, m):
     # The planted series matrices have several terms per entry on a few
-    # exponents: det must pack them at every size up to the crossover, never
-    # run Berkowitz.
+    # exponents: det must pack them at every size, never run Berkowitz.
     A, want = _planted(random.Random(m), p, m)
-    monkeypatch.setattr(determinants, "berkowitz_det", _refuse)
+    _packed_only(monkeypatch)
     assert A.det() == want
 
 
-@pytest.mark.parametrize("m", [1, 3, LAPLACE_MAX_M])
-def test_wide_grid_stays_on_dicts(monkeypatch, m):
-    # v^(1/2^12) and v^40 on one grid are 40 * 2^12 slots apart, so the
-    # packed rows would take m * 40 * 2^12 / 2 digits per term, far past
-    # PACK_MAX_SLOTS: det runs Berkowitz at every size, never packs.
-    # The circulant with a on the diagonal and b next to it cyclically (so
-    # a + b at m = 1) has det = a^m + (-1)^(m - 1) * b^m.
+def test_sparse_rows_are_packed(monkeypatch):
+    # A permutation times a diagonal of two-term entries at m = 40: each row
+    # has one nonzero entry, so its width counts once, not m times, and det
+    # packs it.
+    m = 40
+    rng = random.Random(m)
+    perm = list(range(m))
+    rng.shuffle(perm)
+    diag = [{i % 3: rng.randint(1, 9), i % 3 + 1: -rng.randint(1, 9)} for i in range(m)]
+    rows = [[diag[i] if j == perm[i] else {} for j in range(m)] for i in range(m)]
+    want = {0: _perm_sign(perm)}
+    for f in diag:
+        want = _convolve(want, f, {})
+    _packed_only(monkeypatch)
+    assert determinants.det(rows) == want
+
+
+def _spread(m):
+    """The circulant with a = v^(1/2^12) on the diagonal and b = v^40 next to
+    it cyclically (so a + b at m = 1), whose det is a^m + (-1)^(m - 1) * b^m.
+    The two are 40 * 2^12 slots apart on one grid."""
     a, b, zero = mono(2, 1, 12), mono(2, 40), PSeries.zero(2)
-    A = SMatrix(2, [[(a if j == i else zero) + (b if j == (i + 1) % m else zero) for j in range(m)] for i in range(m)])
-    monkeypatch.setattr(determinants, "kronecker_det", _refuse)
+    return SMatrix(2, [[(a if j == i else zero) + (b if j == (i + 1) % m else zero) for j in range(m)] for i in range(m)])
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 9, 12])
+def test_wide_grid_stays_on_dicts(monkeypatch, m):
+    # Each row spans 40 * 2^12 slots for two terms, far past PACK_MAX_SLOTS:
+    # det runs Berkowitz at every size, never packs.
+    monkeypatch.setattr(determinants, "bareiss_det", _refuse)
+    a, b = mono(2, 1, 12), mono(2, 40)
     a_m, b_m = PSeries.one(2), PSeries.one(2)
     for _ in range(m):
         a_m, b_m = a_m * a, b_m * b
-    assert A.det() == (a_m + b_m if m % 2 else a_m - b_m)
+    assert _spread(m).det() == (a_m + b_m if m % 2 else a_m - b_m)

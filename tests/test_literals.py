@@ -32,7 +32,7 @@ from projectivoid import (
     parse_laurent,
     parse_series,
 )
-from projectivoid.literals import MAX_DIGITS
+from projectivoid.literals import MAX_DIGITS, MAX_M
 from helpers import LITERAL_CORPUS, _Parser, mono, mutate, srs
 
 Q = RationalField()
@@ -220,6 +220,15 @@ def test_matrix_doc_prime_agreement():
 def test_matrix_doc_rejects_malformed(doc):
     with pytest.raises(ParseError):
         doc_to_matrix(doc)
+
+
+def test_matrix_docs_refuse_more_rows_than_the_cap():
+    # The cap is checked before the grid, so even a document with no entries
+    # names it.
+    for read in (doc_to_matrix, lambda doc: doc_to_laurent_matrix(doc, Q)):
+        for entries in ([["1"] * (MAX_M + 1)] * (MAX_M + 1), []):
+            with pytest.raises(ParseError, match=f"larger than {MAX_M} x {MAX_M}"):
+                read({"p": 2, "m": MAX_M + 1, "entries": entries})
 
 
 def test_matrix_doc_ragged_is_specific():
