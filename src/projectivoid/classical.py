@@ -20,11 +20,11 @@ j of the reduced matrix and of U keeps one denominator d_j, so the state is
 B' = diag(R) * A * U * diag(d) and U' = U * diag(d).  Neither scale changes
 the column degrees or which top-degree columns depend on the ones before
 them, so the kernel vector comes from fraction-free Gauss-Jordan elimination
-of the integer top-degree matrix, and each column operation sets the new
-d_j.  Then V = diag(d) * C'^-1 * diag(R) for C' = B' * diag(s^-k_j), from
-the determinant and adjugate of C' (``determinants.adjugate``, packed
-fraction-free Gauss-Jordan elimination); the determinant, taken mod p over
-GF(p), shows whether it is a nonzero constant.  The certificate check
+of the integer top-degree matrix (``determinants.kernel_vector``), and each
+column operation sets the new d_j.  Then V = diag(d) * C'^-1 * diag(R) for
+C' = B' * diag(s^-k_j), from the determinant and adjugate of C' (the same
+elimination, packed: ``determinants.adjugate``); a zero column of B' or a
+det(C') that is not a nonzero constant refuses A.  The certificate check
 (``FactorizationCertificate.verify``) multiplies V * A * U on integer
 kernels and replaces the two Laurent determinants of the sides by scalar
 rank tests of their s^0 coefficients, which the product identity makes
@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Mapping
 
-from .determinants import SquareMatrix, adjugate, det
+from .determinants import SquareMatrix, adjugate, det, kernel_vector
 from .errors import InvalidAutomorphism, IterationLimitExceeded, NotInvertibleOverRing
 from .series import _convolve, _gcd, _lift, _normalise, _reduce, scaled_rows
 
@@ -316,7 +316,7 @@ class FactorizationCertificate:
         (L_V, v), (L_A, a), (L_U, u) = _kernels(V), _kernels(A), _kernels(U)
         for M, rows in ((U, u), (V, v)):
             at_zero = [[f.get(0, 0) for f in r] for r in rows]
-            if _kernel_vector(M.field.characteristic, at_zero) is not None:
+            if kernel_vector(M.field.characteristic, at_zero) is not None:
                 return False
         if not (V.field == A.field == U.field and V.m == A.m == U.m):
             # The LMatrix product raises the mismatch; a side whose
@@ -368,48 +368,16 @@ def _primitive(p: int, fs: list, d: int = 0) -> tuple[list, int]:
     return fs, d
 
 
-def _kernel_vector(p: int, rows):
-    """A nonzero kernel vector (w_0, ..., w_c) of a square integer matrix,
-    taken mod p when p is nonzero, or None when the matrix is nonsingular.
-
-    Fraction-free Gauss-Jordan elimination column by column: the pivot row
-    clears its column from every other row, row_i <- pivot * row_i - a_ic *
-    row_pivot, and over Q each row is divided by its content.  At the first
-    column c with no pivot, column k < c is a multiple of the unit vector e_k,
-    so column c is a known combination of them and w_c is nonzero; the vector
-    is unique up to a factor, since columns 0..c-1 are independent."""
-    m = len(rows)
-    a = [list(r) for r in rows]
-    for c in range(m):
-        pr = next((i for i in range(c, m) if a[i][c]), None)
-        if pr is None:
-            if p:
-                return [-a[k][c] * pow(a[k][k], -1, p) % p for k in range(c)] + [1]
-            L = lcm(*(a[k][k] for k in range(c)))
-            return [-a[k][c] * (L // a[k][k]) for k in range(c)] + [L]
-        a[c], a[pr] = a[pr], a[c]
-        top = a[c]
-        for i in range(m):
-            if i != c and (x := a[i][c]):
-                row = [top[c] * y - x * z for y, z in zip(a[i], top)]
-                if p:
-                    a[i] = [y % p for y in row]
-                else:
-                    g = _gcd(0, row) or 1
-                    a[i] = [y // g for y in row]
-    return None
-
-
 def _inverse(field, R: list, rows: list, d: list) -> list:
     """The rows of diag(d) * C'^-1 * diag(R) as Laurent polynomials, where C'
     = rows is a matrix of integer kernels over k[t], t = 1/s (mod p over
-    GF(p)), whose determinant (``determinants.adjugate``, mod p over GF(p))
-    is a nonzero constant c: V_ji = d_j * R_i * adj(C')_ji / c."""
+    GF(p)): V_ji = d_j * R_i * adj(C')_ji / c when det(C') (mod p over GF(p))
+    is a nonzero constant c, else NotInvertibleOverRing."""
     p = field.characteristic
     delta, adj = adjugate(rows)
     delta = _reduce(p, delta)
     if delta.keys() != {0}:
-        raise RuntimeError("internal error: reduced matrix is not constant-determinant")
+        raise NotInvertibleOverRing("determinant is not of the form c * s^n")
     D, u = (1, pow(delta[0], -1, p)) if p else (delta[0], 1)
     zero = LaurentPoly.zero(field)
     return [[_poly(field, D, _lift(f, 1, dj * r * u)) if f else zero for r, f in zip(R, row)]
@@ -420,29 +388,33 @@ def split(A: LMatrix, max_iterations: int | None = None):
     """Splitting type of A plus an exact factorization certificate.
 
     Raises NotInvertibleOverRing unless det(A) = c * s^n with c nonzero, and
-    IterationLimitExceeded should the column reduction fail to settle within
-    the iteration budget (which would indicate an implementation bug: the sum
-    of column degrees strictly decreases on every pass).
+    IterationLimitExceeded past the iteration budget.  Each pass lowers one
+    column degree, which stays within the exponents lo..hi of A until the
+    column is zero, so only a bug reaches the default m * (hi - lo) + 1.
+
+    No determinant of A is taken: the reduction stops only at a nonsingular
+    top-degree matrix, so at a nonzero det, and det(A) = 0 leaves a zero
+    column instead; det(C') = unit * det(A) * s^-(sum of the k_j) is a
+    nonzero constant exactly when det(A) = c * s^n.  So an explicit small
+    max_iterations can raise IterationLimitExceeded first.
     """
     field, m = A.field, A.m
     p = field.characteristic
-    parts = A.det().unit_parts()
-    if parts is None:
-        raise NotInvertibleOverRing("determinant is not of the form c * s^n")
 
     # The integer state B' = diag(R) * A * U * diag(d) and U' = U * diag(d).
     R, b_rows = scaled_rows(1, 0, A.rows)
     u_rows = [[{0: 1} if i == j else {} for j in range(m)] for i in range(m)]
     d = [1] * m
 
-    span_total = sum(f.span() for r in A.rows for f in r if not f.is_zero())
-    budget = max_iterations if max_iterations is not None else 10 * m * (span_total + 1)
+    exps = [n for r in b_rows for f in r for n in f] or [0]
+    budget = m * (max(exps) - min(exps)) + 1 if max_iterations is None else max_iterations
 
-    # det(A) is nonzero, so no column is zero.
-    degrees = [max(max(r[j]) for r in b_rows if r[j]) for j in range(m)]
     iterations = 0
     while True:
-        w = _kernel_vector(p, [[r[j].get(k, 0) for j, k in enumerate(degrees)] for r in b_rows])
+        if not all(map(any, zip(*b_rows))):
+            raise NotInvertibleOverRing("determinant is not of the form c * s^n")
+        degrees = [max(max(f) for f in col if f) for col in zip(*b_rows)]
+        w = kernel_vector(p, [[r[j].get(k, 0) for j, k in enumerate(degrees)] for r in b_rows])
         if w is None:
             break
         iterations += 1
@@ -466,11 +438,10 @@ def split(A: LMatrix, max_iterations: int | None = None):
         col, d[jstar] = _primitive(p, col, d[c] * w[c])
         for row, f in zip(b_rows + u_rows, col):
             row[jstar] = f
-        degrees[jstar] = max(max(f) for f in col[:m] if f)
 
-    # The reduced matrix is C * diag(s^k_j) with C in k[1/s] of nonzero
-    # constant determinant det(top), so V = C^-1 = diag(d) * C'^-1 * diag(R)
-    # for C' = B' * diag(s^-k_j).
+    # The reduced matrix is C * diag(s^k_j) with C in k[1/s], so V = C^-1 =
+    # diag(d) * C'^-1 * diag(R) for C' = B' * diag(s^-k_j), when det(C') is
+    # a nonzero constant.
     c_rows = [[{n - k: a for n, a in f.items()} for f, k in zip(r, degrees)] for r in b_rows]
     v_rows = _inverse(field, R, c_rows, d)
     u_rows = [[_poly(field, dj, f) for f, dj in zip(r, d)] for r in u_rows]
@@ -484,8 +455,6 @@ def split(A: LMatrix, max_iterations: int | None = None):
     certificate = FactorizationCertificate(v_final, u_final, d_final)
     if not certificate.verify(A):
         raise RuntimeError("internal error: certificate failed to re-multiply")
-    if sum(degrees) != parts[1]:
-        raise RuntimeError("internal error: splitting degrees do not sum to det exponent")
     return SplittingType(tuple(degrees[j] for j in order)), certificate
 
 

@@ -179,8 +179,6 @@ def _laurent_field(args, doc):
         p = literals._doc_prime(doc, args.prime)
     if p is None:
         raise ParseError("a prime is required (--prime or a 'p' key in the document)")
-    if not is_prime(p):
-        raise ParseError(f"{p} is not a prime")
     return PrimeField(p)
 
 

@@ -18,12 +18,12 @@ minor's coefficients.
   * a_ij - a_ik * a_kj) / prev, prev the pivot before.  Every intermediate
   is a minor (Sylvester's identity), so each division is exact; a zero
   pivot swaps in a lower row and flips the sign.
-* ``adjugate`` runs that elimination on [M | I] over every row
-  (Gauss-Jordan), with each column shifted down too, and returns the
-  adjugate with the determinant.  ``bareiss_det`` keeps its own forward
-  loop and row shifts only, because both simpler designs measured slower on
-  the matrix benchmark pool: Gauss-Jordan does about twice the products, and
-  column shifts cost more than they save.
+* ``_jordan`` runs that elimination over every row (Gauss-Jordan): on
+  [M | I], each column shifted down too, for ``adjugate``, and with pivots
+  nonzero mod p for ``kernel_vector``.  ``bareiss_det`` keeps its own
+  forward loop and row shifts only, because both simpler designs measured
+  slower on the matrix benchmark pool: Gauss-Jordan does about twice the
+  products, and column shifts cost more than they save.
 * The Berkowitz recursion costs O(n^4) ring operations on dicts.
 * Leibniz expansion costs n! products over any ring with ``+``, unary ``-``
   and ``*``; it is the oracle the tests compare the other two against.
@@ -162,16 +162,39 @@ def bareiss_det(rows, plan) -> dict:
     return _unpack(sign * prev, B, sum(los))
 
 
+def _jordan(a, m, live) -> tuple[int, int, int]:
+    """Fraction-free Gauss-Jordan elimination of the first m columns of the
+    integer rows a, in place, pivoting on the first x from row k down with
+    live(x): (sign of the row swaps, last pivot, first column with no pivot,
+    or m).  After step k columns 0..k are the pivot times unit vectors and
+    are not read again, so they are not written."""
+    sign, prev = 1, 1
+    for k in range(m):
+        if not live(a[k][k]):
+            pr = next((i for i in range(k + 1, len(a)) if live(a[i][k])), None)
+            if pr is None:
+                return sign, prev, k
+            a[k], a[pr], sign = a[pr], a[k], -sign
+        top = a[k]
+        pivot = top[k]
+        for row in a:
+            if row is not top:
+                for j in range(k + 1, len(top)):
+                    row[j] = (pivot * row[j] - row[k] * top[j]) // prev
+        prev = pivot
+    return sign, prev, m
+
+
 def adjugate(rows):
     """(det, adj) of a square matrix of integer kernels, with adj * rows =
     det * I, both in the rows' own exponents; adj is None when det is {}.
 
     rows = diag(x^lo) * P * diag(x^co), lo_i the lowest exponent of row i,
     co_j the lowest left in column j, and P over Z[x].  Gauss-Jordan
-    elimination of [P(2^B) | I] leaves delta * I on the left and delta *
-    P(2^B)^-1 = sign * adj(P)(2^B) on the right, where delta = sign *
-    det(P)(2^B) and sign is that of the row swaps; then adj(rows)_ji =
-    adj(P)_ji * x^(sum lo + sum co - co_j - lo_i)."""
+    elimination (``_jordan``) of [P(2^B) | I] leaves delta * I on the left
+    and delta * P(2^B)^-1 = sign * adj(P)(2^B) on the right, where delta =
+    sign * det(P)(2^B) and sign is that of the row swaps; then adj(rows)_ji
+    = adj(P)_ji * x^(sum lo + sum co - co_j - lo_i)."""
     plan = _plan(rows)
     if plan is None:
         return {}, None
@@ -179,25 +202,32 @@ def adjugate(rows):
     cos = [min((min(f) - lo for f, lo in zip(col, los) if f), default=0) for col in zip(*rows)]
     a = [[_pack(f, lo + co, B) if f else 0 for f, co in zip(r, cos)]
          + [int(i == k) for k in range(m)] for i, (r, lo) in enumerate(zip(rows, los))]
-    # After step k column k is zero in every row but the pivot's, and no
-    # column up to k is read again, so those entries are not written.
-    sign, prev = 1, 1
-    for k in range(m):
-        if not a[k][k]:
-            pr = next((i for i in range(k + 1, m) if a[i][k]), None)
-            if pr is None:
-                return {}, None
-            a[k], a[pr], sign = a[pr], a[k], -sign
-        top = a[k]
-        pivot = top[k]
-        for row in a:
-            if row is not top:
-                for j in range(k + 1, 2 * m):
-                    row[j] = (pivot * row[j] - row[k] * top[j]) // prev
-        prev = pivot
+    sign, prev, c = _jordan(a, m, bool)
+    if c < m:
+        return {}, None
     n = sum(los) + sum(cos)
     adj = [[_unpack(sign * v, B, n - lo - co) for lo, v in zip(los, row[m:])] for co, row in zip(cos, a)]
     return _unpack(sign * prev, B, n), adj
+
+
+def kernel_vector(p: int, rows):
+    """A nonzero kernel vector (w_0, ..., w_c) of a square integer matrix,
+    mod p when p is nonzero, or None when it is nonsingular (mod p).
+
+    ``_jordan`` pivots on entries nonzero mod p (over Q, nonzero), which are
+    nonzero integers, so its divisions stay exact.  At the first column c
+    with no pivot, columns 0..c-1 are prev * e_k, so w = (-a_0c, ...,
+    -a_(c-1)c, prev), unique up to a factor as those columns are
+    independent: scaled to w_c = 1 over GF(p), signed to w_c > 0 over Q."""
+    a = [list(r) for r in rows]
+    _, prev, c = _jordan(a, len(a), (lambda x: x % p) if p else bool)
+    if c == len(a):
+        return None
+    w = [-r[c] for r in a[:c]] + [prev]
+    if p:
+        u = pow(prev, -1, p)
+        return [x * u % p for x in w]
+    return w if prev > 0 else [-x for x in w]
 
 
 def _sum(pairs) -> dict:

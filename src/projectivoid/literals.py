@@ -308,10 +308,11 @@ def _doc_prime(doc: dict, prime: int | None) -> int:
 
 
 # Cap on the size m of a matrix document.  CPU seconds of one CLI call at m =
-# 10/20/40 (CPython 3.11.7): det of a permutation 0.01/0.02/0.03, split of a
-# dense shear product over Q 0.02/0.12/14, det of random three-term entries
-# 0.01/0.10/7.9, with 70-bit coefficients 0.04/3.3/362, and with rows too
-# spread to pack (v^(1/2^12) + v^(40+i+j)) 0.19/35/over 200.
+# 10/20/40 (CPython 3.11.7): det of a permutation 0.01/0.02/0.03, of random
+# three-term entries 0.01/0.10/7.9, with 70-bit coefficients 0.04/3.3/362,
+# and of rows too spread to pack (v^(1/2^12) + v^(40+i+j)) 0.19/35/over 200;
+# split over Q of a dense shear product 0.02/0.12/14, but of L*diag(s^d)*U
+# (L, U unitriangular) 0.12/68 at m = 10/20, 95 % of it the packed adjugate.
 MAX_M = 40
 
 

@@ -549,8 +549,8 @@ def split_oracle(A, max_iterations=None):
     b_rows = [[f.shift(lift) for f in r] for r in A.rows]
     u_rows = [list(r) for r in LMatrix.identity(field, m).rows]
 
-    span_total = sum(f.span() for r in A.rows for f in r if not f.is_zero())
-    budget = max_iterations if max_iterations is not None else 10 * m * (span_total + 1)
+    exps = [n for r in A.rows for f in r for n in f.coeffs] or [0]
+    budget = m * (max(exps) - min(exps)) + 1 if max_iterations is None else max_iterations
 
     iterations = 0
     while True:

@@ -27,12 +27,13 @@ from projectivoid import (
 from projectivoid.classical import _inverse, _poly, _times
 from projectivoid.determinants import _plan, adjugate, bareiss_det, berkowitz_det, leibniz_det
 from projectivoid.series import scaled_rows
-from helpers import euclid_inverse, random_unimodular, split_oracle, verify_oracle
+from helpers import euclid_inverse, random_laurent, random_unimodular, split_oracle, verify_oracle
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 Q = RationalField()
+NOT_MONOMIAL = r"^determinant is not of the form c \* s\^n$"
 
 
 def lp(field, pairs):
@@ -245,7 +246,7 @@ def test_det_and_adjugate_match_leibniz_oracle(M, data):
     # A row times 1 + s^-1 makes the determinant non-constant.
     bent = [list(r) for r in C.rows]
     bent[0] = [f * lp(field, {0: 1, -1: 1}) for f in bent[0]]
-    with pytest.raises(RuntimeError, match="not constant-determinant"):
+    with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
         _inverse(field, *scaled_rows(1, 0, bent), [1] * m)
 
 
@@ -374,7 +375,7 @@ def test_packed_inverse_refuses_singular_and_nonconstant(field):
         cases.append([[one, one + one], [one + one, one]])  # det = -3 over Z, 0 over GF(3)
     for rows in cases:
         R, scaled = scaled_rows(1, 0, rows)
-        with pytest.raises(RuntimeError, match="not constant-determinant"):
+        with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
             _inverse(field, R, scaled, [1, 1])
 
 
@@ -652,10 +653,11 @@ def test_certificate_verify_needs_no_laurent_determinant_or_product(monkeypatch)
 # split against the LaurentPoly-object oracle
 
 
-def planted_split_input(field, m, seed, max_exp=2):
+def planted_split_input(field, m, seed, max_exp=2, spread=3):
     """V1 * diag(s^d) * U1 with m monomial shears per side, as the split
-    benchmark builds its inputs; over Q the shear coefficients and a
-    constant diagonal on each side carry denominators 2 and 3."""
+    benchmark builds its inputs, and |d_i| <= spread; over Q the shear
+    coefficients and a constant diagonal on each side carry denominators 2
+    and 3."""
     rng = random.Random(seed)
 
     def unit():
@@ -671,7 +673,7 @@ def planted_split_input(field, m, seed, max_exp=2):
             M = M * LMatrix.shear(field, m, i, j, f)
         return M
 
-    degrees = [rng.randrange(-3, 4) for _ in range(m)]
+    degrees = [rng.randrange(-spread, spread + 1) for _ in range(m)]
     return side(-1) * LMatrix.diagonal_powers(field, degrees) * side(1)
 
 
@@ -718,3 +720,89 @@ def test_split_iteration_cap_on_both():
         split(A, max_iterations=0)
     with pytest.raises(IterationLimitExceeded):
         split_oracle(A, max_iterations=0)
+
+
+UNPLANTED = ("rank", "zero row", "zero column", "bent", "monomial entries", "spread")
+
+
+def unplanted_split_input(field, m, kind, seed):
+    """An input of one kind: the product of random m x r and r x m matrices
+    with r < m; a planted input with a zero row, a zero column, or a row
+    times 1 + c * s^k, so a determinant that is not a monomial; entries that
+    are zero or one monomial with exponents up to +-60; or a planted input
+    whose diagonal reaches +-60."""
+    rng = random.Random(seed)
+    zero = LaurentPoly.zero(field)
+    if kind == "rank":
+        r = rng.randrange(m)
+        L = [[random_laurent(rng, field) for _ in range(r)] for _ in range(m)]
+        R = [[random_laurent(rng, field) for _ in range(m)] for _ in range(r)]
+        return LMatrix(field, [[sum((L[i][k] * R[k][j] for k in range(r)), zero) for j in range(m)]
+                               for i in range(m)])
+    if kind == "monomial entries":
+        c = (lambda: rng.choice([1, -2, Fraction(1, 3)])) if field == Q else (lambda: rng.randrange(1, field.p))
+        return LMatrix(field, [[LaurentPoly.monomial(field, rng.randint(-60, 60), c()) if rng.random() < 0.7
+                                else zero for _ in range(m)] for _ in range(m)])
+    if kind == "spread":
+        return planted_split_input(field, m, seed, spread=60)
+    rows = [list(r) for r in planted_split_input(field, m, seed).rows]
+    i = rng.randrange(m)
+    if kind == "zero row":
+        rows[i] = [zero] * m
+    elif kind == "zero column":
+        rows = [r[:i] + [zero] + r[i + 1:] for r in rows]
+    else:
+        bend = lp(field, {0: 1, rng.choice([-2, -1, 1, 3]): 1})
+        rows[i] = [f * bend for f in rows[i]]
+    return LMatrix(field, rows)
+
+
+def _outcome(split_fn, A):
+    """The type and (V, U, D) that split_fn gives A, or its error's class and
+    message."""
+    try:
+        t, cert = split_fn(A)
+    except (NotInvertibleOverRing, IterationLimitExceeded, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return t, (cert.V, cert.U, cert.D)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([F2, F3, F5, Q]), st.integers(1, 5), st.sampled_from(UNPLANTED), st.integers(0, 2**32))
+def test_split_matches_object_oracle_off_the_planted_family(field, m, kind, seed):
+    # split takes no determinant of A: a zero column of B' or a det(C') that
+    # is not a nonzero constant refuses A, with the error the oracle raises
+    # from det(A) up front.
+    A = unplanted_split_input(field, m, kind, seed)
+    assert _outcome(split, A) == _outcome(split_oracle, A)
+
+
+def test_split_iteration_cap_comes_before_the_determinant_error():
+    # det(A) = 1 + s is not a monomial, but the top-degree matrix
+    # [[1, 1], [0, 0]] is singular, so the reduction needs a pass first.
+    A = LMatrix(Q, [[lp(Q, {1: 1}), lp(Q, {1: 1})], [lp(Q, {0: 1}), lp(Q, {-1: 1, 0: 2})]])
+    with pytest.raises(IterationLimitExceeded):
+        split(A, max_iterations=0)
+    with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
+        split_oracle(A, max_iterations=0)
+    with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
+        split(A)
+
+
+def test_split_default_budget_bounds_the_passes():
+    # det(A) = s^-114, and the reduction takes between 61 and 70 passes:
+    # more than the old default budget 10 * m * (sum of entry spans + 1) = 50
+    # allowed, within the default m * (hi - lo) + 1 = 5 * 108 + 1.
+    monos = [[None, None, None, (2, -45), None],
+             [None, (2, -36), (2, 42), (1, 35), (2, -19)],
+             [(2, 49), (2, -55), (2, 6), (2, 41), (2, 36)],
+             [None, None, (1, -43), (1, 11), None],
+             [None, None, (1, -18), (2, 53), (2, -39)]]
+    A = LMatrix(F3, [[LaurentPoly.zero(F3) if e is None else LaurentPoly.monomial(F3, e[1], e[0]) for e in r]
+                     for r in monos])
+    with pytest.raises(IterationLimitExceeded):
+        split(A, max_iterations=60)
+    assert _outcome(split, A) == _outcome(split_oracle, A)
+    t, cert = split(A)
+    assert t == SplittingType((-36, -25, -25, -18, -10))
+    assert cert.verify(A)

@@ -470,9 +470,9 @@ def _call(argv):
     return code, usage, out.getvalue(), err.getvalue(), time.process_time() - start
 
 
-@settings(max_examples=250, deadline=None)
-@given(_mutated_argv(), st.sampled_from(GOLDEN_CLI))
-def test_fuzzed_calls_exit_cleanly(argv, golden):
+def _assert_exits_cleanly(argv):
+    """Exit 0, 1 or 2 within 2 s of CPU; on failure no output and one error
+    line (or argparse's usage message), never a traceback."""
     code, usage, out, err, cpu = _call(argv)
     assert cpu <= 2.0, argv
     assert code in (0, 1, 2), argv
@@ -484,6 +484,12 @@ def test_fuzzed_calls_exit_cleanly(argv, golden):
             assert code == 2 and err.startswith("usage: ") and "error: " in err, argv
         else:
             assert _ERROR_LINE.fullmatch(err), (argv, err)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_mutated_argv(), st.sampled_from(GOLDEN_CLI))
+def test_fuzzed_calls_exit_cleanly(argv, golden):
+    _assert_exits_cleanly(argv)
     # The parser is shared between calls: the next call must not see this one.
     golden_argv, expected = golden
     assert _call(golden_argv)[:4] == (0, False, expected, "")
@@ -504,3 +510,113 @@ def test_degree_and_norm_of_exact_zero_are_unchanged(capsys):
     assert run(capsys, "norm", "--prime", "2", "0") == (0, "inf\n", "")
     code, out, err = run(capsys, "degree", "--prime", "2", "0")
     assert (code, out, err) == (1, "", "ZeroSeries: the zero series has no dominant terms\n")
+
+
+# ----------------------------------------------------------------------
+# calls of every command on inputs drawn from the literal grammar
+
+_WS = st.sampled_from(["", " ", "  "])
+_SIGN = st.sampled_from(["+", "-"])
+
+
+@st.composite
+def _literal(draw, p, integral):
+    """A series literal from the grammar in the ``literals`` docstring,
+    whitespace between its tokens.  integral keeps to the Laurent form:
+    integer exponents and no suffix.  Coefficients reach 10^6, exponent
+    numerators 60 and exponent powers 12; a denominator may be 0 and an
+    exponent base another number than p."""
+    def ws(*tokens):
+        return "".join(t + draw(_WS) for t in tokens)
+
+    def exp():
+        text = draw(st.sampled_from(["", "-", "+"])) + str(draw(st.integers(0, 60)))
+        if integral or draw(st.booleans()):
+            return text
+        base = draw(st.sampled_from([p] * 8 + [0, 6]))
+        return ws(text, "/", str(base), "^") + str(draw(st.integers(0, 12)))
+
+    def term():
+        coeff = str(draw(st.integers(0, 10**6)))
+        if draw(st.integers(0, 3)) == 0:
+            coeff = ws(coeff, "/") + str(draw(st.integers(0, 50)))
+        mono = draw(st.sampled_from(["v", "s"]))
+        shape = draw(st.sampled_from(["v", "v^e", "v^(e)"]))
+        if shape == "v^e":
+            mono = ws(mono, "^") + exp()
+        elif shape == "v^(e)":
+            mono = ws(mono, "^", "(", exp()) + ")"
+        kind = draw(st.sampled_from(["coeff", "coeff*mono", "mono"]))
+        return coeff if kind == "coeff" else mono if kind == "mono" else ws(coeff, "*") + mono
+
+    text = draw(st.sampled_from(["", "-", "+"])) + draw(_WS) + term()
+    for _ in range(draw(st.integers(0, 4))):
+        text += draw(_WS) + draw(_SIGN) + draw(_WS) + term()
+    if not integral and draw(st.booleans()):
+        value = draw(st.sampled_from(["", "-", "+"])) + str(draw(st.integers(0, 20)))
+        text += draw(_WS) + ws("(", "mod", "val", ">=", value) + ")"
+    return text
+
+
+@st.composite
+def _doc(draw, p, m, integral):
+    entries = [[draw(_literal(p, integral)) for _ in range(m)] for _ in range(m)]
+    return {"p": p, "m": m, "entries": entries}
+
+
+@st.composite
+def _grammar_argv(draw):
+    """A call of one of the 14 commands: a series literal for the series
+    commands, 1x1 to 3x3 documents of them for the matrix commands, and the
+    options of the others.  --prec stays at most 40, since invert near
+    MAX_PREC is slow on units with several tail terms, a known limit."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 3))
+    command = draw(st.sampled_from([
+        "norm", "unit", "invert", "degree", "reduce", "det", "transition", "bundle-degree",
+        "act", "rand-auto", "family", "enumerate", "split", "verify-split",
+    ]))
+    argv = [command, "--prime", str(p)] + draw(st.sampled_from([[], ["--format", "json"]]))
+    if command in ("norm", "unit", "invert", "degree", "reduce"):
+        argv.append(draw(_literal(p, False)))
+        if command == "unit":
+            argv += ["--ring", draw(st.sampled_from(["nonneg", "nonpos", "full"]))]
+        if command == "invert":
+            argv += ["--prec", str(draw(st.integers(-1, 40)))]
+    elif command in ("det", "transition", "bundle-degree"):
+        argv.append(json.dumps(draw(_doc(p, m, False))))
+    elif command in ("act", "split", "verify-split"):
+        integral = command != "act" and draw(st.booleans())
+        docs = {k: draw(_doc(p, m, integral)) for k in ("V", "A", "U")}
+        argv.append(json.dumps(docs["A"] if command == "split" else docs))
+        if command != "act" and draw(st.booleans()):
+            argv += ["--field", "rational"]
+    elif command == "rand-auto":
+        argv += ["--side", draw(st.sampled_from(["nonneg", "nonpos"])), "--seed", str(draw(st.integers(0, 99))),
+                 "--rank", str(draw(st.integers(1, MAX_RANK))), "--shears", str(draw(st.integers(0, MAX_SHEARS)))]
+    elif command == "family":
+        argv += ["--max-pow", str(draw(st.integers(0, 13)))]
+    else:
+        argv += ["--count", str(draw(st.integers(1, MAX_COUNT)))]
+        argv += draw(st.sampled_from([[], ["--order", "calkin-wilf"], ["--order", "calkin-wilf", "--filter"]]))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grammar_argv())
+def test_grammar_drawn_calls_exit_cleanly(argv):
+    _assert_exits_cleanly(argv)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["split", "--prime", "4", '{"m": 1, "entries": [["s"]]}'], "4 is not a prime"),
+        (["split", '{"p": 4, "m": 1, "entries": [["s"]]}'], "'p' must be a prime number"),
+        (["verify-split", '{"A": {"p": 1, "m": 1, "entries": [["s"]]}, "U": {"m": 1, "entries": [["1"]]},'
+          ' "V": {"m": 1, "entries": [["1"]]}}'], "'p' must be a prime number"),
+    ],
+)
+def test_laurent_commands_refuse_a_non_prime(capsys, argv, message):
+    # --prime is checked in main, a document's 'p' by the document reader.
+    assert run(capsys, *argv) == (2, "", f"ParseError: {message}\n")

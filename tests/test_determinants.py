@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from projectivoid import LMatrix, LaurentPoly, PSeries, PrimeField, RationalField, SMatrix, canon
 from projectivoid import determinants
-from projectivoid.determinants import _odd, _plan, bareiss_det, berkowitz_det, leibniz_det
+from projectivoid.determinants import _odd, _plan, bareiss_det, berkowitz_det, kernel_vector, leibniz_det
 from projectivoid.series import _convolve, _series, scaled_rows
-from helpers import mono, oracle_det, random_unimodular
+from helpers import _oracle_kernel_vector, mono, oracle_det, random_unimodular
 
 
 def coeffs(p, row_den):
@@ -369,3 +369,63 @@ def test_wide_grid_stays_on_dicts(monkeypatch, m):
     for _ in range(m):
         a_m, b_m = a_m * a, b_m * b
     assert _spread(m).det() == (a_m + b_m if m % 2 else a_m - b_m)
+
+
+def _rank_and_first_dependent(rng, p, m, r, c):
+    """An m x m integer matrix of rank r over GF(p) (over Q when p is 0)
+    whose columns 0..c-1 are independent and column c is the first that
+    depends on them (c <= r < m), or a nonsingular one (r = m).  The columns
+    are drawn from the columns b_k of a unimodular integer matrix: b_k at
+    column k < c, a combination of b_0..b_(c-1) at column c, and after it
+    b_c..b_(r-1) in random places, the other places combinations of
+    b_0..b_(r-1), zero columns among them.  Over GF(p) each entry moves by a
+    random multiple of p, so pivots that are nonzero integers can vanish mod
+    p."""
+    b = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(3 * m):
+        i, j = rng.sample(range(m), 2) if m > 1 else (0, 0)
+        if i != j:
+            x = rng.randint(-2, 2)
+            b[i] = [u + x * v for u, v in zip(b[i], b[j])]
+
+    def combo(k):
+        cs = [rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(k)]
+        return [sum(x * b[i][j] for i, x in enumerate(cs)) for j in range(m)]
+
+    if r == m:
+        cols = [b[k] for k in range(m)]
+    else:
+        cols = [b[k] for k in range(c)] + [combo(c)]
+        later = list(range(c + 1, m))
+        fresh = set(rng.sample(later, r - c))
+        nxt = iter(range(c, r))
+        cols += [b[next(nxt)] if j in fresh else combo(r) for j in later]
+    rows = [[col[i] for col in cols] for i in range(m)]
+    if p:
+        rows = [[x + p * rng.randint(-2, 2) for x in row] for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("p", [2, 3, 5, 0], ids=["GF2", "GF3", "GF5", "Q"])
+def test_kernel_vector_matches_field_oracle(p, m):
+    # Every rank from m down to 0 and every first dependent column c <= r.
+    # The oracle's vector is (w_0, ..., w_c, 0, ...) with w_c = 1; over
+    # GF(p) kernel_vector gives it mod p, over Q a positive multiple of it.
+    field = PrimeField(p) if p else RationalField()
+    rng = random.Random(10 * m + p)
+    for r in range(m, -1, -1):
+        for c in range(min(r, m - 1) + 1):
+            rows = _rank_and_first_dependent(rng, p, m, r, c)
+            before = copy.deepcopy(rows)
+            w = kernel_vector(p, rows)
+            assert rows == before
+            want = _oracle_kernel_vector([[field.coerce(x) for x in row] for row in rows], field)
+            if r == m:
+                assert w is None and want is None
+                continue
+            assert len(w) == c + 1 and want[c + 1:] == [0] * (m - c - 1)
+            if p:
+                assert w == [field.coerce(x) for x in want[:c + 1]] and w[c] == 1
+            else:
+                assert w[c] > 0 and w == [w[c] * x for x in want[:c + 1]]
