@@ -26,19 +26,21 @@ C' = B' * diag(s^-k_j), from the determinant and adjugate of C' (the same
 elimination, packed: ``determinants.adjugate``); a zero column of B' or a
 det(C') that is not a nonzero constant refuses A.  The certificate check
 (``FactorizationCertificate.verify``) multiplies V * A * U on integer
-kernels and replaces the two Laurent determinants of the sides by scalar
+kernels with ``determinants.kernel_product``, the loop of every matrix
+product, and replaces the two Laurent determinants of the sides by scalar
 rank tests of their s^0 coefficients, which the product identity makes
 enough.  Laurent polynomials are built only for the certificate.
 
 ``LaurentPoly`` is stored as an integer kernel, numerators over one common
 denominator, like ``series.PSeries``: its products and its sums of products
 (``_dot``) run through ``series._convolve``, and its normal form through
-``series._reduce``.  ``LMatrix.det`` lifts each row over its own
-denominator (``series.scaled_rows``), calls ``determinants.det`` on the bare
-numerator dicts and normalises the result once.
-``LMatrix`` is the ``determinants.SquareMatrix`` over Laurent polynomials,
-whose product sums each entry with one ``_dot``, with the polynomial-side
-predicates that the certificate check uses.
+``series._reduce``.  ``LMatrix`` is the ``determinants.SquareMatrix`` over
+Laurent polynomials, with the polynomial-side predicates that the
+certificate check uses.  Its product and ``LMatrix.det`` lift the entries
+over one denominator per row (and per column of the right factor of a
+product) with ``series.scaled_rows``, run ``determinants.kernel_product`` or
+``determinants.det`` on the bare numerator dicts and normalise each result
+once with ``_poly``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Mapping
 
-from .determinants import SquareMatrix, adjugate, det, kernel_vector
+from .determinants import SquareMatrix, adjugate, det, kernel_product, kernel_vector
 from .errors import InvalidAutomorphism, IterationLimitExceeded, NotInvertibleOverRing
 from .series import _convolve, _gcd, _lift, _normalise, _reduce, scaled_rows
 
@@ -215,8 +217,10 @@ class LMatrix(SquareMatrix):
     _Mismatch = ValueError
     _one = staticmethod(LaurentPoly.one)
     _zero = staticmethod(LaurentPoly.zero)
-    _skip = staticmethod(LaurentPoly.is_zero)
-    _sum = staticmethod(_dot)
+
+    @staticmethod
+    def _entry(field, K, D, acc, precision) -> LaurentPoly:
+        return _poly(field, D, acc)
 
     @staticmethod
     def _check(field, rows) -> None:
@@ -328,7 +332,7 @@ class FactorizationCertificate:
             return False
         p, L = A.field.characteristic, L_V * L_A * L_U
         want = [[_lift(f.ints, 1, L) for f in r] for r in D.rows]
-        return _times(p, _times(p, v, a), u) == want
+        return kernel_product(p, kernel_product(p, v, [*zip(*a)]), [*zip(*u)]) == want
 
 
 def _kernels(M: LMatrix) -> tuple[int, list]:
@@ -340,23 +344,6 @@ def _kernels(M: LMatrix) -> tuple[int, list]:
             if L % f.D:
                 L = lcm(L, f.D)
     return L, [[_lift(f.ints, 1, L // f.D) for f in r] for r in M.rows]
-
-
-def _times(p: int, left: list, right: list) -> list:
-    """The product of two matrices of integer kernels, each entry reduced
-    once (mod p when p is nonzero)."""
-    cols = [[(k, g) for k, g in enumerate(col) if g] for col in zip(*right)]
-    out = []
-    for r in left:
-        row = []
-        for col in cols:
-            acc: dict = {}
-            for k, g in col:
-                if f := r[k]:
-                    _convolve(f, g, acc)
-            row.append(_reduce(p, acc) if acc else acc)
-        out.append(row)
-    return out
 
 
 def _primitive(p: int, fs: list, d: int = 0) -> tuple[list, int]:

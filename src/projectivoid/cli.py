@@ -224,8 +224,10 @@ MAX_PREC = 500
 # The other caps, timed the same way at doubling sizes (CPU seconds, worst of
 # p = 2, 3, 5 and of the orders or sides):
 # - enumerate: 0.12 s at --count 20000, 0.25 s at 40000, linear in the count;
-# - rand-auto: 0.16 s at --rank 8 --shears 16, 0.58 s at 8 and 32, 0.95 s at
-#   16 and 16; the work grows with the shears times the cube of the rank;
+# - rand-auto: 0.005 s at --rank 8 --shears 16, 0.021 s at 8 and 32, 0.011 s
+#   at 16 and 16 (random_automorphism and its JSON document in one process,
+#   best of 7); each shear is one m x m product and adds terms to the
+#   entries, so the work grows faster than the shear count;
 # - family: 0.21 s for 4097 matrices, 0.40 s for 8193, linear in the count.
 MAX_COUNT = 20_000
 MAX_RANK = 8

@@ -39,7 +39,9 @@ pass over the entries (``_plan``), which the packing reuses.
 Laurent polynomials (``LMatrix``).  ``SMatrix.det`` (so also the three
 determinants of ``matrices.act``) and ``LMatrix.det`` (so also
 ``classical.split``) each lift their entries with ``series.scaled_rows``,
-call ``det`` and normalise the result once.
+call ``det`` and normalise the result once.  The product of either type and
+the certificate check of ``classical.split`` run one loop on integer
+kernels, ``kernel_product``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 from itertools import chain, permutations
 
 from .errors import DimensionMismatch
-from .series import _convolve, _reduce
+from .series import _convolve, _reduce, scaled_rows
 
 # The most base-2^B digits the packed rows may take per input term.  On
 # random three-term entries with spread exponents Bareiss breaks even with
@@ -273,16 +275,68 @@ def det(rows) -> dict:
     return berkowitz_det(rows)
 
 
+def kernel_product(char: int, rows, cols, cuts=None) -> list:
+    """The product of two matrices of integer kernels on one grid, the left
+    given by its rows and the right by its columns: entry (i, j) is the sum
+    over k of rows[i][k] * cols[j][k], accumulated by ``_convolve`` into one
+    dict and reduced once (mod char when char is nonzero).  A pair with a
+    zero kernel adds no term.
+
+    cuts, for factors with truncated entries, holds cuts[i][j][k]: None for
+    an exact pair, else the modulus q of the pair's precision on entry (i,
+    j)'s denominator (1 when nothing is kept).  Then the pair's product
+    keeps the numerators that q does not divide, and the running sum those
+    that the least modulus so far does not divide: the tests, in order, of
+    PSeries products added left to right."""
+    out = []
+    if cuts is None:
+        live = [[(k, g) for k, g in enumerate(c) if g] for c in cols]
+        for r in rows:
+            row = []
+            for col in live:
+                acc: dict = {}
+                for k, g in col:
+                    if f := r[k]:
+                        _convolve(f, g, acc)
+                row.append(_reduce(char, acc) if acc else acc)
+            out.append(row)
+        return out
+    for r, r_cuts in zip(rows, cuts):
+        row = []
+        for c, pair_cuts in zip(cols, r_cuts):
+            acc, q = {}, None
+            for f, g, qk in zip(r, c, pair_cuts):
+                if qk is not None:
+                    q = qk if q is None else min(q, qk)
+                    if f and g:
+                        for n, a in _convolve(f, g, {}).items():
+                            if a % qk:
+                                acc[n] = acc.get(n, 0) + a
+                elif f and g:
+                    _convolve(f, g, acc)
+                else:
+                    continue
+                if q is not None:
+                    acc = {n: a for n, a in acc.items() if a % q}
+            row.append(_reduce(char, acc) if acc else acc)
+        out.append(row)
+    return out
+
+
 class SquareMatrix:
     """An m x m matrix over one ring, fixed by ``base``: the prime of series
     entries or the field of Laurent polynomial entries.
 
     A subclass supplies ``_check(base, rows)``, which rejects entries outside
-    the ring, the ring's ``_one(base)`` and ``_zero(base)``, ``_skip(f)``,
-    which tells the product which entries contribute nothing, and the
-    ``_Mismatch`` error that a product over two different ``_BASE``s raises.
-    A ring may replace ``_sum(base, pairs)``, which adds up the two or more
-    products that make one entry of a product, by a sum normalised once."""
+    the ring, the ring's ``_one(base)`` and ``_zero(base)``, the ``_Mismatch``
+    error that a product over two different ``_BASE``s raises, and
+    ``_entry(base, K, D, acc, precision)``, which brings the kernel of one
+    entry of a product to the ring's normal form.  The product lifts the
+    entries' integer kernels, the rows of the left factor and the columns of
+    the right one, onto one grid (``series.scaled_rows``), sums every entry
+    with ``kernel_product`` and normalises it once.  A ring with truncated
+    entries overrides ``_cutoffs``, which gives that loop its moduli and each
+    entry its precision."""
 
     __slots__ = ("base", "rows")
 
@@ -331,32 +385,31 @@ class SquareMatrix:
     def __mul__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        if self.base != other.base:
+        base = self.base
+        if base != other.base:
             raise self._Mismatch(f"matrix product over different {self._BASE}s")
         if self.m != other.m:
             raise DimensionMismatch(f"cannot multiply {self.m}x{self.m} by {other.m}x{other.m}")
-        skip = self._skip
-        cols = [[(k, g) for k, g in enumerate(col) if not skip(g)] for col in zip(*other.rows)]
-        base, total = self.base, self._sum
-        zero = self._zero(base)
-        out = []
-        for r in self.rows:
-            live = [None if skip(f) else f for f in r]
-            row = []
-            for col in cols:
-                pairs = []
-                for k, g in col:
-                    f = live[k]
-                    if f is not None:
-                        pairs.append((f, g))
-                if len(pairs) > 1:
-                    row.append(total(base, pairs))
-                else:
-                    row.append(pairs[0][0] * pairs[0][1] if pairs else zero)
-            out.append(row)
-        return type(self)(base, out)
+        left, right = self.rows, tuple(zip(*other.rows))
+        K = max(f.K for M in (left, right) for r in M for f in r)
+        # K is 0 over Laurent polynomials, whose base is a field, not a prime.
+        Ds, rows = scaled_rows(base if K else 1, K, left)
+        Es, cols = scaled_rows(base if K else 1, K, right)
+        cuts, precs = self._cutoffs(base, left, right, Ds, Es)
+        # Exact entries with no term share one zero.  The entries are in the
+        # ring by construction, so __init__'s checks are skipped.
+        entry, zero = self._entry, self._zero(base)
+        out = object.__new__(type(self))
+        out.base, out.rows = base, tuple([
+            tuple([entry(base, K, D * E, acc, prec) if acc or prec is not None else zero
+                   for E, acc, prec in zip(Es, sums, ps)])
+            for D, sums, ps in zip(Ds, kernel_product(0, rows, cols, cuts), precs)
+        ])
+        return out
 
     @staticmethod
-    def _sum(base, pairs):
-        """The sum of the products f * g over the pairs, left to right."""
-        return sum((f * g for f, g in pairs[1:]), pairs[0][0] * pairs[0][1])
+    def _cutoffs(base, left, right, Ds, Es):
+        """(cuts, precisions) of the product of the rows left by the columns
+        right, lifted over the denominators Ds and Es: for exact entries, no
+        cuts and no precision."""
+        return None, [[None] * len(right)] * len(left)

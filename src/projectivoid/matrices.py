@@ -13,6 +13,13 @@ validations in ``act``, lifts the entries' integer kernels onto one grid
 the result once.  Rows dense on that grid, at any m, are packed into one
 integer per entry (Kronecker substitution) and eliminated fraction-free in
 integer arithmetic; other rows run the Berkowitz recursion on dicts.
+
+The product, and so ``act`` and ``random_automorphism``, lifts the rows of
+the left factor and the columns of the right one the same way, sums each
+entry with ``determinants.kernel_product`` over the common denominator and
+normalises it once with ``series._series``.  A truncated entry makes each
+pair's product and the running sum keep the precision and the terms that
+the series products added left to right keep (``SMatrix._cutoffs``).
 """
 
 from __future__ import annotations
@@ -28,7 +35,11 @@ from .errors import (
     PrimeMismatch,
 )
 from .exponents import PExp, ZERO, canon, exp_neg
-from .series import PSeries, SubringTag, _series, scaled_rows
+from .series import PSeries, SubringTag, _modulus, _mul_precision, _series, scaled_rows
+
+
+def _exact_zero(f: PSeries) -> bool:
+    return not f.ints and f.precision is None
 
 
 @dataclass(frozen=True)
@@ -46,6 +57,7 @@ class SMatrix(SquareMatrix):
     _Mismatch = PrimeMismatch
     _one = staticmethod(PSeries.one)
     _zero = staticmethod(PSeries.zero)
+    _entry = staticmethod(_series)
     # The benchmark tracer wraps SMatrix.__dict__["__mul__"], so the shared
     # product is bound here by name.
     __mul__ = SquareMatrix.__mul__
@@ -60,10 +72,26 @@ class SMatrix(SquareMatrix):
                     raise PrimeMismatch(f"entry over p={f.prime} in a matrix over p={prime}")
 
     @staticmethod
-    def _skip(f: PSeries) -> bool:
-        # A zero known only modulo a precision still bounds the precision of
-        # a product it enters, so only exact zeros are skipped.
-        return not f.ints and f.precision is None
+    def _cutoffs(p: int, left, right, Ds, Es):
+        """(cuts, precisions) for a product with a truncated entry: pair k of
+        entry (i, j) has the precision of left[i][k] * right[j][k] (None for
+        an exact pair, or for one with an exact zero, which is skipped), and
+        the entry the least of them.  A zero known only modulo a precision
+        still bounds the precision of a product it enters."""
+        if all(f.precision is None for M in (left, right) for r in M for f in r):
+            return SquareMatrix._cutoffs(p, left, right, Ds, Es)
+        cuts, precs = [], []
+        for r, D in zip(left, Ds):
+            cut_row, prec_row = [], []
+            for c, E in zip(right, Es):
+                Ps = [None if _exact_zero(f) or _exact_zero(g) else _mul_precision(f, g)
+                      for f, g in zip(r, c)]
+                # _modulus is None when the cutoff keeps no term: modulus 1.
+                cut_row.append([None if P is None else _modulus(p, D * E, P.v) or 1 for P in Ps])
+                prec_row.append(min((P for P in Ps if P is not None), default=None))
+            cuts.append(cut_row)
+            precs.append(prec_row)
+        return cuts, precs
 
     @property
     def prime(self) -> int:

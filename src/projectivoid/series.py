@@ -121,10 +121,13 @@ def _modulus(p: int, D: int, cutoff: int) -> int | None:
 
 
 def _reduce(p: int, acc: dict) -> dict:
-    """acc reduced mod p when p is nonzero, without its zero numerators."""
+    """acc reduced mod p when p is nonzero, without its zero numerators; acc
+    itself when p is 0 and no numerator is zero."""
     if p:
         return {n: r for n, a in acc.items() if (r := a % p)}
-    return {n: a for n, a in acc.items() if a}
+    if 0 in acc.values():
+        return {n: a for n, a in acc.items() if a}
+    return acc
 
 
 def _normalise(p: int, D: int, acc: dict, cutoff: int | None):
@@ -206,6 +209,18 @@ def _convolve(left: dict, right: dict, acc: dict) -> dict:
     return acc
 
 
+def _mul_precision(f: "PSeries", g: "PSeries") -> Valuation | None:
+    """The precision of f * g, min(V_f + nu(g), V_g + nu(f)) with nu the
+    valuation below the cutoff (``_effective_valuation``) and a missing
+    cutoff counted as infinity; None when both are exact."""
+    cands = []
+    if f.precision is not None:
+        cands.append(f.precision + g._effective_valuation())
+    if g.precision is not None:
+        cands.append(g.precision + f._effective_valuation())
+    return _finite(min(cands)) if cands else None
+
+
 def _add(f: dict, g: dict) -> dict:
     """The sum of two kernels on one grid, as a new dict; a numerator that
     cancels to 0 is dropped, and neither operand is changed."""
@@ -233,7 +248,8 @@ def scaled_rows(p: int, K: int, rows) -> tuple[list, list]:
             if D_i % f.D:
                 D_i = lcm(D_i, f.D)
         Ds.append(D_i)
-        scaled.append([_lift(f.ints, p ** (K - f.K), D_i // f.D) for f in r])
+        scaled.append([f.ints if f.K == K and f.D == D_i else
+                       _lift(f.ints, p ** (K - f.K), D_i // f.D) for f in r])
     return Ds, scaled
 
 
@@ -380,13 +396,9 @@ class PSeries:
         if not isinstance(other, PSeries):
             return NotImplemented
         self._check_prime(other)
-        cands = []
-        if self.precision is not None:
-            cands.append(self.precision + other._effective_valuation())
-        if other.precision is not None:
-            cands.append(other.precision + self._effective_valuation())
-        prec = _finite(min(cands)) if cands else None
         K, f, g = _aligned(self, other)
+        exact = self.precision is None and other.precision is None
+        prec = None if exact else _mul_precision(self, other)
         return _series(self.prime, K, self.D * other.D, _convolve(f, g, {}), prec)
 
     def scale(self, c) -> "PSeries":

@@ -228,6 +228,27 @@ def oracle_det(A):
     return leibniz_det(A.rows, PSeries.one(A.prime))
 
 
+def product_oracle(A, B):
+    """A * B for two SMatrix or two LMatrix, the loop that the integer kernel
+    product replaced: each entry is the left-to-right sum of the ring
+    products f * g over the pairs with no exact zero, or the ring's zero when
+    there is none.  A series zero known only modulo a precision is not an
+    exact zero: its product bounds the precision of the entry."""
+
+    def skip(f):
+        return f.is_zero() and getattr(f, "precision", None) is None
+
+    zero = A._zero(A.base)
+    out = []
+    for r in A.rows:
+        row = []
+        for col in zip(*B.rows):
+            terms = [f * g for f, g in zip(r, col) if not (skip(f) or skip(g))]
+            row.append(sum(terms[1:], terms[0]) if terms else zero)
+        out.append(row)
+    return type(A)(A.base, out)
+
+
 # ----------------------------------------------------------------------
 # Slow oracle for the literal reader: a tokenizer and a recursive-descent
 # parser over the whole grammar.  ``_Parser(text, prime).parse()`` returns

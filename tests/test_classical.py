@@ -24,8 +24,15 @@ from projectivoid import (
     split,
     splitting_invariance_check,
 )
-from projectivoid.classical import _inverse, _poly, _times
-from projectivoid.determinants import _plan, adjugate, bareiss_det, berkowitz_det, leibniz_det
+from projectivoid.classical import _inverse, _poly
+from projectivoid.determinants import (
+    _plan,
+    adjugate,
+    bareiss_det,
+    berkowitz_det,
+    kernel_product,
+    leibniz_det,
+)
 from projectivoid.series import scaled_rows
 from helpers import euclid_inverse, random_laurent, random_unimodular, split_oracle, verify_oracle
 
@@ -329,7 +336,8 @@ def assert_adjugate(M):
         assert adj is None
         return
     m = len(rows)
-    assert _times(0, adj, rows) == [[det if i == j else {} for j in range(m)] for i in range(m)]
+    want = [[det if i == j else {} for j in range(m)] for i in range(m)]
+    assert kernel_product(0, adj, [*zip(*rows)]) == want
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 12])

@@ -184,6 +184,30 @@ def test_norm_refuses_an_inexact_zero(capsys, fmt, text, cutoff):
     assert (code, out) == (0, '{"valuation": 1}\n' if fmt == "json" else "1\n")
 
 
+def _truncated_act(key):
+    """The act triple V = A = U = I (m = 2, p = 2), with one entry of `key`
+    known only modulo val >= 3."""
+    triple = {k: {"p": 2, "m": 2, "entries": [["1", "0"], ["0", "1"]]} for k in "VAU"}
+    triple[key]["entries"][0][0] = "1 (mod val >= 3)"
+    return json.dumps(triple)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["det", '{"p": 2, "m": 2, "entries": [["1", "v (mod val >= 3)"], ["v", "1"]]}'],
+        ["det", '{"p": 2, "m": 1, "entries": [["0 (mod val >= 3)"]]}'],
+        *(["act", _truncated_act(key)] for key in "VAU"),
+    ],
+    ids=["det", "det-inexact-zero", "act-V", "act-A", "act-U"],
+)
+def test_truncated_matrix_entries_exit_one(capsys, argv):
+    # Determinants, and so the three validations of act, need exact entries.
+    code, out, err = run(capsys, argv[0], "--prime", "2", *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "ValueError: operation requires exact matrix entries\n"
+
+
 def test_act_side_violation_exits_one(capsys):
     triple = json.dumps(
         {

@@ -5,23 +5,30 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projectivoid import (
     BundleDegree,
     DimensionMismatch,
     InvalidAutomorphism,
+    LMatrix,
+    LaurentPoly,
     NotATransitionMatrix,
     PExp,
+    PrimeField,
     PrimeMismatch,
     PSeries,
+    RationalField,
     SMatrix,
     SubringTag,
     ZERO,
     act,
+    canon,
     degree_one_family,
     random_automorphism,
 )
-from helpers import mono, random_series, random_transition, srs
+from projectivoid import determinants
+from helpers import mono, product_oracle, random_series, random_transition, srs
 
 
 def test_identity_is_neutral():
@@ -57,6 +64,112 @@ def test_product_keeps_the_precision_of_inexact_zeros():
             assert got.entry(i, j) == want
             assert got.entry(i, j).precision == want.precision
     assert got.entry(0, 0).precision is not None
+
+
+# ----------------------------------------------------------------------
+# the integer kernel product against the left-to-right oracle
+
+
+# Numerators of valuations 0 to 3 at p = 2, 3 and 5, so that one pair's
+# product has terms on both sides of its cutoff.
+NUMERATORS = [1, -1, 2, -3, 4, 5, -8, 9, 25, -27]
+
+
+def draw_series(data, p, truncated):
+    """An exact zero, a zero known modulo val >= V, or one to three terms
+    with exponents of both signs on grids up to p^2 (few, so that products
+    meet at one exponent) and coefficient denominators 1, 2, p, p^2 or 3p,
+    exact or (when truncated) known modulo val >= V; V runs from -2 to 4."""
+    kind = data.draw(st.integers(0, 3 if truncated else 1))
+    if kind == 0:
+        return PSeries.zero(p)
+    prec = data.draw(st.integers(-2, 4)) if kind >= 2 else None
+    if kind == 2:
+        return PSeries(p, {}, prec)
+    terms = data.draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(0, 2), st.sampled_from(NUMERATORS),
+                  st.sampled_from([1, 2, p, p * p, 3 * p])),
+        min_size=1, max_size=3,
+    ))
+    return PSeries(p, [(canon(n, k, p), Fraction(a, d)) for n, k, a, d in terms], prec)
+
+
+def draw_smatrix(data, p, m, truncated):
+    return SMatrix(p, [[draw_series(data, p, truncated) for _ in range(m)] for _ in range(m)])
+
+
+def assert_same_product(A, B):
+    got, want = A * B, product_oracle(A, B)
+    assert got == want
+    for r, s in zip(got.rows, want.rows):
+        assert [f.precision for f in r] == [g.precision for g in s]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5]), st.integers(1, 4), st.booleans())
+def test_series_product_matches_left_to_right_sum(data, p, m, truncated):
+    # Truncated factors: each pair is cut at its own precision and the
+    # running sum at the least so far, which decides the representative.
+    assert_same_product(draw_smatrix(data, p, m, truncated), draw_smatrix(data, p, m, truncated))
+
+
+def test_truncated_pairs_are_cut_in_order():
+    p = 2
+    zero, one, v = PSeries.zero(p), PSeries.one(p), mono(p, 1)
+    cut = PSeries(p, {ZERO: 1}, 1)  # 1 (mod val >= 1)
+    # Each pair is cut at its own precision: v * 1 keeps v, and then
+    # (1 mod val >= 1) * (1 + 8v) drops its 8v before the sum, so the entry
+    # is 1 + v (mod val >= 1), not 1 + 9v.
+    A = SMatrix(p, [[v, cut], [zero, zero]])
+    B = SMatrix(p, [[one, zero], [srs(p, [(0, 0, 1), (1, 0, 8)]), zero]])
+    assert_same_product(A, B)
+    assert (A * B).entry(0, 0) == srs(p, [(0, 0, 1), (1, 0, 1)], 1)
+    # The running sum is cut at the least precision so far: 1 + (1 mod val
+    # >= 1) = 2 is dropped, and the exact pair after it adds 1, so the
+    # entry is 1 (mod val >= 1), not 3.
+    A = SMatrix(p, [[one, cut, one], [zero, zero, zero], [zero, zero, zero]])
+    B = SMatrix(p, [[one, zero, zero], [one, zero, zero], [one, zero, zero]])
+    assert_same_product(A, B)
+    assert (A * B).entry(0, 0) == PSeries(p, {ZERO: 1}, 1)
+
+
+LAURENT_FIELDS = [PrimeField(2), PrimeField(3), RationalField()]
+
+
+def draw_laurent(data, field):
+    pairs = data.draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-5, 5)), max_size=3))
+    den = 1 if field.characteristic else data.draw(st.sampled_from([1, 2, 3, 6]))
+    return LaurentPoly(field, [(n, Fraction(c, den)) for n, c in pairs])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(LAURENT_FIELDS), st.integers(1, 4))
+def test_laurent_product_matches_left_to_right_sum(data, field, m):
+    A, B = (LMatrix(field, [[draw_laurent(data, field) for _ in range(m)] for _ in range(m)])
+            for _ in range(2))
+    assert A * B == product_oracle(A, B)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([2, 3]), st.integers(1, 6))
+def test_det_of_kernel_product(data, p, m):
+    A, B = draw_smatrix(data, p, m, False), draw_smatrix(data, p, m, False)
+    assert (A * B).det() == A.det() * B.det()
+
+
+def test_product_mismatches_are_raised_before_lifting(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lifted")
+
+    monkeypatch.setattr(determinants, "scaled_rows", refuse)
+    with pytest.raises(PrimeMismatch):
+        SMatrix.identity(2, 2) * SMatrix.identity(3, 2)
+    with pytest.raises(DimensionMismatch):
+        SMatrix.identity(2, 2) * SMatrix.identity(2, 3)
+    with pytest.raises(ValueError, match="different fields"):
+        LMatrix.identity(PrimeField(2), 2) * LMatrix.identity(RationalField(), 2)
+    with pytest.raises(DimensionMismatch):
+        LMatrix.identity(RationalField(), 3) * LMatrix.identity(RationalField(), 2)
 
 
 def test_shape_and_prime_validation():
