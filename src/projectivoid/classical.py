@@ -21,24 +21,31 @@ B' = diag(R) * A * U * diag(d) and U' = U * diag(d).  Neither scale changes
 the column degrees or which top-degree columns depend on the ones before
 them, so the kernel vector comes from fraction-free Gauss-Jordan elimination
 of the integer top-degree matrix (``determinants.kernel_vector``), and each
-column operation sets the new d_j.  Then V = diag(d) * C'^-1 * diag(R) for
-C' = B' * diag(s^-k_j), from the determinant and adjugate of C' (the same
-elimination, packed: ``determinants.adjugate``); a zero column of B' or a
-det(C') that is not a nonzero constant refuses A.  The certificate check
+column operation sets the new d_j.  The column degrees k_j and the top-degree
+matrix are computed once; a column operation rewrites one column, a shifted
+and scaled sum of columns accumulated row by row, so only that column is
+tested for zero and only its degree and its top-degree entries are read
+again.  Then V = diag(d) * C'^-1 * diag(R) for C' = B' * diag(s^-k_j), from
+the determinant and adjugate of C' (the same elimination, packed:
+``determinants.adjugate``); a zero column of B' or a det(C') that is not a
+nonzero constant refuses A.  The certificate check
 (``FactorizationCertificate.verify``) multiplies V * A * U on integer
 kernels with ``determinants.kernel_product``, the loop of every matrix
 product, and replaces the two Laurent determinants of the sides by scalar
 rank tests of their s^0 coefficients, which the product identity makes
-enough.  Laurent polynomials are built only for the certificate.
+enough.  Laurent polynomials are built only for the certificate, and its V,
+U and D go through the trusted ``SquareMatrix._new``, not the entry checks of
+``LMatrix(...)``.
 
 ``LaurentPoly`` is stored as an integer kernel, numerators over one common
-denominator, like ``series.PSeries``: its products and its sums of products
-(``_dot``) run through ``series._convolve``, and its normal form through
-``series._reduce``.  ``LMatrix`` is the ``determinants.SquareMatrix`` over
-Laurent polynomials, with the polynomial-side predicates that the
-certificate check uses.  Its product and ``LMatrix.det`` lift the entries
-over one denominator per row (and per column of the right factor of a
-product) with ``series.scaled_rows``, run ``determinants.kernel_product`` or
+denominator, like ``series.PSeries``: the constructor merges its terms with
+``series._kernel``, its products and its sums of products (``_dot``) run
+through ``series._convolve``, and its normal form through ``series._reduce``.
+``LMatrix`` is the ``determinants.SquareMatrix`` over Laurent polynomials,
+with the polynomial-side predicates that the certificate check uses.  Its
+product and ``LMatrix.det`` lift the entries over one denominator per row
+(and per column of the right factor of a product) with
+``series.scaled_rows``, run ``determinants.kernel_product`` or
 ``determinants.det`` on the bare numerator dicts and normalise each result
 once with ``_poly``.
 """
@@ -51,8 +58,13 @@ from math import lcm, prod
 from typing import Iterable, Mapping
 
 from .determinants import SquareMatrix, adjugate, det, kernel_product, kernel_vector
-from .errors import InvalidAutomorphism, IterationLimitExceeded, NotInvertibleOverRing
-from .series import _convolve, _gcd, _lift, _normalise, _reduce, scaled_rows
+from .errors import (
+    DimensionMismatch,
+    InvalidAutomorphism,
+    IterationLimitExceeded,
+    NotInvertibleOverRing,
+)
+from .series import _convolve, _gcd, _kernel, _lift, _normalise, _reduce, scaled_rows
 
 
 class LaurentPoly:
@@ -70,9 +82,10 @@ class LaurentPoly:
 
     def __init__(self, field, coeffs: Mapping | Iterable = ()):
         """Validate and merge outside input: the sum of the monomials c * s^n
-        over the pairs (n, c), each c coerced into the field."""
+        over the pairs (n, c), each c coerced into the field, over the lcm
+        of their denominators (``series._kernel``) and normalised once."""
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        f = _dot(field, [(LaurentPoly.monomial(field, n, c), 1) for n, c in items])
+        f = _poly(field, *_kernel(1, 0, [(field.coerce(c), n, 0) for n, c in items]))
         self.field, self.D, self.ints = field, f.D, f.ints
 
     def _value(self, a):
@@ -235,7 +248,13 @@ class LMatrix(SquareMatrix):
 
     @classmethod
     def diagonal_powers(cls, field, degrees) -> "LMatrix":
-        return cls.diagonal(field, [LaurentPoly.monomial(field, d) for d in degrees])
+        """diag(s^d) for the integers d in degrees."""
+        m, zero = len(degrees), LaurentPoly.zero(field)
+        if m == 0:
+            raise DimensionMismatch("matrix must be square and non-empty")
+        return cls._new(field, tuple(
+            tuple(_poly(field, 1, {d: 1}) if i == j else zero for j in range(m))
+            for i, d in enumerate(degrees)))
 
     def det(self) -> LaurentPoly:
         """Division-free determinant through ``determinants.det``, run on the
@@ -396,14 +415,15 @@ def split(A: LMatrix, max_iterations: int | None = None):
     exps = [n for r in b_rows for f in r for n in f] or [0]
     budget = m * (max(exps) - min(exps)) + 1 if max_iterations is None else max_iterations
 
+    # The column degrees k_j and the top-degree matrix of B'; a column
+    # operation changes one column, so only that column is read again.
+    if not all(map(any, zip(*b_rows))):
+        raise NotInvertibleOverRing("determinant is not of the form c * s^n")
+    degrees = [max(max(f) for f in col if f) for col in zip(*b_rows)]
+    top = [[r[j].get(k, 0) for j, k in enumerate(degrees)] for r in b_rows]
+
     iterations = 0
-    while True:
-        if not all(map(any, zip(*b_rows))):
-            raise NotInvertibleOverRing("determinant is not of the form c * s^n")
-        degrees = [max(max(f) for f in col if f) for col in zip(*b_rows)]
-        w = kernel_vector(p, [[r[j].get(k, 0) for j, k in enumerate(degrees)] for r in b_rows])
-        if w is None:
-            break
+    while (w := kernel_vector(p, top)) is not None:
         iterations += 1
         if iterations > budget:
             raise IterationLimitExceeded(f"column reduction did not settle within {budget} passes")
@@ -416,15 +436,23 @@ def split(A: LMatrix, max_iterations: int | None = None):
         # strictly drops while the determinant only picks up w_jstar.  U
         # takes the same operation.  The stored column is the sum of the
         # w'_j * s^(k* - k_j) * col'_j, over the denominator d_c * w'_c.
+        shifts = [(j, degrees[jstar] - degrees[j], w[j]) for j in support]
         col = []
         for row in b_rows + u_rows:
             acc: dict = {}
-            for j in support:
-                _convolve(row[j], {degrees[jstar] - degrees[j]: w[j]}, acc)
+            get = acc.get
+            for j, e, x in shifts:
+                for n, a in row[j].items():
+                    acc[n + e] = get(n + e, 0) + a * x
             col.append(_reduce(p, acc))
         col, d[jstar] = _primitive(p, col, d[c] * w[c])
         for row, f in zip(b_rows + u_rows, col):
             row[jstar] = f
+        if not any(col[:m]):
+            raise NotInvertibleOverRing("determinant is not of the form c * s^n")
+        k = degrees[jstar] = max(max(f) for f in col[:m] if f)
+        for r, f in zip(top, col):
+            r[jstar] = f.get(k, 0)
 
     # The reduced matrix is C * diag(s^k_j) with C in k[1/s], so V = C^-1 =
     # diag(d) * C'^-1 * diag(R) for C' = B' * diag(s^-k_j), when det(C') is
@@ -435,8 +463,8 @@ def split(A: LMatrix, max_iterations: int | None = None):
 
     # Sort the exponents: permute the rows of V and the columns of U alike.
     order = sorted(range(m), key=lambda j: (degrees[j], j))
-    v_final = LMatrix(field, [v_rows[j] for j in order])
-    u_final = LMatrix(field, [[r[j] for j in order] for r in u_rows])
+    v_final = LMatrix._new(field, tuple(tuple(v_rows[j]) for j in order))
+    u_final = LMatrix._new(field, tuple(tuple(r[j] for j in order) for r in u_rows))
     d_final = LMatrix.diagonal_powers(field, [degrees[j] for j in order])
 
     certificate = FactorizationCertificate(v_final, u_final, d_final)

@@ -336,7 +336,9 @@ class SquareMatrix:
     the right one, onto one grid (``series.scaled_rows``), sums every entry
     with ``kernel_product`` and normalises it once.  A ring with truncated
     entries overrides ``_cutoffs``, which gives that loop its moduli and each
-    entry its precision."""
+    entry its precision.  The constructor checks outside entries; ``_new``
+    takes rows that the library built in the ring (a product, and the
+    diagonals and certificates of ``classical``) and checks nothing."""
 
     __slots__ = ("base", "rows")
 
@@ -348,6 +350,14 @@ class SquareMatrix:
         self._check(base, rows)
         self.base = base
         self.rows = rows
+
+    @classmethod
+    def _new(cls, base, rows):
+        """The matrix of rows, a tuple of m tuples of length m whose entries
+        the caller has built in the ring over base: nothing is checked."""
+        out = object.__new__(cls)
+        out.base, out.rows = base, rows
+        return out
 
     @property
     def m(self) -> int:
@@ -399,13 +409,11 @@ class SquareMatrix:
         # Exact entries with no term share one zero.  The entries are in the
         # ring by construction, so __init__'s checks are skipped.
         entry, zero = self._entry, self._zero(base)
-        out = object.__new__(type(self))
-        out.base, out.rows = base, tuple([
+        return self._new(base, tuple([
             tuple([entry(base, K, D * E, acc, prec) if acc or prec is not None else zero
                    for E, acc, prec in zip(Es, sums, ps)])
             for D, sums, ps in zip(Ds, kernel_product(0, rows, cols, cuts), precs)
-        ])
-        return out
+        ]))
 
     @staticmethod
     def _cutoffs(base, left, right, Ds, Es):

@@ -123,10 +123,13 @@ class SMatrix(SquareMatrix):
         return self.det().is_unit(SubringTag.FULL)
 
     def bundle_degree(self) -> BundleDegree:
+        """The exponent of the one dominant term of the determinant, which is
+        a unit of the full ring exactly when it has one."""
         d = self.det()
-        if not d.is_unit(SubringTag.FULL):
+        dom = d._dominant() if d.ints else ()
+        if len(dom) != 1:
             raise NotATransitionMatrix("determinant is not a unit of the full ring")
-        return BundleDegree(d.monomial_factor().exponent)
+        return BundleDegree(canon(dom[0], d.K, d.prime))
 
     def validate_automorphism(self, side: SubringTag) -> bool:
         """Entry-wise membership in the one-sided subring plus a unit determinant

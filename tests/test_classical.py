@@ -24,7 +24,7 @@ from projectivoid import (
     split,
     splitting_invariance_check,
 )
-from projectivoid.classical import _inverse, _poly
+from projectivoid.classical import _dot, _inverse, _poly
 from projectivoid.determinants import (
     _plan,
     adjugate,
@@ -176,6 +176,25 @@ def test_laurent_results_are_in_normal_form(data):
     for r, want in cases:
         assert_normal_form(r)
         assert r.coeffs == in_field(field, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_laurent_constructor_merges_like_the_monomial_sum(data):
+    """The constructor merges its pairs, repeated exponents included, into
+    the normal form of the sum of their monomials."""
+    field = data.draw(st.sampled_from([F2, F3, F5, Q]))
+    pairs = data.draw(st.lists(st.tuples(st.integers(-3, 3), field_elements(field)), max_size=8))
+    f = lp(field, pairs)
+    assert_normal_form(f)
+    want = _dot(field, [(LaurentPoly.monomial(field, n, c), 1) for n, c in pairs])
+    assert (f.D, f.ints) == (want.D, want.ints)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=["GF2", "GF3", "GF5"])
+def test_laurent_constructor_rejects_a_denominator_divisible_by_p(field):
+    with pytest.raises(DivisionByZero):
+        lp(field, [(0, 1), (2, Fraction(1, 2 * field.p))])
 
 
 # ----------------------------------------------------------------------
@@ -795,6 +814,37 @@ def test_split_iteration_cap_comes_before_the_determinant_error():
         split_oracle(A, max_iterations=0)
     with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
         split(A)
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=["Q", "GF3"])
+def test_split_zero_column_after_a_column_operation(field):
+    # Column 1 of [[1, s], [1, s]] is nonzero, and the top-degree matrix
+    # [[1, 1], [1, 1]] is singular: the first column operation subtracts s
+    # times column 0 and leaves column 1 zero, which refuses A in that same
+    # pass, before the budget is read again.
+    A = LMatrix(field, [[lp(field, {0: 1}), lp(field, {1: 1})]] * 2)
+    with pytest.raises(IterationLimitExceeded):
+        split(A, max_iterations=0)
+    for budget in (1, None):
+        with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
+            split(A, max_iterations=budget)
+    with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
+        split_oracle(A)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, Q], ids=["GF2", "GF3", "GF5", "Q"])
+def test_split_certificate_passes_the_constructor_checks(field):
+    # V, U and D skip LMatrix.__init__ (SquareMatrix._new); each is what the
+    # checking constructor builds from the same rows.
+    for m in range(1, 7):
+        _, cert = split(planted_split_input(field, m, m))
+        for M in (cert.V, cert.U, cert.D):
+            assert type(M.rows) is tuple and all(type(r) is tuple for r in M.rows)
+            assert M == LMatrix(field, M.rows)
+        degrees = [cert.D.rows[i][i].max_exp() for i in range(m)]
+        assert cert.D == LMatrix.diagonal(field, [LaurentPoly.monomial(field, d) for d in degrees])
+    with pytest.raises(DimensionMismatch):
+        LMatrix.diagonal_powers(field, [])
 
 
 def test_split_default_budget_bounds_the_passes():

@@ -258,8 +258,29 @@ def test_bundle_degree_requires_transition():
             [PSeries.zero(2), srs(2, [(0, 0, 1), (1, 0, 1)])],
         ],
     )
-    with pytest.raises(NotATransitionMatrix):
+    with pytest.raises(NotATransitionMatrix, match="^determinant is not a unit of the full ring$"):
         M.bundle_degree()
+    Z = SMatrix(2, [[PSeries.zero(2)] * 2] * 2)
+    with pytest.raises(NotATransitionMatrix, match="^determinant is not a unit of the full ring$"):
+        Z.bundle_degree()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.booleans(), st.integers(0, 2**32))
+def test_bundle_degree_is_the_monomial_factor_exponent(p, m, planted, seed):
+    # Planted transition matrices, and matrices of random entries, whose
+    # determinant is often not a unit or zero.
+    rng = random.Random(seed)
+    if planted:
+        M = random_transition(rng, p, m)
+    else:
+        M = SMatrix(p, [[random_series(rng, p) for _ in range(m)] for _ in range(m)])
+    d = M.det()
+    if d.is_unit(SubringTag.FULL):
+        assert M.bundle_degree() == BundleDegree(d.monomial_factor().exponent)
+    else:
+        with pytest.raises(NotATransitionMatrix, match="^determinant is not a unit of the full ring$"):
+            M.bundle_degree()
 
 
 def test_validate_automorphism_examples():
