@@ -30,12 +30,12 @@ the determinant and adjugate of C' (the same elimination, packed:
 ``determinants.adjugate``); a zero column of B' or a det(C') that is not a
 nonzero constant refuses A.  The certificate check
 (``FactorizationCertificate.verify``) multiplies V * A * U on integer
-kernels with ``determinants.kernel_product``, the loop of every matrix
-product, and replaces the two Laurent determinants of the sides by scalar
-rank tests of their s^0 coefficients, which the product identity makes
-enough.  Laurent polynomials are built only for the certificate, and its V,
-U and D go through the trusted ``SquareMatrix._new``, not the entry checks of
-``LMatrix(...)``.
+kernels with ``determinants.kernel_product``, the loop of every exact
+matrix product, and replaces the two Laurent determinants of the sides by
+scalar rank tests of their s^0 coefficients, which the product identity
+makes enough.  Laurent polynomials are built only for the certificate, and
+its V, U and D go through the trusted ``SquareMatrix._new``, not the entry
+checks of ``LMatrix(...)``.
 
 ``LaurentPoly`` is stored as an integer kernel, numerators over one common
 denominator, like ``series.PSeries``: the constructor merges its terms with
@@ -131,9 +131,6 @@ class LaurentPoly:
 
     def max_exp(self) -> int:
         return max(self.ints)
-
-    def span(self) -> int:
-        return 0 if self.is_zero() else self.max_exp() - self.min_exp()
 
     def shift(self, k: int) -> "LaurentPoly":
         return _poly(self.field, self.D, {n + k: a for n, a in self.ints.items()})
@@ -232,7 +229,7 @@ class LMatrix(SquareMatrix):
     _zero = staticmethod(LaurentPoly.zero)
 
     @staticmethod
-    def _entry(field, K, D, acc, precision) -> LaurentPoly:
+    def _entry(field, K, D, acc) -> LaurentPoly:
         return _poly(field, D, acc)
 
     @staticmethod

@@ -39,9 +39,9 @@ pass over the entries (``_plan``), which the packing reuses.
 Laurent polynomials (``LMatrix``).  ``SMatrix.det`` (so also the three
 determinants of ``matrices.act``) and ``LMatrix.det`` (so also
 ``classical.split``) each lift their entries with ``series.scaled_rows``,
-call ``det`` and normalise the result once.  The product of either type and
-the certificate check of ``classical.split`` run one loop on integer
-kernels, ``kernel_product``.
+call ``det`` and normalise the result once.  The product of either type
+(of ``SMatrix`` when every entry is exact) and the certificate check of
+``classical.split`` run one loop on integer kernels, ``kernel_product``.
 """
 
 from __future__ import annotations
@@ -275,49 +275,21 @@ def det(rows) -> dict:
     return berkowitz_det(rows)
 
 
-def kernel_product(char: int, rows, cols, cuts=None) -> list:
+def kernel_product(char: int, rows, cols) -> list:
     """The product of two matrices of integer kernels on one grid, the left
     given by its rows and the right by its columns: entry (i, j) is the sum
     over k of rows[i][k] * cols[j][k], accumulated by ``_convolve`` into one
     dict and reduced once (mod char when char is nonzero).  A pair with a
-    zero kernel adds no term.
-
-    cuts, for factors with truncated entries, holds cuts[i][j][k]: None for
-    an exact pair, else the modulus q of the pair's precision on entry (i,
-    j)'s denominator (1 when nothing is kept).  Then the pair's product
-    keeps the numerators that q does not divide, and the running sum those
-    that the least modulus so far does not divide: the tests, in order, of
-    PSeries products added left to right."""
+    zero kernel adds no term."""
+    live = [[(k, g) for k, g in enumerate(c) if g] for c in cols]
     out = []
-    if cuts is None:
-        live = [[(k, g) for k, g in enumerate(c) if g] for c in cols]
-        for r in rows:
-            row = []
-            for col in live:
-                acc: dict = {}
-                for k, g in col:
-                    if f := r[k]:
-                        _convolve(f, g, acc)
-                row.append(_reduce(char, acc) if acc else acc)
-            out.append(row)
-        return out
-    for r, r_cuts in zip(rows, cuts):
+    for r in rows:
         row = []
-        for c, pair_cuts in zip(cols, r_cuts):
-            acc, q = {}, None
-            for f, g, qk in zip(r, c, pair_cuts):
-                if qk is not None:
-                    q = qk if q is None else min(q, qk)
-                    if f and g:
-                        for n, a in _convolve(f, g, {}).items():
-                            if a % qk:
-                                acc[n] = acc.get(n, 0) + a
-                elif f and g:
+        for col in live:
+            acc: dict = {}
+            for k, g in col:
+                if f := r[k]:
                     _convolve(f, g, acc)
-                else:
-                    continue
-                if q is not None:
-                    acc = {n: a for n, a in acc.items() if a % q}
             row.append(_reduce(char, acc) if acc else acc)
         out.append(row)
     return out
@@ -330,13 +302,13 @@ class SquareMatrix:
     A subclass supplies ``_check(base, rows)``, which rejects entries outside
     the ring, the ring's ``_one(base)`` and ``_zero(base)``, the ``_Mismatch``
     error that a product over two different ``_BASE``s raises, and
-    ``_entry(base, K, D, acc, precision)``, which brings the kernel of one
-    entry of a product to the ring's normal form.  The product lifts the
-    entries' integer kernels, the rows of the left factor and the columns of
-    the right one, onto one grid (``series.scaled_rows``), sums every entry
-    with ``kernel_product`` and normalises it once.  A ring with truncated
-    entries overrides ``_cutoffs``, which gives that loop its moduli and each
-    entry its precision.  The constructor checks outside entries; ``_new``
+    ``_entry(base, K, D, acc)``, which brings the kernel of one entry of a
+    product to the ring's normal form.  The product lifts the entries'
+    integer kernels, the rows of the left factor and the columns of the
+    right one, onto one grid (``series.scaled_rows``), sums every entry with
+    ``kernel_product`` and normalises it once; it knows nothing of
+    precision, so ``SMatrix`` multiplies factors with a truncated entry
+    itself.  The constructor checks outside entries; ``_new``
     takes rows that the library built in the ring (a product, and the
     diagonals and certificates of ``classical``) and checks nothing."""
 
@@ -405,19 +377,10 @@ class SquareMatrix:
         # K is 0 over Laurent polynomials, whose base is a field, not a prime.
         Ds, rows = scaled_rows(base if K else 1, K, left)
         Es, cols = scaled_rows(base if K else 1, K, right)
-        cuts, precs = self._cutoffs(base, left, right, Ds, Es)
-        # Exact entries with no term share one zero.  The entries are in the
-        # ring by construction, so __init__'s checks are skipped.
+        # Entries with no term share one zero.  The entries are in the ring
+        # by construction, so __init__'s checks are skipped.
         entry, zero = self._entry, self._zero(base)
         return self._new(base, tuple([
-            tuple([entry(base, K, D * E, acc, prec) if acc or prec is not None else zero
-                   for E, acc, prec in zip(Es, sums, ps)])
-            for D, sums, ps in zip(Ds, kernel_product(0, rows, cols, cuts), precs)
+            tuple([entry(base, K, D * E, acc) if acc else zero for E, acc in zip(Es, sums)])
+            for D, sums in zip(Ds, kernel_product(0, rows, cols))
         ]))
-
-    @staticmethod
-    def _cutoffs(base, left, right, Ds, Es):
-        """(cuts, precisions) of the product of the rows left by the columns
-        right, lifted over the denominators Ds and Es: for exact entries, no
-        cuts and no precision."""
-        return None, [[None] * len(right)] * len(left)

@@ -14,12 +14,12 @@ the result once.  Rows dense on that grid, at any m, are packed into one
 integer per entry (Kronecker substitution) and eliminated fraction-free in
 integer arithmetic; other rows run the Berkowitz recursion on dicts.
 
-The product, and so ``act`` and ``random_automorphism``, lifts the rows of
-the left factor and the columns of the right one the same way, sums each
-entry with ``determinants.kernel_product`` over the common denominator and
-normalises it once with ``series._series``.  A truncated entry makes each
-pair's product and the running sum keep the precision and the terms that
-the series products added left to right keep (``SMatrix._cutoffs``).
+The product of exact factors, and so ``act`` and ``random_automorphism``,
+lifts the rows of the left factor and the columns of the right one the same
+way, sums each entry with ``determinants.kernel_product`` over the common
+denominator and normalises it once with ``series._series``.  With a
+truncated entry each entry is the sum of the ``PSeries`` products added
+left to right, so the precision rule lives in ``series`` alone.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     PrimeMismatch,
 )
 from .exponents import PExp, ZERO, canon, exp_neg
-from .series import PSeries, SubringTag, _modulus, _mul_precision, _series, scaled_rows
+from .series import PSeries, SubringTag, _series, scaled_rows
 
 
 def _exact_zero(f: PSeries) -> bool:
@@ -58,9 +58,6 @@ class SMatrix(SquareMatrix):
     _one = staticmethod(PSeries.one)
     _zero = staticmethod(PSeries.zero)
     _entry = staticmethod(_series)
-    # The benchmark tracer wraps SMatrix.__dict__["__mul__"], so the shared
-    # product is bound here by name.
-    __mul__ = SquareMatrix.__mul__
 
     @staticmethod
     def _check(prime: int, rows) -> None:
@@ -71,27 +68,25 @@ class SMatrix(SquareMatrix):
                 if f.prime != prime:
                     raise PrimeMismatch(f"entry over p={f.prime} in a matrix over p={prime}")
 
-    @staticmethod
-    def _cutoffs(p: int, left, right, Ds, Es):
-        """(cuts, precisions) for a product with a truncated entry: pair k of
-        entry (i, j) has the precision of left[i][k] * right[j][k] (None for
-        an exact pair, or for one with an exact zero, which is skipped), and
-        the entry the least of them.  A zero known only modulo a precision
-        still bounds the precision of a product it enters."""
-        if all(f.precision is None for M in (left, right) for r in M for f in r):
-            return SquareMatrix._cutoffs(p, left, right, Ds, Es)
-        cuts, precs = [], []
-        for r, D in zip(left, Ds):
-            cut_row, prec_row = [], []
-            for c, E in zip(right, Es):
-                Ps = [None if _exact_zero(f) or _exact_zero(g) else _mul_precision(f, g)
-                      for f, g in zip(r, c)]
-                # _modulus is None when the cutoff keeps no term: modulus 1.
-                cut_row.append([None if P is None else _modulus(p, D * E, P.v) or 1 for P in Ps])
-                prec_row.append(min((P for P in Ps if P is not None), default=None))
-            cuts.append(cut_row)
-            precs.append(prec_row)
-        return cuts, precs
+    def __mul__(self, other):
+        """The product on integer kernels (``SquareMatrix.__mul__``), unless
+        two factors over one prime and of one size have a truncated entry:
+        then entry (i, j) is the sum of the products f * g over the pairs
+        with no exact zero, added left to right, or the zero when there is
+        none.  A zero known only modulo a precision still bounds the
+        precision of a product it enters, so it is not skipped."""
+        if not (isinstance(other, SMatrix) and self.base == other.base and self.m == other.m
+                and any(f.precision is not None for M in (self, other) for r in M.rows for f in r)):
+            return SquareMatrix.__mul__(self, other)
+        zero = PSeries.zero(self.base)
+        out = []
+        for r in self.rows:
+            row = []
+            for c in zip(*other.rows):
+                terms = [f * g for f, g in zip(r, c) if not (_exact_zero(f) or _exact_zero(g))]
+                row.append(sum(terms[1:], terms[0]) if terms else zero)
+            out.append(tuple(row))
+        return self._new(self.base, tuple(out))
 
     @property
     def prime(self) -> int:
@@ -117,7 +112,7 @@ class SMatrix(SquareMatrix):
             raise ValueError("operation requires exact matrix entries")
         p, K = self.prime, max(f.K for r in rows for f in r)
         Ds, scaled = scaled_rows(p, K, rows)
-        return _series(p, K, prod(Ds), det(scaled), None)
+        return _series(p, K, prod(Ds), det(scaled))
 
     def is_transition(self) -> bool:
         return self.det().is_unit(SubringTag.FULL)

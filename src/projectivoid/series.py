@@ -184,9 +184,10 @@ def _repr_terms(f) -> str:
     return ", ".join(f"{e.num}/{p}^{e.pow}: {c}" if e.pow else f"{e.num}: {c}" for e, c in terms)
 
 
-def _series(p: int, K: int, D: int, acc: dict, precision) -> "PSeries":
+def _series(p: int, K: int, D: int, acc: dict, precision=None) -> "PSeries":
     """The series of the kernel (K, D, acc), brought to normal form.  The
-    precision must be a finite Valuation or None; nothing is validated."""
+    precision must be a finite Valuation or None (exact); nothing is
+    validated."""
     s = object.__new__(PSeries)
     s._store(p, K, D, acc, precision)
     return s
@@ -659,12 +660,16 @@ class ResiduePoly:
             raise PrimeMismatch("residue polynomials over different primes")
 
     def __add__(self, other: "ResiduePoly") -> "ResiduePoly":
+        if not isinstance(other, ResiduePoly):
+            return NotImplemented
         self._check_prime(other)
         K, f, g = _aligned(self, other)
         return _residue(self.prime, K, _add(f, g))
 
     def __mul__(self, other: "ResiduePoly") -> "ResiduePoly":
         """Convolution on the p^K exponent scale, reduced mod p once."""
+        if not isinstance(other, ResiduePoly):
+            return NotImplemented
         self._check_prime(other)
         K, f, g = _aligned(self, other)
         return _residue(self.prime, K, _convolve(f, g, {}))

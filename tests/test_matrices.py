@@ -1,6 +1,7 @@
 """Matrices of series: determinants, transition validity, the two-sided
 equivalence action, and the generators."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -106,11 +107,11 @@ def assert_same_product(A, B):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), st.sampled_from([2, 3, 5]), st.integers(1, 4), st.booleans())
-def test_series_product_matches_left_to_right_sum(data, p, m, truncated):
+@given(st.data(), st.sampled_from([2, 3, 5]), st.integers(1, 4), st.booleans(), st.booleans())
+def test_series_product_matches_left_to_right_sum(data, p, m, truncated_a, truncated_b):
     # Truncated factors: each pair is cut at its own precision and the
     # running sum at the least so far, which decides the representative.
-    assert_same_product(draw_smatrix(data, p, m, truncated), draw_smatrix(data, p, m, truncated))
+    assert_same_product(draw_smatrix(data, p, m, truncated_a), draw_smatrix(data, p, m, truncated_b))
 
 
 def test_truncated_pairs_are_cut_in_order():
@@ -161,15 +162,41 @@ def test_product_mismatches_are_raised_before_lifting(monkeypatch):
     def refuse(*args):
         raise AssertionError("lifted")
 
+    rng = random.Random(4)
+    A, B = random_transition(rng, 3, 3), random_transition(rng, 3, 3)
+    want = product_oracle(A, B)
+    monkeypatch.setattr(PSeries, "__mul__", refuse)
+    monkeypatch.setattr(PSeries, "__add__", refuse)
+    # Exact factors never take the series path.
+    assert A * B == want
     monkeypatch.setattr(determinants, "scaled_rows", refuse)
-    with pytest.raises(PrimeMismatch):
-        SMatrix.identity(2, 2) * SMatrix.identity(3, 2)
-    with pytest.raises(DimensionMismatch):
-        SMatrix.identity(2, 2) * SMatrix.identity(2, 3)
+
+    def cut(p, m):
+        return SMatrix.diagonal(p, [PSeries(p, {ZERO: 1}, 1)] * m)
+
+    for left, right in ((SMatrix.identity(2, 2), SMatrix.identity(3, 2)), (cut(2, 2), cut(3, 2))):
+        with pytest.raises(PrimeMismatch):
+            left * right
+    for left, right in ((SMatrix.identity(2, 2), SMatrix.identity(2, 3)), (cut(2, 2), cut(2, 3))):
+        with pytest.raises(DimensionMismatch):
+            left * right
     with pytest.raises(ValueError, match="different fields"):
         LMatrix.identity(PrimeField(2), 2) * LMatrix.identity(RationalField(), 2)
     with pytest.raises(DimensionMismatch):
         LMatrix.identity(RationalField(), 3) * LMatrix.identity(RationalField(), 2)
+
+
+RING_ONES = [PSeries.one(2), PSeries.one(2).reduce(), LaurentPoly.one(RationalField())]
+MATRIX_ONES = [SMatrix.identity(2, 2), LMatrix.identity(PrimeField(3), 2)]
+
+
+@pytest.mark.parametrize("x, op, other", [
+    *((x, op, 1) for x in RING_ONES for op in (operator.add, operator.mul)),
+    *((x, operator.mul, 3) for x in MATRIX_ONES),
+], ids=lambda v: getattr(v, "__name__", type(v).__name__))
+def test_foreign_operands_raise_type_error(x, op, other):
+    with pytest.raises(TypeError):
+        op(x, other)
 
 
 def test_shape_and_prime_validation():
