@@ -1,6 +1,7 @@
 """Command line front end.
 
-Every command reads its input inline or from ``--file``, computes one thing,
+Every command that takes an input reads it inline or from ``--file``
+(``rand-auto``, ``family`` and ``enumerate`` take none), computes one thing,
 and prints the result; ``--format json`` switches the output to a single JSON
 object per line.  Exit codes: 0 on success, 1 for domain errors (the error
 class name goes to stderr), 2 for unparseable input or bad usage, including
@@ -8,9 +9,10 @@ a size above its cap: ``invert --prec`` above ``MAX_PREC``, ``enumerate
 --count`` above ``MAX_COUNT``, ``rand-auto --rank`` above ``MAX_RANK`` and
 ``--shears`` above ``MAX_SHEARS``, a ``family`` of more than ``MAX_FAMILY``
 matrices, a matrix document of more than ``literals.MAX_M`` rows, a series
-literal whose exponent denominators exceed ``literals.MAX_EXP_BITS``, and a
+literal whose exponent denominators exceed ``literals.MAX_EXP_BITS``, a
 numeral of more than ``literals.MAX_DIGITS`` digits in a literal, a JSON
-document or a result.
+document or a result, and a ``split`` or ``verify-split`` document whose pass
+bound exceeds ``classical.MAX_SPLIT_PASSES``.
 
 ``main(argv)`` can be called any number of times in one process.  The
 argument parser is built on the first call and reused; parsing keeps no
@@ -34,7 +36,7 @@ from .series import SubringTag
 
 
 def _input_text(args) -> str:
-    inline = getattr(args, "input", None)
+    inline = args.input
     if args.file is not None and inline is not None:
         raise ParseError("give the input inline or with --file, not both")
     if args.file is not None:
@@ -265,9 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--prime", type=int, help="session prime p")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--seed", type=int, default=0, help="randomness seed")
-        sp.add_argument("--file", help="read the input from a file instead")
         if input_help is not None:
+            sp.add_argument("--file", help="read the input from a file instead")
             sp.add_argument("input", nargs="?", help=input_help)
         sp.set_defaults(handler=handler)
         return sp
@@ -291,6 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--shears", type=_bounded_int(0, MAX_SHEARS), default=3, help="number of shear factors"
     )
+    sp.add_argument("--seed", type=int, default=0, help="randomness seed")
     sp = command("family", _cmd_family, "degree-one diagonal family at a p-power scale")
     sp.add_argument("--max-pow", type=_bounded_int(low=0), required=True, help="exponent denominator power")
     sp = command("enumerate", _cmd_enumerate, "enumerate nonnegative p-power exponents")

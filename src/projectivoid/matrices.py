@@ -172,15 +172,7 @@ def _random_onesided_unit(rng, prime, side) -> PSeries:
     return PSeries(prime, pairs)
 
 
-def random_automorphism(
-    prime: int,
-    m: int,
-    side: SubringTag,
-    shears: int,
-    seed: int = 0,
-    *,
-    trivial_diagonal: bool = False,
-) -> SMatrix:
+def random_automorphism(prime: int, m: int, side: SubringTag, shears: int, seed: int = 0) -> SMatrix:
     """Seeded random one-sided automorphism.
 
     The result is a diagonal of one-sided units multiplied by `shears`
@@ -192,12 +184,7 @@ def random_automorphism(
     if shears < 0:
         raise ValueError("shear count must be non-negative")
     rng = random.Random(seed)
-    if trivial_diagonal:
-        out = SMatrix.identity(prime, m)
-    else:
-        out = SMatrix.diagonal(
-            prime, [_random_onesided_unit(rng, prime, side) for _ in range(m)]
-        )
+    out = SMatrix.diagonal(prime, [_random_onesided_unit(rng, prime, side) for _ in range(m)])
     if m >= 2:
         for _ in range(shears):
             i = rng.randrange(m)

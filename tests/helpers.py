@@ -20,7 +20,7 @@ from projectivoid import (
     exp_add,
     exp_neg,
 )
-from projectivoid.classical import _dot, _poly, _primitive, _unimodular
+from projectivoid.classical import _poly, _primitive, _unimodular
 from projectivoid.determinants import leibniz_det
 from projectivoid.errors import ParseError, WrongPrimeDenominator
 from projectivoid.literals import _LONG_NUMERAL, MAX_DIGITS
@@ -467,7 +467,7 @@ def _oracle_inverse(field, rows) -> list:
         ri, rj, q = a[i], a[j], -q
         for k in range(start, 2 * m):
             if not rj[k].is_zero():
-                ri[k] = _dot(field, ((ri[k], 1), (q, rj[k])))
+                ri[k] = ri[k] + q * rj[k]
 
     for j in range(m):
         while True:
@@ -559,7 +559,9 @@ def euclid_inverse(field, R: list, rows: list, d: list) -> list:
 
 
 def split_oracle(A, max_iterations=None):
-    """What ``split(A, max_iterations)`` returns, raising the same errors."""
+    """What ``split(A)`` returns, raising the same errors (but no ParseError
+    for a pass bound above ``classical.MAX_SPLIT_PASSES``); an explicit
+    max_iterations replaces the default budget m * (hi - lo) + 1."""
     field, m = A.field, A.m
     parts = A.det().unit_parts()
     if parts is None:
@@ -594,7 +596,7 @@ def split_oracle(A, max_iterations=None):
             (j, LaurentPoly.monomial(field, cdeg[jstar] - cdeg[j], w[j])) for j in support
         ]
         for row in b_rows + u_rows:
-            row[jstar] = _dot(field, [(row[j], g) for j, g in factors if not row[j].is_zero()])
+            row[jstar] = sum((row[j] * g for j, g in factors if not row[j].is_zero()), LaurentPoly.zero(field))
 
     # B is column-reduced: C = B * diag(s^-k_j) lives in k[1/s] and its
     # determinant is the nonzero constant det(top).

@@ -18,13 +18,15 @@ from projectivoid import (
     LMatrix,
     LaurentPoly,
     NotInvertibleOverRing,
+    ParseError,
     PrimeField,
     RationalField,
     SplittingType,
     split,
     splitting_invariance_check,
 )
-from projectivoid.classical import _dot, _inverse, _poly
+from projectivoid import classical
+from projectivoid.classical import MAX_SPLIT_PASSES, _inverse, _poly
 from projectivoid.determinants import (
     _plan,
     adjugate,
@@ -186,7 +188,7 @@ def test_laurent_constructor_merges_like_the_monomial_sum(data):
     pairs = data.draw(st.lists(st.tuples(st.integers(-3, 3), field_elements(field)), max_size=8))
     f = lp(field, pairs)
     assert_normal_form(f)
-    want = _dot(field, [(LaurentPoly.monomial(field, n, c), 1) for n, c in pairs])
+    want = sum((LaurentPoly.monomial(field, n, c) for n, c in pairs), LaurentPoly.zero(field))
     assert (f.D, f.ints) == (want.D, want.ints)
 
 
@@ -461,13 +463,45 @@ def test_split_rejects_non_unit_determinant():
         split(LMatrix(Q, [[lp(Q, {})]]))
 
 
-def test_split_iteration_cap():
+def _count_passes(monkeypatch, settle=True):
+    """Count the kernel_vector calls of split, one per pass and one more
+    when the reduction settles; with settle=False every top-degree matrix
+    is singular with kernel vector e_0, so a pass leaves column 0 as it
+    was and only the pass bound stops split."""
+    calls = []
+    real = classical.kernel_vector
+    monkeypatch.setattr(classical, "kernel_vector",
+                        lambda p, rows: calls.append(rows) or (real(p, rows) if settle else [1]))
+    return calls
+
+
+def test_split_iteration_cap(monkeypatch):
+    # m * (hi - lo) + 1 = 2 * 2 + 1 = 5: a sixth pass is the guard's bug.
     A = LMatrix(Q, [[lp(Q, {0: 1}), lp(Q, {1: 1})], [lp(Q, {-1: 1}), lp(Q, {0: 2})]])
-    with pytest.raises(IterationLimitExceeded):
-        split(A, max_iterations=0)
     t, cert = split(A)
     assert sum(t.degrees) == 0
     assert cert.verify(A)
+    calls = _count_passes(monkeypatch, settle=False)
+    with pytest.raises(IterationLimitExceeded, match="within 5 passes"):
+        split(A)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("field", [F3, Q], ids=["GF3", "Q"])
+def test_split_pass_bound_cap_edge(field):
+    # diag(1, s^2047) has bound 2 * 2047 + 1 = MAX_SPLIT_PASSES and needs no
+    # pass; diag(1, 1, s^1365) has bound 3 * 1365 + 1, one more, and is
+    # refused before any work, by verify-split too.
+    assert MAX_SPLIT_PASSES == 4095
+    t, cert = split(LMatrix.diagonal_powers(field, [0, 2047]))
+    assert t == SplittingType((0, 2047))
+    A = LMatrix.diagonal_powers(field, [0, 0, 1365])
+    message = f"split needs up to {MAX_SPLIT_PASSES + 1} column passes, above the cap {MAX_SPLIT_PASSES}"
+    with pytest.raises(ParseError, match=message):
+        split(A)
+    I = LMatrix.identity(field, 3)
+    with pytest.raises(ParseError, match=message):
+        splitting_invariance_check(A, I, I)
 
 
 def test_upper_triangular_type_by_exhaustive_search():
@@ -740,12 +774,13 @@ def test_split_matches_object_oracle_with_pivot_swaps(field, m):
         assert [[(f.D, dict(f.ints)) for f in r] for r in A.rows] == before
 
 
-def test_split_iteration_cap_on_both():
+def test_split_iteration_cap_on_both(monkeypatch):
     A = planted_split_input(Q, 4, 7)
     with pytest.raises(IterationLimitExceeded):
-        split(A, max_iterations=0)
-    with pytest.raises(IterationLimitExceeded):
         split_oracle(A, max_iterations=0)
+    _count_passes(monkeypatch, settle=False)
+    with pytest.raises(IterationLimitExceeded):
+        split(A)
 
 
 UNPLANTED = ("rank", "zero row", "zero column", "bent", "monomial entries", "spread")
@@ -803,30 +838,32 @@ def test_split_matches_object_oracle_off_the_planted_family(field, m, kind, seed
     assert _outcome(split, A) == _outcome(split_oracle, A)
 
 
-def test_split_iteration_cap_comes_before_the_determinant_error():
+def test_split_iteration_cap_comes_before_the_determinant_error(monkeypatch):
     # det(A) = 1 + s is not a monomial, but the top-degree matrix
-    # [[1, 1], [0, 0]] is singular, so the reduction needs a pass first.
+    # [[1, 1], [0, 0]] is singular, so the reduction needs a pass first:
+    # split, which takes no determinant of A, meets the pass guard before
+    # the determinant error, and the oracle, which takes det(A) first, not.
     A = LMatrix(Q, [[lp(Q, {1: 1}), lp(Q, {1: 1})], [lp(Q, {0: 1}), lp(Q, {-1: 1, 0: 2})]])
-    with pytest.raises(IterationLimitExceeded):
-        split(A, max_iterations=0)
     with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
         split_oracle(A, max_iterations=0)
     with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
         split(A)
+    _count_passes(monkeypatch, settle=False)
+    with pytest.raises(IterationLimitExceeded):
+        split(A)
 
 
 @pytest.mark.parametrize("field", [Q, F3], ids=["Q", "GF3"])
-def test_split_zero_column_after_a_column_operation(field):
+def test_split_zero_column_after_a_column_operation(field, monkeypatch):
     # Column 1 of [[1, s], [1, s]] is nonzero, and the top-degree matrix
     # [[1, 1], [1, 1]] is singular: the first column operation subtracts s
     # times column 0 and leaves column 1 zero, which refuses A in that same
-    # pass, before the budget is read again.
+    # pass, so kernel_vector runs once.
     A = LMatrix(field, [[lp(field, {0: 1}), lp(field, {1: 1})]] * 2)
-    with pytest.raises(IterationLimitExceeded):
-        split(A, max_iterations=0)
-    for budget in (1, None):
-        with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
-            split(A, max_iterations=budget)
+    calls = _count_passes(monkeypatch)
+    with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
+        split(A)
+    assert len(calls) == 1
     with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
         split_oracle(A)
 
@@ -847,9 +884,10 @@ def test_split_certificate_passes_the_constructor_checks(field):
 
 
 def test_split_default_budget_bounds_the_passes():
-    # det(A) = s^-114, and the reduction takes between 61 and 70 passes:
-    # more than the old default budget 10 * m * (sum of entry spans + 1) = 50
-    # allowed, within the default m * (hi - lo) + 1 = 5 * 108 + 1.
+    # det(A) = s^-114, and the reduction takes between 61 and 70 passes
+    # (the oracle, which runs the same column operations, stops at 60): more
+    # than the old default budget 10 * m * (sum of entry spans + 1) = 50
+    # allowed, within the budget m * (hi - lo) + 1 = 5 * 108 + 1.
     monos = [[None, None, None, (2, -45), None],
              [None, (2, -36), (2, 42), (1, 35), (2, -19)],
              [(2, 49), (2, -55), (2, 6), (2, 41), (2, 36)],
@@ -858,7 +896,7 @@ def test_split_default_budget_bounds_the_passes():
     A = LMatrix(F3, [[LaurentPoly.zero(F3) if e is None else LaurentPoly.monomial(F3, e[1], e[0]) for e in r]
                      for r in monos])
     with pytest.raises(IterationLimitExceeded):
-        split(A, max_iterations=60)
+        split_oracle(A, max_iterations=60)
     assert _outcome(split, A) == _outcome(split_oracle, A)
     t, cert = split(A)
     assert t == SplittingType((-36, -25, -25, -18, -10))

@@ -1,6 +1,7 @@
 """Command-line contract: golden outputs, determinism, file input, JSON
 mode, and the exit-code scheme (0 ok / 1 domain error / 2 parse error)."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -19,7 +20,7 @@ from projectivoid import (
 )
 from projectivoid.exponents import MAX_CALKIN_WILF_TERMS
 from projectivoid.literals import MAX_DIGITS, MAX_EXP_BITS, MAX_M, MAX_PREC_BITS
-from projectivoid.cli import MAX_COUNT, MAX_FAMILY, MAX_PREC, MAX_RANK, MAX_SHEARS, main
+from projectivoid.cli import MAX_COUNT, MAX_FAMILY, MAX_PREC, MAX_RANK, MAX_SHEARS, _build_parser, main
 from helpers import (
     ACT_TRIPLE,
     GOLDEN_CLI,
@@ -241,6 +242,63 @@ def test_parse_errors_exit_two(capsys, argv, error):
     assert err.startswith(error)
 
 
+_INPUT = ("--prime", "--format", "--file", "input")
+OPTION_TABLE = {
+    "norm": _INPUT,
+    "unit": _INPUT + ("--ring",),
+    "invert": _INPUT + ("--prec",),
+    "degree": _INPUT,
+    "reduce": _INPUT,
+    "det": _INPUT,
+    "transition": _INPUT,
+    "bundle-degree": _INPUT,
+    "act": _INPUT,
+    "rand-auto": ("--prime", "--format", "--rank", "--side", "--shears", "--seed"),
+    "family": ("--prime", "--format", "--max-pow"),
+    "enumerate": ("--prime", "--format", "--count", "--order", "--filter"),
+    "split": _INPUT + ("--field",),
+    "verify-split": _INPUT + ("--field",),
+}
+
+
+def test_option_table():
+    # Every settable value of every command, in the order the parser adds
+    # them: options by their one option string, the positional by name.
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    table = {}
+    for name, sp in sub.choices.items():
+        values = []
+        for a in sp._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            if a.option_strings:
+                (option,) = a.option_strings
+                values.append(option)
+            else:
+                values.append(a.dest)
+        table[name] = tuple(values)
+    assert table == OPTION_TABLE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--prime", "2", "--seed", "1", "1 + v"],
+        ["enumerate", "--prime", "2", "--file", "x", "--count", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_option_of_another_command_exits_two(capsys, argv):
+    # --seed belongs to rand-auto alone, and --file to the commands that
+    # take an input.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {argv[3]} {argv[4]}" in err
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invert", "--prime", "2", "1 - 2*v"])  # --prec is required
@@ -336,6 +394,29 @@ def test_matrix_size_cap(capsys):
                          "U": json.loads(_identity_doc(1, 2))})
     code, out, err = run(capsys, "act", "--prime", "2", triple)
     assert (code, out) == (2, "") and err.startswith("ParseError: matrices larger than")
+
+
+# Short 2 x 2 documents whose pass bound m * (hi - lo) + 1 is far above
+# classical.MAX_SPLIT_PASSES: the rows (s^N - 1, s^(N-1) - 1) take about N
+# column passes, each longer than the one before, and [[1 + s^-2N, s^-N],
+# [s^-N, 1]] takes none but packs its adjugate into integers of about N
+# digits.  Both are refused before the reduction starts.
+SPLIT_PAST_THE_CAP = [
+    {"p": 3, "m": 2, "entries": [["s^100000 - 1", "s^99999 - 1"], ["s^100000 - 1", "s^99999 - 1"]]},
+    {"p": 3, "m": 2, "entries": [["1 + s^-200000", "s^-100000"], ["s^-100000", "1"]]},
+]
+
+
+@pytest.mark.parametrize("doc", SPLIT_PAST_THE_CAP, ids=["euclid", "spread"])
+def test_split_pass_bound_cap(capsys, doc):
+    identity = {"p": 3, "m": 2, "entries": [["1", "0"], ["0", "1"]]}
+    for argv in (["split", json.dumps(doc)],
+                 ["verify-split", json.dumps({"A": doc, "U": identity, "V": identity})]):
+        start = time.process_time()
+        code, out, err = run(capsys, *argv)
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("ParseError: split needs up to") and err.count("\n") == 1
 
 
 def test_invert_prec_at_cap_is_accepted(capsys):
