@@ -107,10 +107,6 @@ class LaurentPoly:
         return _poly(field, 1, {})
 
     @classmethod
-    def constant(cls, field, c) -> "LaurentPoly":
-        return cls.monomial(field, 0, c)
-
-    @classmethod
     def one(cls, field) -> "LaurentPoly":
         return cls.monomial(field, 0)
 
@@ -122,23 +118,12 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.ints
 
-    def coeff(self, n: int):
-        a = self.ints.get(n)
-        return self.field.zero if a is None else self._value(a)
-
     def min_exp(self) -> int:
         """The least exponent; ValueError for the zero polynomial."""
         return min(self.ints)
 
     def max_exp(self) -> int:
         return max(self.ints)
-
-    def shift(self, k: int) -> "LaurentPoly":
-        return _poly(self.field, self.D, {n + k: a for n, a in self.ints.items()})
-
-    def scale(self, c) -> "LaurentPoly":
-        c = self.field.coerce(c)
-        return _poly(self.field, self.D * c.denominator, _lift(self.ints, 1, c.numerator))
 
     def unit_parts(self):
         """(c, n) when the polynomial is the unit c * s^n, else None."""

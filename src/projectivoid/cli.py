@@ -43,7 +43,7 @@ def _input_text(args) -> str:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
                 return handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {args.file}: {exc}")
     if inline is None:
         raise ParseError("missing input (pass it inline or with --file)")

@@ -22,10 +22,6 @@ class Valuation:
 
     v: int | None = None
 
-    @classmethod
-    def finite(cls, v: int) -> "Valuation":
-        return cls(v)
-
     @property
     def is_infinite(self) -> bool:
         return self.v is None
@@ -78,10 +74,6 @@ class PadicCoeff:
     value: Fraction
     prime: int
 
-    @classmethod
-    def of(cls, value, prime: int) -> "PadicCoeff":
-        return cls(Fraction(value), prime)
-
     def _check(self, other: "PadicCoeff") -> None:
         if self.prime != other.prime:
             raise PrimeMismatch(
@@ -98,12 +90,6 @@ class PadicCoeff:
             _int_valuation(self.value.numerator, self.prime)
             - _int_valuation(self.value.denominator, self.prime)
         )
-
-    def abs_cmp(self, other: "PadicCoeff") -> int:
-        """+1 when |self| > |other|, -1 when smaller, 0 when equal in norm."""
-        self._check(other)
-        a, b = self.valuation(), other.valuation()
-        return (a < b) - (b < a)
 
     def reduce(self) -> int:
         """Image in the residue field F_p, as an integer in [0, p)."""

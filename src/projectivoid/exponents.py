@@ -62,10 +62,6 @@ class PExp:
     def as_fraction(self, p: int) -> Fraction:
         return Fraction(self.num, p ** self.pow)
 
-    @property
-    def sign(self) -> int:
-        return (self.num > 0) - (self.num < 0)
-
     def __repr__(self) -> str:
         return f"PExp({self.num}, {self.pow})"
 
@@ -97,17 +93,6 @@ def exp_add(x: PExp, y: PExp, p: int) -> PExp:
 
 def exp_neg(x: PExp) -> PExp:
     return PExp(-x.num, x.pow)
-
-
-def exp_sub(x: PExp, y: PExp, p: int) -> PExp:
-    return exp_add(x, exp_neg(y), p)
-
-
-def exp_cmp(x: PExp, y: PExp, p: int) -> int:
-    """-1, 0 or +1 as x is below, equal to or above y in the rational order."""
-    lhs = x.num * p ** y.pow
-    rhs = y.num * p ** x.pow
-    return (lhs > rhs) - (lhs < rhs)
 
 
 def antidiagonal_stream(p: int) -> Iterator[PExp]:

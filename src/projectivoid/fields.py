@@ -47,9 +47,6 @@ class PrimeField:
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0
 
-    def elements(self):
-        return range(self.p)
-
 
 @dataclass(frozen=True)
 class RationalField:

@@ -293,6 +293,8 @@ def load_doc(doc):
             doc = json.loads(doc, parse_int=_json_int)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", exc.pos)
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply")
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object")
     return doc

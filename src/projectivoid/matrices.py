@@ -38,10 +38,6 @@ from .exponents import PExp, ZERO, canon, exp_neg
 from .series import PSeries, SubringTag, _series, scaled_rows
 
 
-def _exact_zero(f: PSeries) -> bool:
-    return not f.ints and f.precision is None
-
-
 @dataclass(frozen=True)
 class BundleDegree:
     """Exponent of the monomial factor of a transition determinant."""
@@ -71,22 +67,17 @@ class SMatrix(SquareMatrix):
     def __mul__(self, other):
         """The product on integer kernels (``SquareMatrix.__mul__``), unless
         two factors over one prime and of one size have a truncated entry:
-        then entry (i, j) is the sum of the products f * g over the pairs
-        with no exact zero, added left to right, or the zero when there is
-        none.  A zero known only modulo a precision still bounds the
-        precision of a product it enters, so it is not skipped."""
+        then entry (i, j) is the sum of the products f * g, added left to
+        right to the exact zero.  An exact-zero factor gives an exact-zero
+        product, which changes neither the value nor the precision of the
+        sum."""
         if not (isinstance(other, SMatrix) and self.base == other.base and self.m == other.m
                 and any(f.precision is not None for M in (self, other) for r in M.rows for f in r)):
             return SquareMatrix.__mul__(self, other)
         zero = PSeries.zero(self.base)
-        out = []
-        for r in self.rows:
-            row = []
-            for c in zip(*other.rows):
-                terms = [f * g for f, g in zip(r, c) if not (_exact_zero(f) or _exact_zero(g))]
-                row.append(sum(terms[1:], terms[0]) if terms else zero)
-            out.append(tuple(row))
-        return self._new(self.base, tuple(out))
+        cols = [*zip(*other.rows)]
+        return self._new(self.base, tuple(
+            tuple(sum((f * g for f, g in zip(r, c)), zero) for c in cols) for r in self.rows))
 
     @property
     def prime(self) -> int:

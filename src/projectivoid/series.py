@@ -46,7 +46,6 @@ denominator, for the determinants and ``classical.split``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -61,7 +60,7 @@ from .errors import (
     SubringViolation,
     ZeroSeries,
 )
-from .exponents import PExp, ZERO, canon, exp_neg, is_prime
+from .exponents import PExp, ZERO, canon, is_prime
 
 
 class SubringTag(Enum):
@@ -306,10 +305,6 @@ class PSeries:
         return cls(prime, {ZERO: 1})
 
     @classmethod
-    def constant(cls, prime: int, c) -> "PSeries":
-        return cls(prime, {ZERO: c})
-
-    @classmethod
     def monomial(cls, prime: int, e: PExp, c=1) -> "PSeries":
         return cls(prime, {e: c})
 
@@ -321,14 +316,6 @@ class PSeries:
 
     def is_exact(self) -> bool:
         return self.precision is None
-
-    def coefficient(self, e: PExp) -> PadicCoeff:
-        p = self.prime
-        n, r = divmod(e.num * p ** self.K, p ** e.pow)
-        return PadicCoeff(Fraction(0 if r else self.ints.get(n, 0), self.D), p)
-
-    def support(self) -> list[PExp]:
-        return [canon(n, self.K, self.prime) for n in sorted(self.ints)]
 
     def ordered_terms(self) -> list[tuple[PExp, Fraction]]:
         """(exponent, coefficient) pairs by ascending exponent."""
@@ -498,13 +485,6 @@ class PSeries:
             return len(dom) == 1
         return dom == [0]
 
-    def monomial_factor(self) -> "UnitDecomposition":
-        """Write a full-ring unit as v^e * u with u a unit of constant shape."""
-        if not self.is_unit(SubringTag.FULL):
-            raise NotAUnit("series is not a unit of the full ring")
-        (e,) = self.dominant_terms()
-        return UnitDecomposition(e, self.shift(exp_neg(e)))
-
     def inverse(self, target) -> "PSeries":
         """Invert a full-ring unit up to the given precision cutoff.
 
@@ -594,14 +574,6 @@ class PSeries:
         return not (diff.gauss_valuation() < cutoff)
 
 
-@dataclass(frozen=True)
-class UnitDecomposition:
-    """A unit split as v^exponent times a constant-dominant unit."""
-
-    exponent: PExp
-    unit: PSeries
-
-
 def _residue(p: int, K: int, acc: dict) -> "ResiduePoly":
     """The residue polynomial of the kernel (K, acc), brought to normal form:
     numerators mod p, zeros dropped, the grid coarsened."""
@@ -644,9 +616,6 @@ class ResiduePoly:
 
     def is_monomial(self) -> bool:
         return len(self.ints) == 1
-
-    def support(self) -> list[PExp]:
-        return [canon(n, self.K, self.prime) for n in sorted(self.ints)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResiduePoly):

@@ -478,16 +478,16 @@ def _oracle_inverse(field, rows) -> list:
             if len(live) < 2:
                 break
             low = a[j][j].min_exp()
-            inv = field.inv(a[j][j].coeff(low))
+            inv = field.inv(a[j][j].coeffs[low])
             for i in range(j + 1, m):
                 while not a[i][j].is_zero() and (n := a[i][j].min_exp()) <= low:
-                    c = field.mul(a[i][j].coeff(n), inv)
+                    c = field.mul(a[i][j].coeffs[n], inv)
                     subtract(i, LaurentPoly.monomial(field, n - low, c), j, j)
         parts = a[j][j].unit_parts()
         if parts is None or parts[1] != 0:
             raise RuntimeError("internal error: reduced matrix is not constant-determinant")
         c = field.inv(parts[0])
-        a[j] = [f.scale(c) for f in a[j]]
+        a[j] = [LaurentPoly(field, {n: x * c for n, x in f.coeffs.items()}) for f in a[j]]
     for j in reversed(range(m)):
         for i in range(j):
             if not a[i][j].is_zero():
@@ -569,7 +569,7 @@ def split_oracle(A, max_iterations=None):
 
     # Clear denominators: B = s^N * A is polynomial in s.
     lift = max(0, -min((f.min_exp() for r in A.rows for f in r if not f.is_zero()), default=0))
-    b_rows = [[f.shift(lift) for f in r] for r in A.rows]
+    b_rows = [[LaurentPoly(field, {n + lift: a for n, a in f.coeffs.items()}) for f in r] for r in A.rows]
     u_rows = [list(r) for r in LMatrix.identity(field, m).rows]
 
     exps = [n for r in A.rows for f in r for n in f.coeffs] or [0]
@@ -579,7 +579,7 @@ def split_oracle(A, max_iterations=None):
     while True:
         # det(B) is nonzero, so no column is zero.
         cdeg = [max(r[j].max_exp() for r in b_rows if not r[j].is_zero()) for j in range(m)]
-        top = [[b_rows[i][j].coeff(cdeg[j]) for j in range(m)] for i in range(m)]
+        top = [[b_rows[i][j].coeffs.get(cdeg[j], field.zero) for j in range(m)] for i in range(m)]
         w = _oracle_kernel_vector(top, field)
         if w is None:
             break
@@ -600,7 +600,9 @@ def split_oracle(A, max_iterations=None):
 
     # B is column-reduced: C = B * diag(s^-k_j) lives in k[1/s] and its
     # determinant is the nonzero constant det(top).
-    v_rows = _oracle_inverse(field, [[f.shift(-k) for f, k in zip(r, cdeg)] for r in b_rows])
+    v_rows = _oracle_inverse(
+        field, [[LaurentPoly(field, {n - k: a for n, a in f.coeffs.items()}) for f, k in zip(r, cdeg)]
+                for r in b_rows])
 
     # Sort the exponents: permute the rows of V and the columns of U alike.
     degrees = [k - lift for k in cdeg]

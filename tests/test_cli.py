@@ -128,6 +128,35 @@ def test_file_input(tmp_path, capsys):
     assert out == "1 - v^2\n"
 
 
+def test_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe1")
+    code, out, err = run(capsys, "norm", "--prime", "2", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ParseError: cannot read {path}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+def _nested(depth, kind):
+    """A JSON value nested depth levels deep, of arrays or of objects."""
+    if kind == "array":
+        return "[" * depth + "]" * depth
+    return '{"a": ' * depth + "1" + "}" * depth
+
+
+@pytest.mark.parametrize("kind", ["array", "object"])
+@pytest.mark.parametrize("command", ["det", "transition", "bundle-degree", "act", "split", "verify-split"])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command, kind):
+    # Past the interpreter's recursion limit json.loads raises RecursionError.
+    path = tmp_path / "deep.json"
+    path.write_text(_nested(100_000, kind), encoding="utf-8")
+    for argv in ([command, "--prime", "2", _nested(1000, kind)],
+                 [command, "--prime", "2", "--file", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "ParseError: invalid JSON: nested too deeply\n"
+
+
 def test_file_and_inline_conflict(capsys):
     code, _, err = run(capsys, "norm", "--prime", "2", "--file", "x", "1")
     assert code == 2

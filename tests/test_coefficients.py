@@ -20,82 +20,73 @@ primes = st.sampled_from([2, 3, 5])
 
 
 def test_valuation_of_integers_and_fractions():
-    assert PadicCoeff.of(8, 2).valuation() == Valuation.finite(3)
-    assert PadicCoeff.of(Fraction(3, 4), 2).valuation() == Valuation.finite(-2)
-    assert PadicCoeff.of(0, 2).valuation() == INFINITY
+    assert PadicCoeff(Fraction(8), 2).valuation() == Valuation(3)
+    assert PadicCoeff(Fraction(3, 4), 2).valuation() == Valuation(-2)
+    assert PadicCoeff(Fraction(0), 2).valuation() == INFINITY
 
 
 def test_valuation_total_order():
-    assert Valuation.finite(-1) < Valuation.finite(0) < Valuation.finite(5) < INFINITY
-    assert max(Valuation.finite(3), INFINITY) == INFINITY
-    assert Valuation.finite(2) >= Valuation.finite(2)
+    assert Valuation(-1) < Valuation(0) < Valuation(5) < INFINITY
+    assert max(Valuation(3), INFINITY) == INFINITY
+    assert Valuation(2) >= Valuation(2)
 
 
 def test_valuation_addition_absorbs_infinity():
-    assert Valuation.finite(2) + Valuation.finite(3) == Valuation.finite(5)
-    assert Valuation.finite(2) + INFINITY == INFINITY
+    assert Valuation(2) + Valuation(3) == Valuation(5)
+    assert Valuation(2) + INFINITY == INFINITY
     assert INFINITY + INFINITY == INFINITY
 
 
 def test_valuation_str():
-    assert str(Valuation.finite(-2)) == "-2"
+    assert str(Valuation(-2)) == "-2"
     assert str(INFINITY) == "inf"
 
 
-def test_abs_cmp():
-    one = PadicCoeff.of(1, 2)
-    two = PadicCoeff.of(2, 2)
-    assert one.abs_cmp(two) > 0
-    assert two.abs_cmp(one) < 0
-    assert PadicCoeff.of(3, 2).abs_cmp(PadicCoeff.of(5, 2)) == 0
-    assert PadicCoeff.of(Fraction(1, 2), 2).abs_cmp(one) > 0
-
-
 def test_reduce():
-    assert PadicCoeff.of(3, 2).reduce() == 1
-    assert PadicCoeff.of(2, 2).reduce() == 0
-    assert PadicCoeff.of(Fraction(1, 3), 2).reduce() == 1
-    assert PadicCoeff.of(Fraction(2, 3), 5).reduce() == 4
+    assert PadicCoeff(Fraction(3), 2).reduce() == 1
+    assert PadicCoeff(Fraction(2), 2).reduce() == 0
+    assert PadicCoeff(Fraction(1, 3), 2).reduce() == 1
+    assert PadicCoeff(Fraction(2, 3), 5).reduce() == 4
 
 
 def test_reduce_rejects_norm_above_one():
     with pytest.raises(NegativeValuation):
-        PadicCoeff.of(Fraction(1, 2), 2).reduce()
+        PadicCoeff(Fraction(1, 2), 2).reduce()
 
 
 def test_invert():
-    x = PadicCoeff.of(Fraction(2, 3), 5)
+    x = PadicCoeff(Fraction(2, 3), 5)
     assert x.invert().value == Fraction(3, 2)
     assert (x.invert() * x).value == 1
 
 
 def test_invert_zero():
     with pytest.raises(DivisionByZero):
-        PadicCoeff.of(0, 3).invert()
+        PadicCoeff(Fraction(0), 3).invert()
 
 
 def test_arithmetic():
-    half = PadicCoeff.of(Fraction(1, 2), 2)
+    half = PadicCoeff(Fraction(1, 2), 2)
     assert (half + half).value == 1
-    assert (PadicCoeff.of(3, 2) * PadicCoeff.of(Fraction(1, 3), 2)).value == 1
-    assert (-PadicCoeff.of(2, 2)).value == -2
-    assert (PadicCoeff.of(5, 3) - PadicCoeff.of(2, 3)).value == 3
+    assert (PadicCoeff(Fraction(3), 2) * PadicCoeff(Fraction(1, 3), 2)).value == 1
+    assert (-PadicCoeff(Fraction(2), 2)).value == -2
+    assert (PadicCoeff(Fraction(5), 3) - PadicCoeff(Fraction(2), 3)).value == 3
 
 
 def test_prime_mismatch():
     with pytest.raises(PrimeMismatch):
-        PadicCoeff.of(1, 2) + PadicCoeff.of(1, 3)
+        PadicCoeff(Fraction(1), 2) + PadicCoeff(Fraction(1), 3)
 
 
 @given(nonzero_rationals, nonzero_rationals, primes)
 def test_valuation_multiplicative(a, b, p):
-    x, y = PadicCoeff.of(a, p), PadicCoeff.of(b, p)
+    x, y = PadicCoeff(a, p), PadicCoeff(b, p)
     assert (x * y).valuation() == x.valuation() + y.valuation()
 
 
 @given(rationals, rationals, primes)
 def test_ultrametric_inequality(a, b, p):
-    x, y = PadicCoeff.of(a, p), PadicCoeff.of(b, p)
+    x, y = PadicCoeff(a, p), PadicCoeff(b, p)
     lo = min(x.valuation(), y.valuation())
     assert (x + y).valuation() >= lo
     if x.valuation() != y.valuation():
@@ -104,9 +95,9 @@ def test_ultrametric_inequality(a, b, p):
 
 @given(rationals, rationals, primes)
 def test_reduce_is_a_ring_homomorphism(a, b, p):
-    x, y = PadicCoeff.of(a, p), PadicCoeff.of(b, p)
-    assume(x.valuation() >= Valuation.finite(0))
-    assume(y.valuation() >= Valuation.finite(0))
+    x, y = PadicCoeff(a, p), PadicCoeff(b, p)
+    assume(x.valuation() >= Valuation(0))
+    assume(y.valuation() >= Valuation(0))
     assert (x + y).reduce() == (x.reduce() + y.reduce()) % p
     assert (x * y).reduce() == (x.reduce() * y.reduce()) % p
 

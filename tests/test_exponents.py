@@ -14,9 +14,7 @@ from projectivoid import (
     enumerate_antidiagonal,
     enumerate_calkin_wilf,
     exp_add,
-    exp_cmp,
     exp_neg,
-    exp_sub,
     is_prime,
 )
 from projectivoid.exponents import PRIME_LIMIT
@@ -53,13 +51,6 @@ def test_as_fraction():
 def test_add_and_neg():
     assert exp_add(PExp(1, 1), PExp(1, 1), 2) == ONE
     assert exp_neg(PExp(3, 2)) == PExp(-3, 2)
-    assert exp_sub(PExp(1, 0), PExp(1, 1), 2) == PExp(1, 1)
-
-
-def test_cmp():
-    assert exp_cmp(PExp(1, 2), PExp(1, 1), 2) < 0
-    assert exp_cmp(PExp(1, 1), PExp(1, 2), 2) > 0
-    assert exp_cmp(ZERO, ZERO, 2) == 0
 
 
 @given(exps(2), exps(2), exps(2))
@@ -75,12 +66,6 @@ def test_add_matches_rational_addition(x, y):
 @given(exps(2))
 def test_inverse_law(x):
     assert exp_add(x, exp_neg(x), 2) == ZERO
-
-
-@given(exps(2), exps(2))
-def test_cmp_matches_rational_order(x, y):
-    a, b = x.as_fraction(2), y.as_fraction(2)
-    assert exp_cmp(x, y, 2) == (a > b) - (a < b)
 
 
 @given(exps(2))

@@ -24,6 +24,7 @@ from projectivoid import (
     ZeroSeries,
     canon,
     exp_add,
+    exp_neg,
     format_series,
     parse_series,
 )
@@ -70,8 +71,7 @@ def units(p):
 
 def test_terms_merge_to_canonical_exponents():
     f = PSeries(2, [(PExp(2, 1), 1), (PExp(1, 0), 1)])
-    assert f.support() == [PExp(1, 0)]
-    assert f.coefficient(PExp(1, 0)).value == 2
+    assert f.ordered_terms() == [(PExp(1, 0), 2)]
 
 
 def test_zero_coefficients_drop():
@@ -81,8 +81,8 @@ def test_zero_coefficients_drop():
 
 def test_precision_prunes_stored_terms():
     f = PSeries(2, {ZERO: 1, PExp(1, 0): 8}, 3)
-    assert f.support() == [ZERO]
-    assert f.precision == Valuation.finite(3)
+    assert [e for e, _ in f.ordered_terms()] == [ZERO]
+    assert f.precision == Valuation(3)
     assert not f.is_exact()
 
 
@@ -161,20 +161,20 @@ def test_ring_laws(f, g, h):
 def test_add_takes_min_precision():
     f = PSeries(2, {ZERO: 1}, 5)
     g = mono(2, 1)
-    assert (f + g).precision == Valuation.finite(5)
-    assert (g + f).precision == Valuation.finite(5)
+    assert (f + g).precision == Valuation(5)
+    assert (g + f).precision == Valuation(5)
 
 
 def test_mul_precision_rule():
     f = PSeries(2, {ZERO: 1}, 5)  # gauss valuation 0, cutoff 5
     g = PSeries(2, {ZERO: 2}, 4)  # gauss valuation 1, cutoff 4
-    assert (f * g).precision == Valuation.finite(4)  # min(5+1, 4+0)
+    assert (f * g).precision == Valuation(4)  # min(5+1, 4+0)
 
 
 def test_mul_precision_shifts_by_gauss_valuation():
     f = PSeries(2, {ZERO: 1}, 3)
     g = srs(2, [(1, 0, 4)])  # exact, gauss valuation 2
-    assert (f * g).precision == Valuation.finite(5)
+    assert (f * g).precision == Valuation(5)
 
 
 def test_exact_elements_stay_exact():
@@ -188,8 +188,8 @@ def test_exact_elements_stay_exact():
 
 
 def test_gauss_valuation_examples():
-    assert srs(2, [(0, 0, 2), (1, 1, 1)]).gauss_valuation() == Valuation.finite(0)
-    assert srs(2, [(1, 0, 4), (2, 0, 2)]).gauss_valuation() == Valuation.finite(1)
+    assert srs(2, [(0, 0, 2), (1, 1, 1)]).gauss_valuation() == Valuation(0)
+    assert srs(2, [(1, 0, 4), (2, 0, 2)]).gauss_valuation() == Valuation(1)
     assert PSeries.zero(2).gauss_valuation() == INFINITY
 
 
@@ -241,7 +241,7 @@ def test_degree_examples():
 def test_normalize_gauss():
     f = srs(2, [(0, 0, 4), (1, 0, 8)])
     g = f.normalize_gauss()
-    assert g.gauss_valuation() == Valuation.finite(0)
+    assert g.gauss_valuation() == Valuation(0)
     assert g == srs(2, [(0, 0, 1), (1, 0, 2)])
 
 
@@ -315,29 +315,30 @@ def test_multidominant_series_are_never_units():
 
 
 def test_monomial_factor_examples():
-    d = mono(2, 3, 2).monomial_factor()
-    assert d.exponent == PExp(3, 2)
-    assert d.unit == PSeries.one(2)
-
-    d = srs(2, [(-1, 0, 2), (1, 0, 4)]).monomial_factor()
-    assert d.exponent == PExp(-1, 0)
-    assert d.unit == srs(2, [(0, 0, 2), (2, 0, 4)])
-
-    f = srs(2, [(0, 0, 1), (1, 1, 2)])
-    d = f.monomial_factor()
-    assert d.exponent == ZERO
-    assert d.unit == f
+    # A full-ring unit f is v^e * u: e its one dominant exponent, u = v^-e * f.
+    g = srs(2, [(0, 0, 1), (1, 1, 2)])
+    for f, e, u in [
+        (mono(2, 3, 2), PExp(3, 2), PSeries.one(2)),
+        (srs(2, [(-1, 0, 2), (1, 0, 4)]), PExp(-1, 0), srs(2, [(0, 0, 2), (2, 0, 4)])),
+        (g, ZERO, g),
+    ]:
+        assert f.is_unit(SubringTag.FULL)
+        assert f.dominant_terms() == {e}
+        assert f.shift(exp_neg(e)) == u
 
 
 def test_monomial_factor_reassembles():
     f = srs(2, [(-3, 2, 6), (1, 1, 12)])
-    d = f.monomial_factor()
-    assert d.unit.shift(d.exponent) == f
+    (e,) = f.dominant_terms()
+    u = f.shift(exp_neg(e))
+    assert u.dominant_terms() == {ZERO}
+    assert u.shift(e) == f
 
 
 def test_monomial_factor_rejects_non_units():
-    with pytest.raises(NotAUnit):
-        srs(2, [(0, 0, 1), (1, 0, 1)]).monomial_factor()
+    f = srs(2, [(0, 0, 1), (1, 0, 1)])
+    assert not f.is_unit(SubringTag.FULL)
+    assert len(f.dominant_terms()) == 2
 
 
 def test_invert_one():

@@ -223,8 +223,8 @@ def assert_residue_normal_form(r):
     view[PExp(1, 9)] = view.pop(ZERO, 1)
     assert r.coeffs == before and (r.K, r.ints) == kernel
     # sorting by n on the grid is sorting by the rational exponent
-    assert r.support() == sorted(before, key=lambda e: e.as_fraction(p))
-    assert r.ordered_terms() == [(e, before[e]) for e in r.support()]
+    ordered = sorted(before, key=lambda e: e.as_fraction(p))
+    assert r.ordered_terms() == [(e, before[e]) for e in ordered]
 
 
 @st.composite
@@ -249,7 +249,7 @@ def test_residues_are_in_normal_form(rsf):
 
 def test_different_constructions_compare_equal():
     assert mono(2, 1, 1) * mono(2, 1, 1) == mono(2, 1)
-    assert mono(3, -1, 2) * mono(3, 1, 2, 5) == PSeries.constant(3, 5)
+    assert mono(3, -1, 2) * mono(3, 1, 2, 5) == PSeries.monomial(3, ZERO, 5)
     f = srs(3, [(1, 1, Fraction(2, 3)), (-2, 2, 5)], 4)
     assert f.scale(2).scale(Fraction(1, 2)) == f
     g = srs(2, [(1, 1, Fraction(1, 6)), (3, 2, 4)])
