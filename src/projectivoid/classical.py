@@ -85,8 +85,11 @@ class LaurentPoly:
         """Validate and merge outside input: the sum of the monomials c * s^n
         over the pairs (n, c), each c coerced into the field, over the lcm
         of their denominators (``series._kernel``) and normalised once."""
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        f = _poly(field, *_kernel(1, 0, [(field.coerce(c), n, 0) for n, c in items]))
+        quads = []
+        for n, c in coeffs.items() if isinstance(coeffs, Mapping) else coeffs:
+            c = field.coerce(c)
+            quads.append((c.numerator, c.denominator, n, 0))
+        f = _poly(field, *_kernel(1, 0, quads))
         self.field, self.D, self.ints = field, f.D, f.ints
 
     def _value(self, a):

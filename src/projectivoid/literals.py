@@ -23,10 +23,13 @@ and tried once, so the match stops where the text leaves the grammar, and
 ``_read`` raises a ``ParseError`` that names the first missing piece at the
 token where it should stand.  A lexical fault (a character that starts no
 token, an unknown word, or a numeral past MAX_DIGITS) wins over any other
-fault, wherever it stands in the text.  The tests compare the reader with a
-tokenizer and a recursive-descent parser over the same grammar, kept in
-``tests/helpers.py`` as the oracle: value, error class, message and position
-all agree.
+fault, wherever it stands in the text.  Each term comes out as integers,
+the coefficient's numerator and denominator as written and the exponent's
+numerator and power of p, and ``series._kernel`` merges them into the
+kernel of the series with no Fraction built.  The tests compare the reader
+with a tokenizer and a recursive-descent parser over the same grammar, kept
+in ``tests/helpers.py`` as the oracle: value, error class, message and
+position all agree.
 """
 
 from __future__ import annotations
@@ -105,8 +108,10 @@ def _expected(text: str, m, group: int, what: str):
 
 
 def _read(text: str, prime: int | None):
-    """The terms (coefficient, exponent numerator, power of p in the exponent
-    denominator) and the precision value (or None) of a literal.  prime None
+    """The terms and the precision value (or None) of a literal.  Each term
+    is (a, d, num, pw), all integers: the coefficient a / d as written, with
+    the sign on a and d > 0 (not brought to lowest terms), the exponent
+    numerator and the power of p in the exponent denominator.  prime None
     restricts the exponents to integers (the classical Laurent mode)."""
     if len(text) > MAX_DIGITS and (long := _LONG_NUMERAL_RE.search(text)):
         _fail(text, _LONG_NUMERAL, long.start())
@@ -120,13 +125,13 @@ def _read(text: str, prime: int | None):
             break
         if n is None and (var is None or star):
             _expected(text, m, 2, "a coefficient or a monomial")
-        c = 1 if n is None else int(n)
+        a, den = (1 if n is None else int(n)), 1
         if slash:
             if d is None:
                 _expected(text, m, 4, "a denominator")
-            if not int(d):
+            den = int(d)
+            if not den:
                 _fail(text, "zero denominator", m.start(4))
-            c = Fraction(c, int(d))
         if star and var is None:
             _expected(text, m, 6, "a variable")
         if n is not None and var is not None and star is None:
@@ -151,7 +156,7 @@ def _read(text: str, prime: int | None):
                 pw = int(k)
             if paren and close is None:
                 _expected(text, m, 15, "')'")
-        terms.append((-c if sign == "-" else c, num, pw))
+        terms.append((-a if sign == "-" else a, den, num, pw))
         pos = m.end()
     m = _SUFFIX_RE.match(text, pos)
     precision = None
@@ -193,7 +198,7 @@ def parse_series(text: str, prime: int) -> PSeries:
         raise ParseError(f"{prime} is not a prime")
     terms, precision = _read(text, prime)
     top = MAX_EXP_BITS // (prime - 1).bit_length()
-    K = max(pw for _, _, pw in terms)
+    K = max(pw for _, _, _, pw in terms)
     if K > top:
         raise ParseError(f"exponent denominators above {prime}^{top} are not accepted")
     if precision is not None:
@@ -205,7 +210,9 @@ def parse_laurent(text: str, field) -> LaurentPoly:
     terms, precision = _read(text, None)
     if precision is not None:
         raise ParseError("precision tags are not allowed on Laurent polynomials")
-    return LaurentPoly(field, [(num, coeff) for coeff, num, _ in terms])
+    # a / d in lowest terms, so that GF(p) refuses only a denominator that
+    # vanishes mod p once reduced: "3/3*s" is s over GF(3).
+    return LaurentPoly(field, [(num, a if d == 1 else Fraction(a, d)) for a, d, num, _ in terms])
 
 
 # ----------------------------------------------------------------------

@@ -190,13 +190,13 @@ def random_automorphism(prime: int, m: int, side: SubringTag, shears: int, seed:
 
 def degree_one_family(prime: int, max_pow: int) -> list[SMatrix]:
     """All rank-2 diagonal transition matrices diag(v^a, v^(1-a)) with
-    a = k / prime**max_pow, k = 0 .. prime**max_pow."""
+    a = k / prime**max_pow, k = 0 .. prime**max_pow.  Each monomial is built
+    once, straight from its kernel, and shared by the two matrices that hold
+    it; every matrix shares one exact zero and goes through the trusted
+    ``SMatrix._new``."""
     if max_pow < 0:
         raise ValueError("max_pow must be non-negative")
     q = prime ** max_pow
-    family = []
-    for k in range(q + 1):
-        a = canon(k, max_pow, prime)
-        b = canon(q - k, max_pow, prime)
-        family.append(SMatrix.diagonal(prime, [a, b]))
-    return family
+    zero = _series(prime, 0, 1, {})
+    monos = [_series(prime, max_pow, 1, {k: 1}) for k in range(q + 1)]
+    return [SMatrix._new(prime, ((monos[k], zero), (zero, monos[q - k]))) for k in range(q + 1)]

@@ -76,19 +76,20 @@ class SubringTag(Enum):
 
 
 def _kernel(p: int, K: int, terms) -> tuple[int, dict]:
-    """(D, {n: a}): the terms (c, num, pw), each c * v^(num / p^pw) with c an
-    int or a Fraction and pw <= K, as numerators over the lcm D of the
-    coefficient denominators on the grid p^K, equal exponents merged.  Each
-    term builds its own power: a table of all of p^0 .. p^K would be
-    O(K^2) bits."""
+    """(D, {n: a}): the terms (a, d, num, pw), each (a / d) * v^(num / p^pw)
+    with d > 0 and pw <= K, as numerators over the lcm D of the d on the grid
+    p^K, equal exponents merged.  a / d need not be in lowest terms; the
+    normal form divides out what D and the numerators share.  Each term
+    builds its own power: a table of all of p^0 .. p^K would be O(K^2)
+    bits."""
     D = 1
-    for c, _, _ in terms:
-        if D % c.denominator:
-            D = lcm(D, c.denominator)
+    for _, d, _, _ in terms:
+        if D % d:
+            D = lcm(D, d)
     acc: dict[int, int] = {}
-    for c, num, pw in terms:
+    for a, d, num, pw in terms:
         n = num * p ** (K - pw)
-        acc[n] = acc.get(n, 0) + c.numerator * (D // c.denominator)
+        acc[n] = acc.get(n, 0) + a * (D // d)
     return D, acc
 
 
@@ -270,15 +271,16 @@ class PSeries:
             precision = Valuation(precision)
         if isinstance(precision, Valuation) and precision.is_infinite:
             precision = None
-        K, triples = 0, []
+        K, quads = 0, []
         for e, c in terms.items() if isinstance(terms, Mapping) else terms:
             pw = e.pow
             if pw < 0:
                 raise ValueError("denominator exponent must be non-negative")
             if pw > K:
                 K = pw
-            triples.append((_rational(c, prime), e.num, pw))
-        self._store(prime, K, *_kernel(prime, K, triples), precision)
+            c = _rational(c, prime)
+            quads.append((c.numerator, c.denominator, e.num, pw))
+        self._store(prime, K, *_kernel(prime, K, quads), precision)
 
     def _store(self, prime: int, K: int, D: int, acc: dict, precision) -> None:
         """Keep the kernel (K, D, acc) in normal form."""

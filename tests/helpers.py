@@ -250,6 +250,19 @@ def product_oracle(A, B):
 
 
 # ----------------------------------------------------------------------
+# Oracle for ``exponents.enumerate_calkin_wilf``: the Calkin-Wilf walk
+# stepped on Fractions, q -> 1 / (2 * floor(q) - q + 1).
+
+
+def calkin_wilf_stream():
+    """The Calkin-Wilf walk of the positive rationals, starting at 1."""
+    q = Fraction(1)
+    while True:
+        yield q
+        q = 1 / (2 * (q.numerator // q.denominator) - q + 1)
+
+
+# ----------------------------------------------------------------------
 # Slow oracle for the literal reader: a tokenizer and a recursive-descent
 # parser over the whole grammar.  ``_Parser(text, prime).parse()`` returns
 # what ``literals._read`` returns, and raises the same errors at the same
@@ -346,7 +359,7 @@ class _Parser:
             num, pw = self._mono()
         else:
             raise ParseError("expected a coefficient or a monomial", tok[2])
-        return sign * coeff, num, pw
+        return sign * coeff.numerator, coeff.denominator, num, pw
 
     def _coefficient(self) -> Fraction:
         tok = self.expect("num", "an integer")

@@ -1,6 +1,7 @@
 """Exponent lattice: canonical forms, group laws, and the two enumerations."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,8 @@ from projectivoid import (
     exp_neg,
     is_prime,
 )
-from projectivoid.exponents import PRIME_LIMIT
+from projectivoid.exponents import MAX_CALKIN_WILF_TERMS, PRIME_LIMIT
+from helpers import calkin_wilf_stream
 
 
 def exps(p, bound=40, max_pow=4):
@@ -184,6 +186,29 @@ def test_calkin_wilf_filter_is_a_subsequence():
     kept = [q for q in raw if _is_power_of(q.denominator, 3)]
     got = enumerate_calkin_wilf(len(kept), 3)
     assert [e.as_fraction(3) for e in got] == kept
+
+
+def test_calkin_wilf_matches_the_fraction_walk():
+    assert enumerate_calkin_wilf(20000) == list(islice(calkin_wilf_stream(), 20000))
+
+
+@pytest.mark.parametrize("p,kept", [(2, 456), (3, 375), (5, 297), (1_000_003, 15)])
+def test_calkin_wilf_filtered_walk_matches_the_fraction_walk_up_to_the_cap(p, kept):
+    want = []
+    for q in islice(calkin_wilf_stream(), MAX_CALKIN_WILF_TERMS):
+        d, b = q.denominator, 0
+        while d % p == 0:
+            d, b = d // p, b + 1
+        if d == 1:
+            want.append(canon(q.numerator, b, p))
+    assert len(want) == kept
+    assert enumerate_calkin_wilf(kept, p) == want
+    with pytest.raises(ParseError) as info:
+        enumerate_calkin_wilf(kept + 1, p)
+    assert str(info.value) == (
+        f"the Calkin-Wilf walk kept {kept} of {kept + 1} values"
+        f" in its first {MAX_CALKIN_WILF_TERMS} terms"
+    )
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from projectivoid import literals
 from projectivoid import (
+    DivisionByZero,
     LMatrix,
     LaurentPoly,
     ParseError,
@@ -21,6 +22,7 @@ from projectivoid import (
     SMatrix,
     WrongPrimeDenominator,
     ZERO,
+    canon,
     doc_to_laurent_matrix,
     doc_to_matrix,
     format_exponent,
@@ -158,6 +160,47 @@ def test_parse_laurent():
     f = parse_laurent("s^2 - s^-1 + 1", Q)
     assert f == LaurentPoly(Q, {2: 1, -1: -1, 0: 1})
     assert parse_laurent("0", F2).is_zero()
+
+
+def test_parse_laurent_reduces_a_coefficient_before_the_field_check():
+    F3 = PrimeField(3)
+    assert parse_laurent("3/3*s", F3) == LaurentPoly.monomial(F3, 1)
+    for text, message in (("6/9*s", "denominator of 2/3 vanishes mod 3"),
+                          ("1/3*s", "denominator of 1/3 vanishes mod 3")):
+        with pytest.raises(DivisionByZero) as info:
+            parse_laurent(text, F3)
+        assert str(info.value) == message
+
+
+def test_parse_series_merges_coefficients_not_in_lowest_terms():
+    assert parse_series("4/6*v + 1/3*v", 3) == mono(3, 1)
+
+
+@st.composite
+def _fraction_terms(draw):
+    """(p, terms, precision): signed Fraction coefficients over denominators
+    1, 7, 11, p and p^2, not in lowest terms, on a few exponents that
+    repeat."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    exps = st.tuples(st.integers(-6, 6), st.integers(0, 2))
+    pool = draw(st.lists(exps, min_size=1, max_size=3))
+    terms = draw(st.lists(st.tuples(
+        st.integers(-30, 30), st.sampled_from([1, 7, 11, p, p * p]), st.sampled_from(pool)),
+        min_size=1, max_size=8))
+    return p, terms, draw(st.one_of(st.none(), st.integers(-2, 5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fraction_terms())
+def test_parse_series_agrees_with_the_constructor_on_fractions(case):
+    p, terms, precision = case
+    text = ""
+    for a, d, (n, b) in terms:
+        text += ("-" if a < 0 else "+" if text else "") + f"{abs(a)}/{d}*v^({n}/{p}^{b})"
+    if precision is not None:
+        text += f" (mod val >= {precision})"
+    want = PSeries(p, [(canon(n, b, p), Fraction(a, d)) for a, d, (n, b) in terms], precision)
+    assert parse_series(text, p) == want
 
 
 def test_parse_laurent_rejects_fractional_exponents_and_precision():

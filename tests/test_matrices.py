@@ -29,6 +29,7 @@ from projectivoid import (
     random_automorphism,
 )
 from projectivoid import determinants
+from projectivoid.cli import MAX_FAMILY
 from helpers import mono, product_oracle, random_series, random_transition, srs
 
 
@@ -405,6 +406,18 @@ def test_family_counts():
     assert len(degree_one_family(2, 0)) == 2
     assert len(degree_one_family(2, 4)) == 17
     assert len(degree_one_family(3, 1)) == 4
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_family_equals_the_validated_build_up_to_the_cap(p):
+    k = 0
+    while p**k + 1 <= MAX_FAMILY:
+        q = p**k
+        fam = degree_one_family(p, k)
+        assert fam == [SMatrix.diagonal(p, [canon(j, k, p), canon(q - j, k, p)]) for j in range(q + 1)]
+        assert all(type(M) is SMatrix for M in fam)
+        assert all(PSeries(p, f.terms) == f for M in fam for r in M.rows for f in r)
+        k += 1
 
 
 def test_family_members_have_degree_one():

@@ -14,6 +14,7 @@ from projectivoid import (
     NormExceedsOne,
     NotAUnit,
     PExp,
+    PadicCoeff,
     PSeries,
     PrimeMismatch,
     ResiduePoly,
@@ -131,6 +132,15 @@ def test_mul_by_zero():
 def test_prime_mismatch():
     with pytest.raises(PrimeMismatch):
         PSeries.one(2) + PSeries.one(3)
+
+
+def test_constructor_accepts_int_fraction_and_padic_coefficients():
+    f = PSeries(3, [(PExp(1, 0), 2), (PExp(1, 1), Fraction(1, 3)),
+                    (PExp(2, 0), PadicCoeff(Fraction(-10, 14), 3))])
+    # 2*v + (1/3)*v^(1/3) - (5/7)*v^2 over D = 21 on the grid 3^1
+    assert (f.K, f.D, f.ints) == (1, 21, {3: 42, 1: 7, 6: -15})
+    with pytest.raises(PrimeMismatch):
+        PSeries(3, {PExp(1, 0): PadicCoeff(Fraction(1, 2), 2)})
 
 
 def test_scale_and_shift():
