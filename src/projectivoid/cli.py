@@ -15,8 +15,13 @@ document or a result, and a ``split`` or ``verify-split`` document whose pass
 bound exceeds ``classical.MAX_SPLIT_PASSES``.
 
 ``main(argv)`` can be called any number of times in one process.  The
-argument parser is built on the first call and reused; parsing keeps no
-state in it, so one call cannot change the next.
+parsers are built on the first call and reused; parsing keeps no state in
+them, so one call cannot change the next.  When the first argument names a
+command, only that command's parser reads the rest of the argv, and what it
+leaves over is refused with the top-level parser's "unrecognized arguments"
+message; every other argv (none, ``-h``, an unknown command, an option before
+the command) goes through the top-level parser.  Both routes give the same
+namespace, output and exit code.
 """
 
 from __future__ import annotations
@@ -152,7 +157,7 @@ def _cmd_family(args):
         raise ParseError(
             f"--max-pow {args.max_pow} at p = {p} asks for more than {MAX_FAMILY} matrices"
         )
-    docs = [literals.matrix_to_doc(M) for M in degree_one_family(p, args.max_pow)]
+    docs = literals._matrix_docs(degree_one_family(p, args.max_pow))
     if args.format == "json":
         return [json.dumps({"matrices": docs})]
     return [json.dumps(doc) for doc in docs]
@@ -225,7 +230,8 @@ MAX_PREC = 500
 
 # The other caps, timed the same way at doubling sizes (CPU seconds, worst of
 # p = 2, 3, 5 and of the orders or sides):
-# - enumerate: 0.12 s at --count 20000, 0.25 s at 40000, linear in the count;
+# - enumerate: 0.009 s at --count 10000 and 0.018 s at 20000, in either
+#   order, linear in the count (cli.main in one process, best of 7);
 # - rand-auto: 0.005 s at --rank 8 --shears 16, 0.021 s at 8 and 32, 0.011 s
 #   at 16 and 16 (random_automorphism and its JSON document in one process,
 #   best of 7); each shear is one m x m product and adds terms to the
@@ -256,7 +262,8 @@ def _bounded_int(low=None, high=None):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by command name."""
     parser = argparse.ArgumentParser(
         prog="projectivoid",
         description="computations with finite series over p-power exponents",
@@ -308,11 +315,30 @@ def _build_parser() -> argparse.ArgumentParser:
         'JSON {"V":..,"A":..,"U":..}',
     )
     sp.add_argument("--field", choices=("fp", "rational"), default="fp")
-    return parser
+    return parser, sub.choices
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """What ``_build_parser().parse_args(argv)`` returns, prints and exits
+    with.  When argv[0] names a command, its own parser reads argv[1:] alone:
+    the top-level parser would only hand that tail on to it."""
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
+        return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.prime is not None and not is_prime(args.prime):
             raise ParseError(f"{args.prime} is not a prime")

@@ -354,11 +354,23 @@ def doc_to_matrix(doc, prime: int | None = None) -> SMatrix:
 
 
 def matrix_to_doc(M: SMatrix) -> dict:
-    return {
-        "p": M.prime,
-        "m": M.m,
-        "entries": [[format_series(f) for f in row] for row in M.rows],
-    }
+    return _matrix_docs([M])[0]
+
+
+def _matrix_docs(Ms) -> list[dict]:
+    """``matrix_to_doc`` of each matrix, printing each distinct entry object
+    once: the matrices of ``degree_one_family`` share their monomials and one
+    exact zero."""
+    text = {}
+    for M in Ms:
+        for row in M.rows:
+            for f in row:
+                if id(f) not in text:
+                    text[id(f)] = format_series(f)
+    return [
+        {"p": M.prime, "m": M.m, "entries": [[text[id(f)] for f in row] for row in M.rows]}
+        for M in Ms
+    ]
 
 
 def doc_to_laurent_matrix(doc, field) -> LMatrix:

@@ -15,12 +15,22 @@ from projectivoid import (
     SubringTag,
     doc_to_laurent_matrix,
     doc_to_matrix,
+    literals,
     split,
     splitting_invariance_check,
 )
 from projectivoid.exponents import MAX_CALKIN_WILF_TERMS
 from projectivoid.literals import MAX_DIGITS, MAX_EXP_BITS, MAX_M, MAX_PREC_BITS
-from projectivoid.cli import MAX_COUNT, MAX_FAMILY, MAX_PREC, MAX_RANK, MAX_SHEARS, _build_parser, main
+from projectivoid.cli import (
+    MAX_COUNT,
+    MAX_FAMILY,
+    MAX_PREC,
+    MAX_RANK,
+    MAX_SHEARS,
+    _build_parser,
+    _parse_args,
+    main,
+)
 from helpers import (
     ACT_TRIPLE,
     GOLDEN_CLI,
@@ -309,6 +319,90 @@ def test_option_table():
     assert table == OPTION_TABLE
 
 
+DISPATCH_CORPUS = [
+    # every command with its options
+    ["norm", "--prime", "2", "--format", "json", "1 + v"],
+    ["norm", "--prime", "2", "--file", "x.txt"],
+    ["unit", "--prime", "3", "--ring", "nonneg", "--format", "text", "1 + 3*v"],
+    ["invert", "--prime", "2", "--prec", "5", "1 + 2*v"],
+    ["degree", "--prime", "5", "v^(1/5^2)"],
+    ["reduce", "--format", "json", "--prime", "3", "1 + 3*v"],
+    ["det", "--prime", "2", OFFDIAG],
+    ["transition", "--prime", "2", "--format", "json", OFFDIAG],
+    ["bundle-degree", "--file", "m.json", "--prime", "2"],
+    ["act", "--prime", "2", ACT_TRIPLE],
+    ["rand-auto", "--prime", "2", "--rank", "3", "--side", "nonneg", "--shears", "2", "--seed", "5"],
+    ["family", "--prime", "3", "--max-pow", "2", "--format", "json"],
+    ["enumerate", "--prime", "2", "--count", "7", "--order", "calkin-wilf", "--filter"],
+    ["enumerate"],
+    ["split", "--field", "rational", "--format", "json", SPLIT_UPPER],
+    ["verify-split", "--field", "fp", "--prime", "3", VERIFY_TRIPLE],
+    # = forms and abbreviations, unique and ambiguous
+    ["norm", "--prime=2", "1"],
+    ["norm", "--pri", "2", "--form=json", "1"],
+    ["enumerate", "--ord", "calkin-wilf", "--co=3"],
+    ["unit", "--f", "json", "1"],
+    ["enumerate", "--f"],
+    # help before and after the command
+    ["-h"],
+    ["--help"],
+    ["-h", "norm"],
+    ["norm", "-h"],
+    ["rand-auto", "--help"],
+    ["invert", "--prime", "2", "--he"],
+    ["family", "--help=yes"],
+    # no command, an unknown command, an option before the command
+    [],
+    ["frobnicate"],
+    ["frobnicate", "--prime", "2", "1"],
+    ["--prime", "2", "norm", "1"],
+    ["--", "norm", "1"],
+    # another command's option, unknown options, surplus arguments
+    ["norm", "--seed", "1", "--prime", "2", "1 + v"],
+    ["norm", "--prime", "2", "--seed", "1", "1 + v"],
+    ["enumerate", "--prime", "2", "--file", "x", "--count", "3"],
+    ["norm", "-x", "1"],
+    ["norm", "1", "2", "3"],
+    ["enumerate", "extra"],
+    # bad values, missing values and missing required options
+    ["unit", "--ring", "bogus", "1"],
+    ["invert", "--prime", "2", "1 - 2*v"],
+    ["invert", "--prime", "2", "--prec", "many", "1"],
+    ["rand-auto", "--prime", "2"],
+    ["enumerate", "--count", "0"],
+    ["family", "--prime", "2", "--max-pow", "x"],
+    ["norm", "--prime"],
+    ["norm", "--prime", "two", "1"],
+    # literals that start with "-", with and without "--"
+    ["norm", "--prime", "2", "--", "-1 + v"],
+    ["degree", "--prime", "2", "--", "-v"],
+    ["norm", "--prime", "2", "-1"],
+    ["norm", "--prime", "2", "-v"],
+    ["norm", "--", "--prime", "2"],
+]
+
+
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=lambda argv: " ".join(argv)[:40] or "[]")
+def test_dispatch_parses_like_the_top_level_parser(argv):
+    # main hands argv[1:] straight to the parser of the command argv[0]
+    # names; the namespace, or the exit code and every byte printed, must be
+    # what the top-level parser gives.
+    ours = _parse_outcome(_parse_args, argv)
+    assert ours == _parse_outcome(_build_parser().parse_args, argv)
+    if isinstance(ours[0], dict):
+        assert ours[0]["command"] == argv[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -403,6 +497,23 @@ def test_family_size_cap(capsys):
         code, out, err = run(capsys, "family", "--prime", prime, "--max-pow", max_pow)
         assert (code, out) == (2, "")
         assert err.startswith("ParseError") and f"more than {MAX_FAMILY} matrices" in err
+
+
+def test_family_formats_each_distinct_entry_once(capsys, monkeypatch):
+    # q + 1 matrices share q + 1 monomials and one exact zero: q + 2 strings.
+    calls = []
+    fmt = literals.format_series
+
+    def counting(f):
+        calls.append(f)
+        return fmt(f)
+
+    monkeypatch.setattr(literals, "format_series", counting)
+    for fmt_option in ("text", "json"):
+        calls.clear()
+        code, out, _ = run(capsys, "family", "--prime", "3", "--max-pow", "2", "--format", fmt_option)
+        assert code == 0
+        assert len(calls) == 3**2 + 2
 
 
 def _identity_doc(m, p=None):

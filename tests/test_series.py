@@ -194,6 +194,71 @@ def test_exact_elements_stay_exact():
 
 
 # ----------------------------------------------------------------------
+# tail completion: a truncated result holds for every series its inputs
+# stand for
+
+
+def _coefficients(p):
+    return st.builds(
+        lambda a, b, k: Fraction(a, b) * Fraction(p) ** k,
+        st.integers(-9, 9),
+        st.sampled_from([1, 2, 3, 5, 7]),
+        st.integers(-2, 3),
+    )
+
+
+def _truncated(p):
+    """(f, V): a series on the grids up to p^2 truncated at V, its terms of
+    valuation >= V dropped, or exact when V is None."""
+    return st.tuples(
+        st.lists(st.tuples(exps(p), _coefficients(p)), max_size=4),
+        st.none() | st.integers(-3, 4),
+    ).map(lambda t: (PSeries(p, t[0], t[1]), t[1]))
+
+
+def _tail(p, V):
+    """An exact series whose every coefficient has valuation >= V, with
+    exponents of both signs on the finer grids p^2 .. p^4; zero when V is
+    None."""
+    if V is None:
+        return st.just(PSeries.zero(p))
+    units = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([w for w in (1, 2, 3, 7) if w % p]))
+    term = st.tuples(
+        st.builds(lambda n, j: canon(n, 2 + j, p), st.integers(-40, 40), st.integers(0, 2)),
+        st.builds(lambda u, k: u * Fraction(p) ** (V + k), units, st.integers(0, 3)),
+    )
+    return st.lists(term, max_size=4).map(lambda pairs: PSeries(p, pairs))
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "scale", "truncate"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_truncated_results_hold_for_every_completion(op, data):
+    # f stands for every exact(f) + t; op of the completions minus op(f, g)
+    # carries the result's precision, so the result is sound exactly when
+    # that difference stores no term.
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    (f, V), (g, W) = data.draw(_truncated(p)), data.draw(_truncated(p))
+    F = PSeries(p, f.ordered_terms()) + data.draw(_tail(p, V))
+    G = PSeries(p, g.ordered_terms()) + data.draw(_tail(p, W))
+    if op == "+":
+        result, completed = f + g, F + G
+    elif op == "-":
+        result, completed = f - g, F - G
+    elif op == "*":
+        result, completed = f * g, F * G
+    elif op == "scale":
+        c = data.draw(_coefficients(p))
+        result, completed = f.scale(c), F.scale(c)
+    else:
+        cutoff = data.draw(st.integers(-4, 6))
+        result, completed = f.truncate(cutoff), F.truncate(cutoff)
+    diff = completed - result
+    assert diff.precision == result.precision
+    assert diff.is_zero(), (f, g, F, G, result, completed)
+
+
+# ----------------------------------------------------------------------
 # Gauss valuation, dominance, degree
 
 
