@@ -125,9 +125,23 @@ def _pack(f: dict, lo: int, B: int) -> int:
     return a
 
 
-def _unpack(v: int, B: int, n: int) -> dict:
-    """The kernel {n + k: d_k} of the balanced base-2^B digits d_k of v."""
-    out = {}
+def _unpack(v: int, B: int, n: int, out: dict | None = None) -> dict:
+    """The kernel {n + k: d_k} of the balanced base-2^B digits d_k of v,
+    each in [-2^(B-1), 2^(B-1)), by ascending k.  Up to 64 digits they are
+    peeled one a step, and each step copies the rest of v.  Past that v is
+    split at half its digits h, so the whole is O(N log N) for N digits, not
+    quadratic: adding O = sum over k < h of 2^(B-1) * 2^(Bk) makes the low h
+    digits unsigned, so the low half is the low Bh bits of v + O minus O,
+    the high half the rest, and each is unpacked alone."""
+    if out is None:
+        out = {}
+    h = (v.bit_length() // B + 1) // 2
+    if h > 32:
+        shift = B * h
+        offset = ((1 << shift) - 1) // ((1 << B) - 1) << (B - 1)
+        v += offset
+        _unpack((v & ((1 << shift) - 1)) - offset, B, n, out)
+        return _unpack(v >> shift, B, n + h, out)
     half, mask, step = 1 << (B - 1), (1 << B) - 1, 1 << B
     while v:
         d = v & mask

@@ -17,19 +17,26 @@ exponent, keeps coefficients in lowest terms, and appends the suffix
 side uses the same grammar restricted to integer exponents and without the
 suffix.  's' is accepted as an alias for 'v' on input.
 
-One reader, ``_read``, takes every literal apart: one regular expression
-match per term, then one for the suffix.  Each piece of a match is optional
-and tried once, so the match stops where the text leaves the grammar, and
-``_read`` raises a ``ParseError`` that names the first missing piece at the
-token where it should stand.  A lexical fault (a character that starts no
-token, an unknown word, or a numeral past MAX_DIGITS) wins over any other
-fault, wherever it stands in the text.  Each term comes out as integers,
-the coefficient's numerator and denominator as written and the exponent's
-numerator and power of p, and ``series._kernel`` merges them into the
-kernel of the series with no Fraction built.  The tests compare the reader
-with a tokenizer and a recursive-descent parser over the same grammar, kept
-in ``tests/helpers.py`` as the oracle: value, error class, message and
-position all agree.
+One reader, ``_read``, takes every literal apart, in two steps.  First,
+``_read_printed`` reads the form the printer writes, so every literal that
+one command's output hands to another: ASCII, one space on each side of a
+sign between terms, no '+' before an exponent or a value, and a fractional
+exponent only inside parentheses.  It uses string splits and digit tests
+only, and gives up (None) at the first character off that form.  Only then
+does the second step run: one regular expression match per term, then one
+for the suffix.  That step defines the grammar.  Each piece of a match is
+optional and tried once, so the match stops where the text leaves the
+grammar, and ``_read`` raises a ``ParseError`` that names the first missing
+piece at the token where it should stand; every error comes from this step.
+A lexical fault (a character that starts no token, an unknown word, or a
+numeral past MAX_DIGITS) wins over any other fault, wherever it stands in
+the text.  Each term comes out as integers, the coefficient's numerator and
+denominator as written and the exponent's numerator and power of p, and
+``series._kernel`` merges them into the kernel of the series with no
+Fraction built.  The tests compare the reader with a tokenizer and a
+recursive-descent parser over the same grammar, kept in ``tests/helpers.py``
+as the oracle: value, error class, message and position all agree, and the
+first step agrees with the second wherever it reads a text.
 """
 
 from __future__ import annotations
@@ -107,6 +114,80 @@ def _expected(text: str, m, group: int, what: str):
     _fail(text, f"expected {what}", _SPACE_RE.match(text, end).end())
 
 
+def _signed(text: str) -> bool:
+    """text is a numeral with an optional leading '-'."""
+    return (text[1:] if text[:1] == "-" else text).isdecimal()
+
+
+def _read_printed(text: str, prime: int | None):
+    """``_read`` of a literal in the printer's own form, or None at the
+    first deviation from it; never raises.  The form is ASCII, terms joined
+    by ' + ' / ' - ' with an optional '-' before the first, each term a,
+    a/d, a*mono, a/d*mono or mono, with mono v (or s), v^n, v^(n) or
+    v^(n/p^k), then an optional ' (mod val >= V)'.  All of it lies inside
+    the grammar, so wherever this returns terms the regular expressions
+    read the same ones.  ``_read`` has refused numerals past MAX_DIGITS
+    before it calls this."""
+    if not text.isascii():
+        return None
+    body, mod, value = text.partition(" (mod val >= ")
+    precision = None
+    if mod:
+        value, close = value[:-1], value[-1:]
+        if close != ")" or not _signed(value):
+            return None
+        precision = int(value)
+    parts = body.split(" ")
+    if not len(parts) % 2:
+        return None
+    first = parts[0]
+    negative = first[:1] == "-"
+    parts[0] = first[1:] if negative else first
+    terms = []
+    for i in range(0, len(parts), 2):
+        if i:
+            sign = parts[i - 1]
+            if sign != "+" and sign != "-":
+                return None
+            negative = sign == "-"
+        coeff, star, mono = parts[i].partition("*")
+        if not star and coeff[:1] in ("v", "s"):
+            mono, a, d = coeff, 1, 1
+        else:
+            n, slash, d = coeff.partition("/")
+            if not n.isdecimal() or star and not mono:
+                return None
+            a = int(n)
+            if slash:
+                if not d.isdecimal() or not (d := int(d)):
+                    return None
+            else:
+                d = 1
+        num = pw = 0
+        if mono:
+            if mono[0] not in "vs":
+                return None
+            if len(mono) == 1:
+                num = 1
+            elif mono[1] != "^":
+                return None
+            else:
+                e = mono[2:]
+                if e[:1] == "(" and e[-1:] == ")":
+                    e, slash, den = e[1:-1].partition("/")
+                    if slash:
+                        base, caret, k = den.partition("^")
+                        if (prime is None or not caret or not base.isdecimal()
+                                or not k.isdecimal() or int(base) != prime):
+                            return None
+                        pw = int(k)
+                if not _signed(e):
+                    return None
+                num = int(e)
+        terms.append((-a if negative else a, d, num, pw))
+    return terms, precision
+
+
 def _read(text: str, prime: int | None):
     """The terms and the precision value (or None) of a literal.  Each term
     is (a, d, num, pw), all integers: the coefficient a / d as written, with
@@ -115,6 +196,9 @@ def _read(text: str, prime: int | None):
     restricts the exponents to integers (the classical Laurent mode)."""
     if len(text) > MAX_DIGITS and (long := _LONG_NUMERAL_RE.search(text)):
         _fail(text, _LONG_NUMERAL, long.start())
+    printed = _read_printed(text, prime)
+    if printed is not None:
+        return printed
     terms = []
     pos = 0
     while True:

@@ -48,7 +48,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
+from operator import not_
 from typing import Iterable, Mapping
 
 from .coefficients import INFINITY, PadicCoeff, Valuation, _int_valuation
@@ -122,20 +124,23 @@ def _modulus(p: int, D: int, cutoff: int) -> int | None:
 
 def _reduce(p: int, acc: dict) -> dict:
     """acc reduced mod p when p is nonzero, without its zero numerators; acc
-    itself when p is 0 and no numerator is zero."""
+    itself when p is 0, its zero numerators deleted in place."""
     if p:
         return {n: r for n, a in acc.items() if (r := a % p)}
     if 0 in acc.values():
-        return {n: a for n, a in acc.items() if a}
+        for n in [*compress(acc, map(not_, acc.values()))]:
+            del acc[n]
     return acc
 
 
 def _normalise(p: int, D: int, acc: dict, cutoff: int | None):
     """Drop zero terms and terms of valuation >= cutoff, then divide out the
-    gcd of D and the numerators."""
+    gcd of D and the numerators.  Zero terms are deleted from acc itself: a
+    normal-form kernel holds no zero, so only a fresh accumulator is ever
+    changed, and a kernel handed over from a series is not."""
     if cutoff is None:
         if 0 in acc.values():
-            acc = _reduce(0, acc)
+            _reduce(0, acc)
     else:
         q = _modulus(p, D, cutoff)
         if q is None:

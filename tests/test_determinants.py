@@ -7,6 +7,7 @@ between packed Bareiss and Berkowitz for both matrix types.  The tests named
 import copy
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import prod
 
@@ -214,6 +215,40 @@ def test_packed_laplace_at_the_digit_bound(m, c):
     norms = [sum(abs(a) for f in r for a in f.values()) for r in rows]
     assert abs(value) == prod(norms) < 2 ** (B - 1)
     assert bareiss_det(rows, _plan(rows)) == berkowitz_det(rows) == want
+
+
+def _digits(v, B, n):
+    """The balanced base-2^B digits of v, one a step: the loop _unpack keeps
+    up to 64 digits, here at every size."""
+    out, half = {}, 1 << (B - 1)
+    while v:
+        d = v & ((1 << B) - 1)
+        if d >= half:
+            d -= 1 << B
+        if d:
+            out[n] = d
+        v, n = (v - d) >> B, n + 1
+    return out
+
+
+def test_unpack_matches_the_digit_loop():
+    rng = random.Random(26)
+    for _ in range(300):
+        B = rng.randint(2, 80)
+        half, span = 1 << (B - 1), rng.randint(1, 400)
+        f = {n: rng.randrange(-half, half) or 1 for n in rng.sample(range(span), rng.randint(1, min(span, 40)))}
+        v, n = determinants._pack(f, 0, B), rng.randint(-20, 20)
+        got = determinants._unpack(v, B, n)
+        assert got == _digits(v, B, n) == {k + n: a for k, a in f.items()}
+        assert list(got) == sorted(got)
+
+
+def test_unpack_is_linear_in_the_digits():
+    f = {0: 5, 40000: -3}
+    v = determinants._pack(f, 0, 64)
+    start = time.perf_counter()
+    assert determinants._unpack(v, 64, 0) == f
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("m", [8, 10])

@@ -437,6 +437,96 @@ def test_error_precedence(text, prime, error):
     assert fast == slow == ("error", *error)
 
 
+# ----------------------------------------------------------------------
+# the printed-form reader against the regular-expression loop
+
+
+def _regex_read(text, prime):
+    """``_read`` with the printed-form step switched off."""
+    with mock.patch.object(literals, "_read_printed", lambda text, prime: None):
+        return literals._read(text, prime)
+
+
+@st.composite
+def _printed(draw):
+    """(text, prime): what a printer writes for an exact or truncated series
+    at p = 2, 3 or 5, a residue polynomial, or a Laurent polynomial over
+    GF(2) or Q (read with prime None)."""
+    kind = draw(st.sampled_from(["series", "residue", "laurent"]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    exps = st.builds(lambda n, b: canon(n, b, p), st.integers(-40, 40), st.integers(0, 3))
+    if kind == "laurent":
+        field = draw(st.sampled_from([F2, Q]))
+        coeffs = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 1, 3, 7]))
+        if field is F2:
+            coeffs = st.integers(-30, 30)
+        terms = draw(st.dictionaries(st.integers(-12, 12), coeffs, max_size=8))
+        return format_laurent(LaurentPoly(field, terms)), None
+    if kind == "residue":
+        terms = draw(st.lists(st.tuples(exps, st.integers(-9, 9)), max_size=8))
+        return format_residue(PSeries(p, terms).reduce()), p
+    coeffs = st.builds(lambda a, d, k: Fraction(a, d) * Fraction(p) ** k,
+                       st.integers(-30, 30), st.sampled_from([1, 1, 7, 11]), st.integers(-2, 3))
+    terms = draw(st.lists(st.tuples(exps, coeffs), max_size=8))
+    return format_series(PSeries(p, terms, draw(st.none() | st.integers(-3, 6)))), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_printed())
+def test_printed_form_reader_agrees_with_the_regex_loop(case):
+    text, prime = case
+    got = literals._read_printed(text, prime)
+    assert got is not None, text
+    assert got == _regex_read(text, prime), text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1  + 2*v^(1/2^1)",  # a double space
+        "1 +\t2*v",  # a tab
+        "1 + v ",  # a trailing space
+        "+1 + v",  # a leading '+'
+        "- 1 + v",
+        "v^+3",
+        "v^3/2^1",  # a fractional exponent without parentheses
+        "2v",
+        "1/0",
+        "1 + v^(1/3^1)",  # a wrong base
+        f"1 + {_THREE}*v",  # the Arabic-Indic digit
+        "1 + v (mod val >=  3)",  # a suffix with extra spaces
+        "1 + v  (mod val >= 3)",
+        "1 + v (mod val >= 3 )",
+        "1 + v (mod val >= 12",  # no ')'
+    ],
+)
+def test_printed_form_deviations_go_through_the_grammar(text):
+    # Each text leaves the printed form, so the regular-expression loop reads
+    # it: value, or error class, message and position, as the oracle gives.
+    assert literals._read_printed(text, 2) is None
+    fast, slow = _both_paths(parse_series, text, 2)
+    assert fast == slow, text
+
+
+def test_printed_literal_makes_no_term_regex_match():
+    f = PSeries(2, {canon(n, 3, 2): (-1) ** n * (abs(n) + 1) for n in range(-100, 100)}, 40)
+    text = format_series(f)
+    calls = []
+
+    class Counting:
+        def match(self, *args):
+            calls.append(args)
+            return term_re.match(*args)
+
+    term_re = literals._TERM_RE
+    with mock.patch.object(literals, "_TERM_RE", Counting()):
+        assert parse_series(text, 2) == f
+        assert not calls
+        # A text off the printed form still runs the term loop.
+        assert parse_series(text.replace(" + ", "  + ", 1), 2) == f
+    assert len(calls) == 201
+
+
 @pytest.mark.parametrize("p", [2, 3, 1000003])
 def test_printed_precision_cutoffs_read_back(p):
     # The printer and the parser share the cap on a precision cutoff: at the

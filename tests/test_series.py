@@ -29,6 +29,7 @@ from projectivoid import (
     format_series,
     parse_series,
 )
+from projectivoid import literals
 from helpers import mono, oracle_inverse, random_multidominant, srs
 
 
@@ -230,17 +231,25 @@ def _tail(p, V):
     return st.lists(term, max_size=4).map(lambda pairs: PSeries(p, pairs))
 
 
-@pytest.mark.parametrize("op", ["+", "-", "*", "scale", "truncate"])
+_SERIES_OPS = ["+", "-", "*", "scale", "truncate", "shift", "normalize_gauss", "print/parse"]
+_QUERIES = ["gauss_valuation", "dominant_terms", "reduce", "equals_mod"]
+
+
+@pytest.mark.parametrize("op", _SERIES_OPS + _QUERIES)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_truncated_results_hold_for_every_completion(op, data):
-    # f stands for every exact(f) + t; op of the completions minus op(f, g)
-    # carries the result's precision, so the result is sound exactly when
-    # that difference stores no term.
+    # f stands for every exact(f) + t.  A series result is sound exactly when
+    # op of the completions minus op(f, g) carries the result's precision and
+    # stores no term; a query is sound when every completion gives its
+    # answer.  Otherwise the operation must refuse with a documented error.
     p = data.draw(st.sampled_from([2, 3, 5]))
     (f, V), (g, W) = data.draw(_truncated(p)), data.draw(_truncated(p))
     F = PSeries(p, f.ordered_terms()) + data.draw(_tail(p, V))
     G = PSeries(p, g.ordered_terms()) + data.draw(_tail(p, W))
+    if op in _QUERIES:
+        _query_holds_for_every_completion(op, data, f, F, g, G)
+        return
     if op == "+":
         result, completed = f + g, F + G
     elif op == "-":
@@ -250,12 +259,78 @@ def test_truncated_results_hold_for_every_completion(op, data):
     elif op == "scale":
         c = data.draw(_coefficients(p))
         result, completed = f.scale(c), F.scale(c)
-    else:
+    elif op == "truncate":
         cutoff = data.draw(st.integers(-4, 6))
         result, completed = f.truncate(cutoff), F.truncate(cutoff)
+    elif op == "shift":
+        e = data.draw(exps(p, -20, 20, 3))
+        result, completed = f.shift(e), F.shift(e)
+    elif op == "normalize_gauss":
+        if not f.ints:
+            _refuses_undetermined(f, f.normalize_gauss)
+            return
+        result, completed = f.normalize_gauss(), F.normalize_gauss()
+    else:
+        text = format_series(f)
+        assert literals._read_printed(text, p) is not None, text
+        result, completed = parse_series(text, p), F
+        assert result == f
     diff = completed - result
     assert diff.precision == result.precision
     assert diff.is_zero(), (f, g, F, G, result, completed)
+
+
+def _refuses_undetermined(f, query):
+    """f stores no term: an exact zero raises ZeroSeries, and a truncated f
+    the ValueError of ``check_determined``, since its tail decides."""
+    if f.precision is None:
+        with pytest.raises(ZeroSeries):
+            query()
+        return
+    with pytest.raises(ValueError) as info:
+        query()
+    assert type(info.value) is ValueError
+    assert str(info.value) == (
+        f"no term is known below val >= {f.precision}: the valuation is not determined"
+    )
+
+
+def _query_holds_for_every_completion(op, data, f, F, g, G):
+    if op == "gauss_valuation":
+        gv = f.gauss_valuation()
+        if f.ints or f.precision is None:
+            assert F.gauss_valuation() == gv
+        else:
+            # inf reads "no stored term": every completion lies at or above V.
+            assert gv.is_infinite and not F.gauss_valuation() < f.precision
+        assert not F.gauss_valuation() < f._effective_valuation()
+    elif op == "dominant_terms":
+        if not f.ints:
+            _refuses_undetermined(f, f.dominant_terms)
+            _refuses_undetermined(f, f.degree)
+            return
+        assert F.dominant_terms() == f.dominant_terms()
+        assert F.degree() == f.degree()
+    elif op == "reduce":
+        try:
+            r = f.reduce()
+        except NormExceedsOne:
+            with pytest.raises(NormExceedsOne):
+                F.reduce()
+            return
+        except ValueError as exc:
+            assert type(exc) is ValueError
+            assert str(exc) == "series is not determined modulo the maximal ideal"
+            return
+        assert F.reduce() == r
+    else:
+        cutoff = data.draw(st.integers(-4, 6))
+        try:
+            same = f.equals_mod(g, cutoff)
+        except ValueError as exc:
+            assert str(exc).startswith(f"cutoff {cutoff} exceeds the known precision")
+            return
+        assert F.equals_mod(G, cutoff) == same
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projectivoid import PExp, PSeries, ResiduePoly, Valuation, ZERO, ZeroSeries, canon, exp_add
+from projectivoid.series import _series
 from helpers import (
     mono,
     oracle_add,
@@ -196,6 +197,30 @@ def test_results_are_in_normal_form(fg, data):
     results += [f.shift(data.draw(exps(p))), f.truncate(data.draw(CUTOFFS))]
     for r in results:
         assert_normal_form(r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands(), st.data())
+def test_results_leave_the_operands_kernels_alone(fg, data):
+    # _normalise deletes cancelled numerators in place.  A kernel that a
+    # series hands over (truncate, shift by 0, scale by 1, _series on f.ints)
+    # is in normal form and holds no zero, so none is ever changed.
+    f, g = fg
+    p = f.prime
+    before = [(dict(h.ints), list(h.ints)) for h in (f, g)]
+    c = data.draw(coeffs(p) | st.sampled_from([Fraction(0), Fraction(1)]))
+    results = [f + g, f - g, f - f, f * g, g * f, -f, f.scale(c), f.shift(ZERO)]
+    results += [f.truncate(data.draw(CUTOFFS)), _series(p, f.K, f.D, f.ints, f.precision)]
+    results += [_series(p, f.K, f.D, f.ints, Valuation(data.draw(CUTOFFS)))]
+    assert [(dict(h.ints), list(h.ints)) for h in (f, g)] == before
+    for r in results:
+        assert_normal_form(r)
+
+
+def test_cancelled_numerators_are_deleted_from_a_fresh_accumulator():
+    acc = {-3: 2, 0: 0, 1: 4, 5: 0}
+    r = _series(2, 0, 1, acc)
+    assert r.ints is acc == {-3: 2, 1: 4}
 
 
 @settings(max_examples=80, deadline=None)
