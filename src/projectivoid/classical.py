@@ -26,9 +26,12 @@ matrix are computed once; a column operation rewrites one column, a shifted
 and scaled sum of columns accumulated row by row, so only that column is
 tested for zero and only its degree and its top-degree entries are read
 again.  Then V = diag(d) * C'^-1 * diag(R) for C' = B' * diag(s^-k_j), from
-the determinant and adjugate of C' (the same elimination, packed:
-``determinants.adjugate``); a zero column of B' or a det(C') that is not a
-nonzero constant refuses A.  The certificate check
+the determinant and adjugate of B' (the same elimination, packed:
+``determinants.adjugate``): det(C') = det(B') * s^-K for K the sum of the
+k_j, and adj(C')_ji = adj(B')_ji * s^(k_j - K), so C' is never built.  Over
+GF(p) every d_j is 1 and U' is reduced, so its dicts are U's entries.  A
+zero column of B' or a det(B') that is not c * s^K, c nonzero, refuses A.
+The certificate check
 (``FactorizationCertificate.verify``) multiplies V * A * U on integer
 kernels with ``determinants.kernel_product``, the loop of every exact
 matrix product, and replaces the two Laurent determinants of the sides by
@@ -191,8 +194,13 @@ def _poly(field, D: int, acc: dict) -> LaurentPoly:
         D, acc = _normalise(p, D, acc, None)
     else:
         D, acc = _normalise(p, -D, _lift(acc, 1, -1), None)
+    return _laurent(field, D, acc)
+
+
+def _laurent(field, D: int, ints: dict) -> LaurentPoly:
+    """The polynomial of a kernel in normal form, kept as it stands."""
     f = object.__new__(LaurentPoly)
-    f.field, f.D, f.ints = field, D, acc
+    f.field, f.D, f.ints = field, D, ints
     return f
 
 
@@ -251,13 +259,13 @@ class LMatrix(SquareMatrix):
         return parts[0]
 
     def is_diagonal_of_powers(self) -> bool:
+        """Whether this is diag(s^d_i): in normal form, D = 1 and one numerator 1."""
         for i, row in enumerate(self.rows):
             for j, f in enumerate(row):
                 if i == j:
-                    parts = f.unit_parts()
-                    if parts is None or parts[0] != self.field.one:
+                    if f.D != 1 or [*f.ints.values()] != [1]:
                         return False
-                elif not f.is_zero():
+                elif f.ints:
                     return False
         return True
 
@@ -348,20 +356,27 @@ def _primitive(p: int, fs: list, d: int = 0) -> tuple[list, int]:
     return fs, d
 
 
-def _inverse(field, R: list, rows: list, d: list) -> list:
+def _inverse(field, R: list, rows: list, k: list, d: list) -> list:
     """The rows of diag(d) * C'^-1 * diag(R) as Laurent polynomials, where C'
-    = rows is a matrix of integer kernels over k[t], t = 1/s (mod p over
-    GF(p)): V_ji = d_j * R_i * adj(C')_ji / c when det(C') (mod p over GF(p))
-    is a nonzero constant c, else NotInvertibleOverRing."""
+    = B' * diag(s^-k) over k[t], t = 1/s, for B' = rows, integer kernels (mod
+    p over GF(p)): with K the sum of the k_j, V_ji = d_j * R_i * adj(B')_ji *
+    s^(k_j - K) / c when det(B') (mod p over GF(p)) is c * s^K, c nonzero,
+    else NotInvertibleOverRing.  Each entry is scaled, shifted and, over
+    GF(p), reduced mod p in one pass, which gives its normal form there;
+    over Q ``_poly`` then divides out the gcd with c."""
     p = field.characteristic
     delta, adj = adjugate(rows)
-    delta = _reduce(p, delta)
-    if delta.keys() != {0}:
+    delta, K = _reduce(p, delta), sum(k)
+    if delta.keys() != {K}:
         raise NotInvertibleOverRing("determinant is not of the form c * s^n")
-    D, u = (1, pow(delta[0], -1, p)) if p else (delta[0], 1)
-    zero = LaurentPoly.zero(field)
-    return [[_poly(field, D, _lift(f, 1, dj * r * u)) if f else zero for r, f in zip(R, row)]
-            for dj, row in zip(d, adj)]
+    c, per_row = delta[K], zip(d, [kj - K for kj in k], adj)
+    if p:
+        u = pow(c, -1, p)
+        return [[_laurent(field, 1, {n + e: y for n, a in f.items() if (y := a * x % p)})
+                 for x, f in zip([dj * r * u % p for r in R], row)] for dj, e, row in per_row]
+    u = 1 if c > 0 else -1
+    return [[_poly(field, abs(c), {n + e: a * x for n, a in f.items()})
+             for x, f in zip([dj * r * u for r in R], row)] for dj, e, row in per_row]
 
 
 # The largest pass bound m * (hi - lo) + 1 that split accepts.  A pass
@@ -441,10 +456,10 @@ def split(A: LMatrix):
 
     # The reduced matrix is C * diag(s^k_j) with C in k[1/s], so V = C^-1 =
     # diag(d) * C'^-1 * diag(R) for C' = B' * diag(s^-k_j), when det(C') is
-    # a nonzero constant.
-    c_rows = [[{n - k: a for n, a in f.items()} for f, k in zip(r, degrees)] for r in b_rows]
-    v_rows = _inverse(field, R, c_rows, d)
-    u_rows = [[_poly(field, dj, f) for f, dj in zip(r, d)] for r in u_rows]
+    # a nonzero constant.  Over GF(p), U' is in normal form as it stands.
+    v_rows = _inverse(field, R, b_rows, degrees, d)
+    u_rows = [[_laurent(field, 1, f) if p else _poly(field, dj, f) for f, dj in zip(r, d)]
+              for r in u_rows]
 
     # Sort the exponents: permute the rows of V and the columns of U alike.
     order = sorted(range(m), key=lambda j: (degrees[j], j))

@@ -19,11 +19,12 @@ minor's coefficients.
   is a minor (Sylvester's identity), so each division is exact; a zero
   pivot swaps in a lower row and flips the sign.
 * ``_jordan`` runs that elimination over every row (Gauss-Jordan): on
-  [M | I], each column shifted down too, for ``adjugate``, and with pivots
-  nonzero mod p for ``kernel_vector``.  ``bareiss_det`` keeps its own
-  forward loop and row shifts only, because both simpler designs measured
-  slower on the matrix benchmark pool: Gauss-Jordan does about twice the
-  products, and column shifts cost more than they save.
+  [M | I], each column shifted down too, for ``adjugate``, and for
+  ``kernel_vector`` over Q; over GF(p) that runs Gauss-Jordan mod p, each
+  pivot scaled to 1.  ``bareiss_det`` keeps its own forward loop and row
+  shifts only, because both simpler designs measured slower on the matrix
+  benchmark pool: Gauss-Jordan does about twice the products, and column
+  shifts cost more than they save.
 * The Berkowitz recursion costs O(n^4) ring operations on dicts.
 * Leibniz expansion costs n! products over any ring with ``+``, unary ``-``
   and ``*``; it is the oracle the tests compare the other two against.
@@ -178,16 +179,16 @@ def bareiss_det(rows, plan) -> dict:
     return _unpack(sign * prev, B, sum(los))
 
 
-def _jordan(a, m, live) -> tuple[int, int, int]:
+def _jordan(a, m) -> tuple[int, int, int]:
     """Fraction-free Gauss-Jordan elimination of the first m columns of the
-    integer rows a, in place, pivoting on the first x from row k down with
-    live(x): (sign of the row swaps, last pivot, first column with no pivot,
-    or m).  After step k columns 0..k are the pivot times unit vectors and
-    are not read again, so they are not written."""
+    integer rows a, in place, pivoting on the first nonzero entry from row k
+    down: (sign of the row swaps, last pivot, first column with no pivot, or
+    m).  After step k columns 0..k are the pivot times unit vectors and are
+    not read again, so they are not written."""
     sign, prev = 1, 1
     for k in range(m):
-        if not live(a[k][k]):
-            pr = next((i for i in range(k + 1, len(a)) if live(a[i][k])), None)
+        if not a[k][k]:
+            pr = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
             if pr is None:
                 return sign, prev, k
             a[k], a[pr], sign = a[pr], a[k], -sign
@@ -218,7 +219,7 @@ def adjugate(rows):
     cos = [min((min(f) - lo for f, lo in zip(col, los) if f), default=0) for col in zip(*rows)]
     a = [[_pack(f, lo + co, B) if f else 0 for f, co in zip(r, cos)]
          + [int(i == k) for k in range(m)] for i, (r, lo) in enumerate(zip(rows, los))]
-    sign, prev, c = _jordan(a, m, bool)
+    sign, prev, c = _jordan(a, m)
     if c < m:
         return {}, None
     n = sum(los) + sum(cos)
@@ -230,20 +231,34 @@ def kernel_vector(p: int, rows):
     """A nonzero kernel vector (w_0, ..., w_c) of a square integer matrix,
     mod p when p is nonzero, or None when it is nonsingular (mod p).
 
-    ``_jordan`` pivots on entries nonzero mod p (over Q, nonzero), which are
-    nonzero integers, so its divisions stay exact.  At the first column c
-    with no pivot, columns 0..c-1 are prev * e_k, so w = (-a_0c, ...,
-    -a_(c-1)c, prev), unique up to a factor as those columns are
-    independent: scaled to w_c = 1 over GF(p), signed to w_c > 0 over Q."""
-    a = [list(r) for r in rows]
-    _, prev, c = _jordan(a, len(a), (lambda x: x % p) if p else bool)
-    if c == len(a):
-        return None
-    w = [-r[c] for r in a[:c]] + [prev]
-    if p:
-        u = pow(prev, -1, p)
-        return [x * u % p for x in w]
-    return w if prev > 0 else [-x for x in w]
+    At the first column c with no pivot, columns 0..c-1 are w_c * e_k, so w
+    = (-a_0c, ..., -a_(c-1)c, w_c), unique up to a factor as those columns
+    are independent.  Over Q, ``_jordan`` gives w_c = prev, then w is signed
+    to w_c > 0.  Over GF(p), Gauss-Jordan runs mod p, each pivot scaled to 1
+    and rows with a zero in the pivot column skipped: w_c = 1."""
+    m = len(rows)
+    if not p:
+        a = [list(r) for r in rows]
+        _, prev, c = _jordan(a, m)
+        sign = 1 if prev > 0 else -1
+        return None if c == m else [-sign * r[c] for r in a[:c]] + [sign * prev]
+    a = [[x % p for x in r] for r in rows]
+    for k in range(m):
+        if not a[k][k]:
+            pr = next((i for i in range(k + 1, m) if a[i][k]), None)
+            if pr is None:
+                return [-r[k] % p for r in a[:k]] + [1]
+            a[k], a[pr] = a[pr], a[k]
+        top = a[k]
+        if (u := top[k]) != 1:
+            u = pow(u, -1, p)
+            for j in range(k + 1, m):
+                top[j] = top[j] * u % p
+        for row in a:
+            if row is not top and (x := row[k]):
+                for j in range(k + 1, m):
+                    row[j] = (row[j] - x * top[j]) % p
+    return None
 
 
 def _sum(pairs) -> dict:

@@ -521,22 +521,23 @@ def verify_oracle(cert, A) -> bool:
     return cert.V * A * cert.U == cert.D
 
 
-def euclid_inverse(field, R: list, rows: list, d: list) -> list:
-    """What ``classical._inverse(field, R, rows, d)`` returns, by the
+def euclid_inverse(field, R: list, rows: list, k: list, d: list) -> list:
+    """What ``classical._inverse(field, R, rows, k, d)`` returns, by the
     Euclidean row elimination it replaced: the rows of diag(d) * C'^-1 *
-    diag(R) for C' = rows, integer kernels over k[t], t = 1/s (mod p over
-    GF(p)), with a nonzero constant determinant.
+    diag(R) for C' = rows * diag(s^-k), integer kernels over k[t], t = 1/s
+    (mod p over GF(p)), with a nonzero constant determinant.
 
     Row elimination of [C' | I] without fractions: in each column the entry
     of least t-degree is the pivot and the entries below it are reduced
     modulo it, Euclid-style, one leading term at a time: row_i <- lead *
-    row_i - c * s^k * row_j.  The pivots multiply to a constant times
+    row_i - c * s^e * row_j.  The pivots multiply to a constant times
     det(C'), so each must be a nonzero constant; back-substitution, row_i <-
     pivot_j * row_i - a_ij * row_j, then leaves a diagonal of constants where
     C' was.  Over Q each new row is divided by its content, and each row by
     its pivot once, at the end."""
     p, m = field.characteristic, len(rows)
-    a = [list(r) + [{0: 1} if i == k else {} for k in range(m)] for i, r in enumerate(rows)]
+    rows = [[{n - kj: c for n, c in f.items()} for f, kj in zip(r, k)] for r in rows]
+    a = [list(r) + [{0: 1} if i == j else {} for j in range(m)] for i, r in enumerate(rows)]
 
     def subtract(i, u, q, j):
         """Row i <- u * row i - q * row j, for an integer u and a kernel q."""

@@ -252,7 +252,7 @@ def test_det_and_adjugate_match_leibniz_oracle(M, data):
     # C * C^-1 = I and det(C) * C^-1 is the adjugate, entry by entry.
     field = M.field
     C = data.draw(unimodular_over_inverse_ring(field, m))
-    inv = LMatrix(field, _inverse(field, *scaled_rows(1, 0, C.rows), [1] * m))
+    inv = LMatrix(field, _inverse(field, *scaled_rows(1, 0, C.rows), [0] * m, [1] * m))
     assert C * inv == LMatrix.identity(field, m)
     c = leibniz_det(C.rows, one)
     for i in range(m):
@@ -264,24 +264,32 @@ def test_det_and_adjugate_match_leibniz_oracle(M, data):
     bent = [list(r) for r in C.rows]
     bent[0] = [f * lp(field, {0: 1, -1: 1}) for f in bent[0]]
     with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
-        _inverse(field, *scaled_rows(1, 0, bent), [1] * m)
+        _inverse(field, *scaled_rows(1, 0, bent), [0] * m, [1] * m)
 
 
 def _kernel_copy(rows):
     return [[dict(f) for f in r] for r in rows]
 
 
-def assert_inverse_matches_oracle(C, rng):
-    """_inverse of the integer rows of C, with random column scales d, is
-    euclid_inverse's, diag(d) * C^-1, and leaves its input as it was."""
+def _shifted(rows, k):
+    """B' = rows * diag(s^k): column j of the integer kernels shifted by k_j."""
+    return [[{n + kj: a for n, a in f.items()} for f, kj in zip(r, k)] for r in rows]
+
+
+def assert_inverse_matches_oracle(C, rng, k=None):
+    """_inverse of B', the integer rows of C times diag(s^k) (k = 0 when not
+    given), with random column scales d, is euclid_inverse's, diag(d) *
+    C^-1, and leaves its input as it was."""
     field, m = C.field, C.m
     R, rows = scaled_rows(1, 0, C.rows)
+    k = k or [0] * m
+    rows = _shifted(rows, k)
     p = field.characteristic
     d = [rng.choice([x for x in (1, 2, -3, 4, 6, -7) if not p or x % p]) for _ in range(m)]
-    before = _kernel_copy(rows), list(R), list(d)
-    got = _inverse(field, R, rows, d)
-    assert (_kernel_copy(rows), R, d) == before
-    assert got == euclid_inverse(field, R, rows, d)
+    before = _kernel_copy(rows), list(R), list(k), list(d)
+    got = _inverse(field, R, rows, k, d)
+    assert (_kernel_copy(rows), R, k, d) == before
+    assert got == euclid_inverse(field, R, rows, k, d)
     assert LMatrix(field, got) * C == LMatrix.diagonal(field, [LaurentPoly.monomial(field, 0, x) for x in d])
 
 
@@ -303,10 +311,14 @@ def spread_unimodular(field, m, seed, max_exp=40):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([F2, F3, F5, Q]), st.integers(1, 7), st.data())
 def test_packed_inverse_matches_euclidean_oracle(field, m, data):
+    # At k = 0 and at drawn column degrees k, whose B' = C' * diag(s^k) has
+    # det c * s^(sum k).
     C = data.draw(unimodular_over_inverse_ring(field, m))
     seed = data.draw(st.integers(0, 2**32))
-    assert_inverse_matches_oracle(C, random.Random(seed))
-    assert_inverse_matches_oracle(spread_unimodular(field, m, seed), random.Random(seed))
+    k = data.draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+    for degrees in (None, k):
+        assert_inverse_matches_oracle(C, random.Random(seed), degrees)
+        assert_inverse_matches_oracle(spread_unimodular(field, m, seed), random.Random(seed), degrees)
 
 
 def _permutation(field, perm, rng):
@@ -394,7 +406,13 @@ def test_packed_inverse_refuses_singular_and_nonconstant(field):
     for rows in cases:
         R, scaled = scaled_rows(1, 0, rows)
         with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
-            _inverse(field, R, scaled, [1, 1])
+            _inverse(field, R, scaled, [0, 0], [1, 1])
+        # The same C' as B' = C' * diag(s^k): det(B') is det(C') * s^(sum k).
+        with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
+            _inverse(field, R, _shifted(scaled, [2, -3]), [2, -3], [1, 1])
+    # det(B') = s^-1 is c * s^K exactly when K = -1.
+    R, scaled = scaled_rows(1, 0, cases[2])
+    assert LMatrix(field, _inverse(field, R, scaled, [-1, 0], [1, 1])) == LMatrix.identity(field, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -871,6 +889,59 @@ def test_split_certificate_passes_the_constructor_checks(field):
         assert cert.D == LMatrix.diagonal(field, [LaurentPoly.monomial(field, d) for d in degrees])
     with pytest.raises(DimensionMismatch):
         LMatrix.diagonal_powers(field, [])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([F2, F3, F5, Q]), st.integers(1, 6), st.integers(0, 2**32))
+def test_split_certificate_entries_are_in_normal_form_and_unshared(field, m, seed):
+    # V's entries are built in one pass and, over GF(p), U's are the dicts
+    # of the column loop as they stand: each is in normal form, and no two
+    # entries of V and U hold one ints dict.
+    _, cert = split(planted_split_input(field, m, seed))
+    for M in (cert.V, cert.U, cert.D):
+        for r in M.rows:
+            for f in r:
+                assert_normal_form(f)
+    owned = [id(f.ints) for M in (cert.V, cert.U) for r in M.rows for f in r]
+    assert len(set(owned)) == len(owned)
+
+
+def _is_diagonal_of_powers_by_unit_parts(M):
+    """The rule is_diagonal_of_powers had: each diagonal entry a unit c * s^n
+    with c the field's one, each other entry zero."""
+    for i, row in enumerate(M.rows):
+        for j, f in enumerate(row):
+            if i == j:
+                parts = f.unit_parts()
+                if parts is None or parts[0] != M.field.one:
+                    return False
+            elif not f.is_zero():
+                return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([F2, F3, F5, Q]), st.integers(1, 4), st.data())
+def test_is_diagonal_of_powers_matches_the_unit_parts_rule(field, m, data):
+    # Diagonals of s^d, c * s^d (2 and 1/2 over Q), zero and two-term
+    # entries, and a matrix with one off-diagonal term.
+    units = [1, 2, Fraction(1, 2), -1] if field == Q else list(range(1, field.p))
+    entry = st.one_of(
+        st.builds(lambda d, c: LaurentPoly.monomial(field, d, c), st.integers(-3, 3), st.sampled_from(units)),
+        st.builds(lambda d: LaurentPoly.monomial(field, d), st.integers(-3, 3)),
+        st.just(LaurentPoly.zero(field)),
+        st.builds(lambda d: lp(field, {d: 1, d + 1: 1}), st.integers(-3, 3)),
+    )
+    diag = data.draw(st.lists(entry, min_size=m, max_size=m))
+    rows = [[diag[i] if i == j else LaurentPoly.zero(field) for j in range(m)] for i in range(m)]
+    if m > 1 and data.draw(st.booleans()):
+        i, j = data.draw(st.permutations(range(m)))[:2]
+        rows[i][j] = data.draw(entry)
+    M = LMatrix(field, rows)
+    assert M.is_diagonal_of_powers() == _is_diagonal_of_powers_by_unit_parts(M)
+    if field == Q:
+        for c in (2, Fraction(1, 2)):
+            assert not LMatrix.diagonal(Q, [LaurentPoly.monomial(Q, 1, c)] * m).is_diagonal_of_powers()
 
 
 def test_split_default_budget_bounds_the_passes():

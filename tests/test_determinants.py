@@ -464,3 +464,54 @@ def test_kernel_vector_matches_field_oracle(p, m):
                 assert w == [field.coerce(x) for x in want[:c + 1]] and w[c] == 1
             else:
                 assert w[c] > 0 and w == [w[c] * x for x in want[:c + 1]]
+
+
+def _pivot_product(rows, c):
+    """The product of the first c pivots of Gaussian elimination over Q that
+    pivots on the first nonzero entry from row k down, as kernel_vector's
+    route over Q does: the leading c x c minor of the rows so permuted, which
+    is the last pivot of its fraction-free elimination."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    out = Fraction(1)
+    for k in range(c):
+        pr = next(i for i in range(k, len(a)) if a[i][k])
+        a[k], a[pr] = a[pr], a[k]
+        out *= a[k][k]
+        for row in a[k + 1:]:
+            x = row[k] / a[k][k]
+            row[:] = [u - x * v for u, v in zip(row, a[k])]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.data())
+def test_kernel_vector_mod_p_matches_field_oracle_on_drawn_matrices(p, m, data):
+    # Gauss-Jordan mod p gives the oracle's vector over GF(p), the unique one
+    # with w_c = 1, or None with it; entries are negative and outside 0..p-1.
+    # Drawn matrices are random, of a drawn rank with a drawn first
+    # dependent column, or with a first column that is zero mod p.  The
+    # route over Q gives, on the same rows, the fraction-free vector: the
+    # oracle's times the leading minor of the pivot rows, signed positive.
+    kind = data.draw(st.sampled_from(["random", "rank", "first column"]))
+    if kind == "random":
+        row = st.lists(st.integers(-3 * p, 3 * p), min_size=m, max_size=m)
+        rows = data.draw(st.lists(row, min_size=m, max_size=m))
+    else:
+        r = data.draw(st.integers(0, m - 1 if kind == "first column" else m))
+        c = 0 if kind == "first column" else data.draw(st.integers(0, min(r, m - 1)))
+        rows = _rank_and_first_dependent(random.Random(data.draw(st.integers(0, 2**32))), p, m, r, c)
+    before = copy.deepcopy(rows)
+    for q, field in ((p, PrimeField(p)), (0, RationalField())):
+        w = kernel_vector(q, rows)
+        assert rows == before
+        want = _oracle_kernel_vector([[field.coerce(x) for x in r] for r in rows], field)
+        if want is None:
+            assert w is None
+            continue
+        c = len(w) - 1
+        assert want[c + 1:] == [0] * (m - c - 1)
+        if q:
+            assert w == want[:c + 1]
+        else:
+            assert w[c] == abs(_pivot_product(rows, c)) > 0
+            assert w == [w[c] * x for x in want[:c + 1]]

@@ -4,6 +4,7 @@ reduction."""
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from projectivoid import (
     PSeries,
     PrimeMismatch,
     ResiduePoly,
+    SMatrix,
     SubringTag,
     SubringViolation,
     Valuation,
@@ -231,7 +233,7 @@ def _tail(p, V):
     return st.lists(term, max_size=4).map(lambda pairs: PSeries(p, pairs))
 
 
-_SERIES_OPS = ["+", "-", "*", "scale", "truncate", "shift", "normalize_gauss", "print/parse"]
+_SERIES_OPS = ["+", "-", "*", "scale", "truncate", "shift", "normalize_gauss", "print/parse", "SMatrix *"]
 _QUERIES = ["gauss_valuation", "dominant_terms", "reduce", "equals_mod"]
 
 
@@ -244,6 +246,9 @@ def test_truncated_results_hold_for_every_completion(op, data):
     # stores no term; a query is sound when every completion gives its
     # answer.  Otherwise the operation must refuse with a documented error.
     p = data.draw(st.sampled_from([2, 3, 5]))
+    if op == "SMatrix *":
+        _matrix_product_holds_for_every_completion(p, data)
+        return
     (f, V), (g, W) = data.draw(_truncated(p)), data.draw(_truncated(p))
     F = PSeries(p, f.ordered_terms()) + data.draw(_tail(p, V))
     G = PSeries(p, g.ordered_terms()) + data.draw(_tail(p, W))
@@ -278,6 +283,28 @@ def test_truncated_results_hold_for_every_completion(op, data):
     diff = completed - result
     assert diff.precision == result.precision
     assert diff.is_zero(), (f, g, F, G, result, completed)
+
+
+def _matrix_product_holds_for_every_completion(p, data):
+    """The SMatrix product of two m x m matrices (m = 1..3) of entries drawn
+    as above, some truncated: every entry of the product of any completions
+    agrees with the stored product's entry below that entry's precision."""
+    m = data.draw(st.integers(1, 3))
+    pairs = [data.draw(_truncated(p)) for _ in range(2 * m * m)]
+    completed = [PSeries(p, f.ordered_terms()) + data.draw(_tail(p, V)) for f, V in pairs]
+    result = _product(p, [f for f, _ in pairs], m)
+    exact = _product(p, completed, m)
+    for got, want in zip(chain.from_iterable(result.rows), chain.from_iterable(exact.rows)):
+        diff = want - got
+        assert diff.precision == got.precision
+        assert diff.is_zero(), (pairs, completed, got, want)
+
+
+def _product(p, entries, m):
+    """The SMatrix product of the first m * m entries, row by row, and the
+    next m * m."""
+    left, right = ([entries[k + i * m:k + (i + 1) * m] for i in range(m)] for k in (0, m * m))
+    return SMatrix(p, left) * SMatrix(p, right)
 
 
 def _refuses_undetermined(f, query):
