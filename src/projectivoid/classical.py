@@ -484,5 +484,5 @@ def splitting_invariance_check(A: LMatrix, U: LMatrix, V: LMatrix) -> bool:
     if not _unimodular(V, LMatrix.is_inverse_polynomial):
         raise InvalidAutomorphism("k[1/s]", "left factor is not unimodular over k[1/s]")
     base, _ = split(A)
-    moved, _ = split(V * A * U)
+    moved, _ = split(LMatrix._product((V, A, U)))
     return moved == base

@@ -232,9 +232,9 @@ MAX_PREC = 500
 # p = 2, 3, 5 and of the orders or sides):
 # - enumerate: 0.009 s at --count 10000 and 0.018 s at 20000, in either
 #   order, linear in the count (cli.main in one process, best of 7);
-# - rand-auto: 0.005 s at --rank 8 --shears 16, 0.021 s at 8 and 32, 0.011 s
-#   at 16 and 16 (random_automorphism and its JSON document in one process,
-#   best of 7); each shear is one m x m product and adds terms to the
+# - rand-auto: 0.0005 s at --rank 8 --shears 16, 0.005 s at 8 and 32, 0.0007
+#   s at 16 and 16 (random_automorphism and its JSON document in one process,
+#   best of 7); each shear is one column operation and adds terms to the
 #   entries, so the work grows faster than the shear count;
 # - family: 0.03 s for 4097 matrices, 0.07 s for 8193, linear in the count.
 MAX_COUNT = 20_000

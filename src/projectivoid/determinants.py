@@ -40,17 +40,20 @@ pass over the entries (``_plan``), which the packing reuses.
 Laurent polynomials (``LMatrix``).  ``SMatrix.det`` (so also the three
 determinants of ``matrices.act``) and ``LMatrix.det`` (so also
 ``classical.split``) each lift their entries with ``series.scaled_rows``,
-call ``det`` and normalise the result once.  The product of either type
-(of ``SMatrix`` when every entry is exact) and the certificate check of
-``classical.split`` run one loop on integer kernels, ``kernel_product``.
+call ``det`` and normalise the result once.  Every chain of exact products
+(``A * B``, and V * A * U in ``matrices.act`` and
+``classical.splitting_invariance_check``) is one ``SquareMatrix._product``,
+whose partial products stay integer kernels; it and the certificate check
+of ``classical.split`` run one loop on integer kernels, ``kernel_product``.
 """
 
 from __future__ import annotations
 
 from itertools import chain, permutations
+from math import lcm
 
 from .errors import DimensionMismatch
-from .series import _convolve, _reduce, scaled_rows
+from .series import _convolve, _lift, _reduce, scaled_rows
 
 # The most base-2^B digits the packed rows may take per input term.  On
 # random three-term entries with spread exponents Bareiss breaks even with
@@ -332,12 +335,14 @@ class SquareMatrix:
     the ring, the ring's ``_one(base)`` and ``_zero(base)``, the ``_Mismatch``
     error that a product over two different ``_BASE``s raises, and
     ``_entry(base, K, D, acc)``, which brings the kernel of one entry of a
-    product to the ring's normal form.  The product lifts the entries'
-    integer kernels, the rows of the left factor and the columns of the
-    right one, onto one grid (``series.scaled_rows``), sums every entry with
-    ``kernel_product`` and normalises it once; it knows nothing of
-    precision, so ``SMatrix`` multiplies factors with a truncated entry
-    itself.  The constructor checks outside entries; ``_new``
+    product to the ring's normal form.  ``_product`` multiplies a chain of
+    factors left to right: it lifts the rows of the first and the columns of
+    each later one onto one grid (``series.scaled_rows``), sums every entry
+    with ``kernel_product``, keeps each partial product as kernels and
+    normalises only the entries of the whole product, which share one zero,
+    ``_entry(base, 0, 1, {})``.  It knows nothing of precision, so
+    ``SMatrix`` multiplies factors with a truncated entry itself; ``A * B``
+    is the chain of two.  The constructor checks outside entries; ``_new``
     takes rows that the library built in the ring (a product, and the
     diagonals and certificates of ``classical``) and checks nothing."""
 
@@ -396,20 +401,34 @@ class SquareMatrix:
     def __mul__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        base = self.base
-        if base != other.base:
-            raise self._Mismatch(f"matrix product over different {self._BASE}s")
-        if self.m != other.m:
-            raise DimensionMismatch(f"cannot multiply {self.m}x{self.m} by {other.m}x{other.m}")
-        left, right = self.rows, tuple(zip(*other.rows))
-        K = max(f.K for M in (left, right) for r in M for f in r)
+        return self._product((self, other))
+
+    @classmethod
+    def _product(cls, factors):
+        """The product of exact factors over one base and of one size, left
+        to right, its mismatches raised in the order of the pairwise
+        products.  Row i of a partial product is brought to one denominator
+        D_i * L by lifting entry (i, j) by L / E_j, L the lcm of the column
+        denominators E_j, and multiplied on as it stands."""
+        base, m = factors[0].base, factors[0].m
+        for F in factors[1:]:
+            if base != F.base:
+                raise cls._Mismatch(f"matrix product over different {cls._BASE}s")
+            if m != F.m:
+                raise DimensionMismatch(f"cannot multiply {m}x{m} by {F.m}x{F.m}")
+        K = max(f.K for F in factors for r in F.rows for f in r)
         # K is 0 over Laurent polynomials, whose base is a field, not a prime.
-        Ds, rows = scaled_rows(base if K else 1, K, left)
-        Es, cols = scaled_rows(base if K else 1, K, right)
-        # Entries with no term share one zero.  The entries are in the ring
-        # by construction, so __init__'s checks are skipped.
-        entry, zero = self._entry, self._zero(base)
-        return self._new(base, tuple([
-            tuple([entry(base, K, D * E, acc) if acc else zero for E, acc in zip(Es, sums)])
-            for D, sums in zip(Ds, kernel_product(0, rows, cols))
+        q = base if K else 1
+        Ds, rows = scaled_rows(q, K, factors[0].rows)
+        for k in range(1, len(factors)):
+            if k > 1:
+                L = lcm(*Es)
+                rows = [[_lift(acc, 1, L // E) for E, acc in zip(Es, r)] for r in rows]
+                Ds = [D * L for D in Ds]
+            Es, cols = scaled_rows(q, K, zip(*factors[k].rows))
+            rows = kernel_product(0, rows, cols)
+        entry, zero = cls._entry, cls._entry(base, 0, 1, {})
+        return cls._new(base, tuple([
+            tuple([entry(base, K, D * E, acc) if acc else zero for E, acc in zip(Es, r)])
+            for D, r in zip(Ds, rows)
         ]))

@@ -14,10 +14,12 @@ the result once.  Rows dense on that grid, at any m, are packed into one
 integer per entry (Kronecker substitution) and eliminated fraction-free in
 integer arithmetic; other rows run the Berkowitz recursion on dicts.
 
-The product of exact factors, and so ``act`` and ``random_automorphism``,
-lifts the rows of the left factor and the columns of the right one the same
-way, sums each entry with ``determinants.kernel_product`` over the common
-denominator and normalises it once with ``series._series``.  With a
+The product of exact factors lifts the rows of the left factor and the
+columns of the right one the same way and sums each entry with
+``determinants.kernel_product``.  ``act`` multiplies V * A * U as one chain
+(``SquareMatrix._product``): V * A stays integer kernels, and only the
+entries of the whole product are normalised, with ``series._series``.
+``random_automorphism`` applies each shear as a column operation.  With a
 truncated entry each entry is the sum of the ``PSeries`` products added
 left to right, so the precision rule lives in ``series`` alone.
 """
@@ -96,14 +98,18 @@ class SMatrix(SquareMatrix):
     def det(self) -> PSeries:
         """Exact determinant: ``determinants.det`` run on the entries' integer
         kernels, all lifted onto the finest grid p^K of the entries, each row
-        over its own denominator, and normalised once.  The entries are not
+        over its own denominator, and normalised once.  One sweep over the
+        entries refuses a truncated one and finds K.  The entries are not
         changed."""
-        rows = self.rows
-        if any(not f.is_exact() for r in rows for f in r):
-            raise ValueError("operation requires exact matrix entries")
-        p, K = self.prime, max(f.K for r in rows for f in r)
-        Ds, scaled = scaled_rows(p, K, rows)
-        return _series(p, K, prod(Ds), det(scaled))
+        K = 0
+        for r in self.rows:
+            for f in r:
+                if f.precision is not None:
+                    raise ValueError("operation requires exact matrix entries")
+                if f.K > K:
+                    K = f.K
+        Ds, scaled = scaled_rows(self.prime, K, self.rows)
+        return _series(self.prime, K, prod(Ds), det(scaled))
 
     def is_transition(self) -> bool:
         return self.det().is_unit(SubringTag.FULL)
@@ -128,14 +134,16 @@ class SMatrix(SquareMatrix):
 
 
 def act(V: SMatrix, A: SMatrix, U: SMatrix) -> SMatrix:
-    """Apply the equivalence A -> V * A * U after validating both factors."""
+    """Apply the equivalence A -> V * A * U after validating both factors and
+    A.  Their determinants refuse truncated entries, so V * A * U is one chain
+    of exact products on integer kernels (``SquareMatrix._product``)."""
     if not U.validate_automorphism(SubringTag.NONNEG):
         raise InvalidAutomorphism("NONNEG", "right factor must be a non-negative-side automorphism")
     if not V.validate_automorphism(SubringTag.NONPOS):
         raise InvalidAutomorphism("NONPOS", "left factor must be a non-positive-side automorphism")
     if not A.is_transition():
         raise NotATransitionMatrix("middle factor is not a transition matrix")
-    return V * A * U
+    return SMatrix._product((V, A, U))
 
 
 def _random_side_exponent(rng, prime, side, allow_zero=True) -> PExp:
@@ -168,7 +176,9 @@ def random_automorphism(prime: int, m: int, side: SubringTag, shears: int, seed:
 
     The result is a diagonal of one-sided units multiplied by `shears`
     elementary shear matrices with entries in the chosen subring; its
-    determinant is therefore a unit dominated at exponent 0.
+    determinant is therefore a unit dominated at exponent 0.  The shear with
+    f at (i, j) is applied as the column operation column j += f * column i,
+    over the rows whose column-i entry is nonzero.
     """
     if side not in (SubringTag.NONNEG, SubringTag.NONPOS):
         raise ValueError("automorphism side must be NONNEG or NONPOS")
@@ -176,16 +186,17 @@ def random_automorphism(prime: int, m: int, side: SubringTag, shears: int, seed:
         raise ValueError("shear count must be non-negative")
     rng = random.Random(seed)
     out = SMatrix.diagonal(prime, [_random_onesided_unit(rng, prime, side) for _ in range(m)])
-    if m >= 2:
-        for _ in range(shears):
-            i = rng.randrange(m)
-            j = rng.randrange(m - 1)
-            if j >= i:
-                j += 1
-            out = out * SMatrix.shear(
-                prime, m, i, j, _random_side_series(rng, prime, side)
-            )
-    return out
+    rows = [list(r) for r in out.rows]
+    for _ in range(shears if m >= 2 else 0):
+        i = rng.randrange(m)
+        j = rng.randrange(m - 1)
+        if j >= i:
+            j += 1
+        f = _random_side_series(rng, prime, side)
+        for r in rows:
+            if r[i].ints:
+                r[j] = r[j] + r[i] * f
+    return SMatrix._new(prime, tuple(map(tuple, rows)))
 
 
 def degree_one_family(prime: int, max_pow: int) -> list[SMatrix]:

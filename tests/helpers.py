@@ -1,5 +1,6 @@
 """Shared builders and frozen tables used across the test modules."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from projectivoid.classical import _poly, _primitive, _unimodular
 from projectivoid.determinants import leibniz_det
 from projectivoid.errors import ParseError, WrongPrimeDenominator
 from projectivoid.literals import _LONG_NUMERAL, MAX_DIGITS
+from projectivoid.matrices import _random_onesided_unit, _random_side_series
 from projectivoid.series import _convolve, _lift, _reduce
 
 
@@ -247,6 +249,22 @@ def product_oracle(A, B):
             row.append(sum(terms[1:], terms[0]) if terms else zero)
         out.append(row)
     return type(A)(A.base, out)
+
+
+def random_automorphism_oracle(prime, m, side, shears, seed=0):
+    """``matrices.random_automorphism`` as the product loop it replaced: the
+    diagonal of one-sided units times one m x m ``SMatrix.shear`` per shear,
+    with the same random draws in the same order."""
+    rng = random.Random(seed)
+    out = SMatrix.diagonal(prime, [_random_onesided_unit(rng, prime, side) for _ in range(m)])
+    if m >= 2:
+        for _ in range(shears):
+            i = rng.randrange(m)
+            j = rng.randrange(m - 1)
+            if j >= i:
+                j += 1
+            out = out * SMatrix.shear(prime, m, i, j, _random_side_series(rng, prime, side))
+    return out
 
 
 # ----------------------------------------------------------------------

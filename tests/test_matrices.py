@@ -1,6 +1,7 @@
 """Matrices of series: determinants, transition validity, the two-sided
 equivalence action, and the generators."""
 
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -30,7 +31,14 @@ from projectivoid import (
 )
 from projectivoid import determinants
 from projectivoid.cli import MAX_FAMILY
-from helpers import mono, product_oracle, random_series, random_transition, srs
+from helpers import (
+    mono,
+    product_oracle,
+    random_automorphism_oracle,
+    random_series,
+    random_transition,
+    srs,
+)
 
 
 def test_identity_is_neutral():
@@ -187,6 +195,114 @@ def test_product_mismatches_are_raised_before_lifting(monkeypatch):
         LMatrix.identity(RationalField(), 3) * LMatrix.identity(RationalField(), 2)
 
 
+def kernels(M):
+    """The stored fields (K, D, ints) of every entry; K is 0 for a Laurent
+    polynomial."""
+    return [[(f.K, f.D, f.ints) for f in r] for r in M.rows]
+
+
+def draw_chain_factor(data, cls, base, m, zero, draw_entry):
+    """An m x m matrix whose drawn rows and columns, and about a third of
+    the other entries, are the exact zero; the rest come from draw_entry."""
+    zero_rows, zero_cols = (data.draw(st.sets(st.integers(0, m - 1), max_size=m)) for _ in range(2))
+    return cls(base, [[zero if i in zero_rows or j in zero_cols or not data.draw(st.integers(0, 2))
+                       else draw_entry() for j in range(m)] for i in range(m)])
+
+
+def draw_chain_series(data, p):
+    """One to three terms on grids up to p^2 with coefficient denominators 1,
+    2, p, 2p and p^2, so that the row and column lcms of a factor differ."""
+    terms = data.draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(0, 2), st.sampled_from(NUMERATORS),
+                  st.sampled_from([1, 2, p, 2 * p, p * p])),
+        min_size=1, max_size=3,
+    ))
+    return PSeries(p, [(canon(n, k, p), Fraction(a, d)) for n, k, a, d in terms])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5]), st.integers(1, 4))
+def test_chain_product_matches_pairwise_oracle(data, p, m):
+    # V * A stays integer kernels, each row lifted to one denominator by
+    # L / E_j, and only the entries of the whole product are normalised.
+    V, A, U = (draw_chain_factor(data, SMatrix, p, m, PSeries.zero(p), lambda: draw_chain_series(data, p))
+               for _ in range(3))
+    assert kernels(SMatrix._product((V, A, U))) == kernels(product_oracle(product_oracle(V, A), U))
+    assert kernels(SMatrix._product((V, A))) == kernels(product_oracle(V, A))
+
+
+UNITS = [Fraction(a, b) for a in (1, -1, 3, -7) for b in (1, 2, 3, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([2, 3, 5]), st.integers(1, 4))
+def test_act_matches_pairwise_oracle(data, p, m):
+    # A is a permuted diagonal of drawn monomials times a unitriangular matrix
+    # of drawn entries, so a transition matrix with coefficient denominators
+    # up to 2p; V and U are drawn automorphisms with row scales that are units.
+    units = st.sampled_from([u for u in UNITS if u.numerator % p and u.denominator % p])
+
+    def automorphism(side):
+        shears, seed = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 2**16))
+        scales = SMatrix.diagonal(p, [PSeries(p, {ZERO: data.draw(units)}) for _ in range(m)])
+        return product_oracle(scales, random_automorphism(p, m, side, shears, seed))
+
+    def monomial():
+        e = canon(data.draw(st.integers(-4, 4)), data.draw(st.integers(0, 2)), p)
+        return PSeries(p, {e: Fraction(data.draw(st.sampled_from([1, -3, 5])),
+                                       data.draw(st.sampled_from([1, p, 2 * p])))})
+
+    def upper(i, j):
+        return PSeries.one(p) if i == j else draw_chain_series(data, p) if i < j else PSeries.zero(p)
+
+    A = product_oracle(SMatrix.diagonal(p, [monomial() for _ in range(m)]),
+                       SMatrix(p, [[upper(i, j) for j in range(m)] for i in range(m)]))
+    A = SMatrix(p, [A.rows[k] for k in data.draw(st.permutations(range(m)))])
+    V, U = automorphism(SubringTag.NONPOS), automorphism(SubringTag.NONNEG)
+    assert kernels(act(V, A, U)) == kernels(product_oracle(product_oracle(V, A), U))
+
+
+def draw_chain_laurent(data, field):
+    pairs = data.draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-5, 5).filter(bool)),
+                               min_size=1, max_size=3))
+    den = 1 if field.characteristic else data.draw(st.sampled_from([1, 2, 3, 5, 6, 10]))
+    return LaurentPoly(field, [(n, Fraction(c, den)) for n, c in pairs])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([*map(PrimeField, (2, 3, 5)), RationalField()]), st.integers(1, 4))
+def test_laurent_chain_product_matches_pairwise_oracle(data, field, m):
+    A, B, C = (draw_chain_factor(data, LMatrix, field, m, LaurentPoly.zero(field),
+                                 lambda: draw_chain_laurent(data, field)) for _ in range(3))
+    assert kernels(LMatrix._product((A, B, C))) == kernels(product_oracle(product_oracle(A, B), C))
+
+
+def test_chain_product_raises_the_pairwise_mismatch_first(monkeypatch):
+    # A first pair over different primes and a second of different sizes
+    # raises PrimeMismatch, a first pair of different sizes DimensionMismatch,
+    # and a pair that differs in both PrimeMismatch, as the pairwise products
+    # do, and before anything is lifted.
+    def refuse(*args):
+        raise AssertionError("lifted")
+
+    monkeypatch.setattr(determinants, "scaled_rows", refuse)
+    eye, leye, Q, GF2 = SMatrix.identity, LMatrix.identity, RationalField(), PrimeField(2)
+    cases = [
+        (SMatrix, (eye(2, 2), eye(3, 2), eye(3, 3)), PrimeMismatch),
+        (SMatrix, (eye(2, 2), eye(2, 3), eye(3, 2)), DimensionMismatch),
+        (SMatrix, (eye(2, 2), eye(3, 3), eye(3, 3)), PrimeMismatch),
+        (LMatrix, (leye(Q, 2), leye(GF2, 2), leye(GF2, 3)), ValueError),
+        (LMatrix, (leye(Q, 2), leye(Q, 3), leye(GF2, 2)), DimensionMismatch),
+    ]
+    for cls, (X, Y, Z), error in cases:
+        for multiply in (lambda: cls._product((X, Y, Z)), lambda: X * Y * Z):
+            with pytest.raises(error) as info:
+                multiply()
+            assert type(info.value) is error
+    with pytest.raises(PrimeMismatch):
+        act(eye(2, 2), eye(3, 2), eye(3, 3))
+
+
 RING_ONES = [PSeries.one(2), PSeries.one(2).reduce(), LaurentPoly.one(RationalField())]
 MATRIX_ONES = [SMatrix.identity(2, 2), LMatrix.identity(PrimeField(3), 2)]
 
@@ -253,6 +369,13 @@ def test_det_requires_exact_entries():
     M = SMatrix(2, [[PSeries(2, {ZERO: 1}, 3)]])
     with pytest.raises(ValueError):
         M.det()
+    # One sweep reads every entry: the only truncated entry is the last one.
+    rows = [[PSeries.one(2) if i == j else mono(2, i - j, 1) for j in range(3)] for i in range(3)]
+    rows[2][2] = PSeries(2, {ZERO: 1}, 3)
+    with pytest.raises(ValueError) as info:
+        SMatrix(2, rows).det()
+    assert type(info.value) is ValueError
+    assert str(info.value) == "operation requires exact matrix entries"
 
 
 def test_transition_examples():
@@ -381,6 +504,14 @@ def test_random_automorphism_is_valid_with_unimodular_determinant():
             M = random_automorphism(3, 3, side, 4, seed=seed)
             assert M.validate_automorphism(side)
             assert M.det().degree() == ZERO
+
+
+def test_random_automorphism_matches_the_shear_product_oracle():
+    # Each shear is a column operation; the product loop it replaced is the
+    # oracle, on every prime, size, side, shear count and seed of the grid.
+    sides = (SubringTag.NONNEG, SubringTag.NONPOS)
+    for args in itertools.product((2, 3, 5, 7), range(1, 7), sides, range(9), range(6)):
+        assert kernels(random_automorphism(*args)) == kernels(random_automorphism_oracle(*args))
 
 
 def test_random_automorphism_deterministic():

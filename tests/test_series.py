@@ -233,7 +233,9 @@ def _tail(p, V):
     return st.lists(term, max_size=4).map(lambda pairs: PSeries(p, pairs))
 
 
-_SERIES_OPS = ["+", "-", "*", "scale", "truncate", "shift", "normalize_gauss", "print/parse", "SMatrix *"]
+_SERIES_OPS = [
+    "+", "-", "*", "scale", "truncate", "shift", "normalize_gauss", "print/parse", "SMatrix *", "inverse",
+]
 _QUERIES = ["gauss_valuation", "dominant_terms", "reduce", "equals_mod"]
 
 
@@ -254,6 +256,9 @@ def test_truncated_results_hold_for_every_completion(op, data):
     G = PSeries(p, g.ordered_terms()) + data.draw(_tail(p, W))
     if op in _QUERIES:
         _query_holds_for_every_completion(op, data, f, F, g, G)
+        return
+    if op == "inverse":
+        _inverse_holds_for_every_completion(p, data, f)
         return
     if op == "+":
         result, completed = f + g, F + G
@@ -298,6 +303,35 @@ def _matrix_product_holds_for_every_completion(p, data):
         diff = want - got
         assert diff.precision == got.precision
         assert diff.is_zero(), (pairs, completed, got, want)
+
+
+def _inverse_holds_for_every_completion(p, data, f):
+    """A truncated f refuses with the unit test's ValueError and an exact f
+    that is not a unit with NotAUnit.  For an exact unit f and a cutoff c,
+    f.inverse(c) states at least c, and every completion g of it makes f * g
+    agree with 1 below min(c, precision + gauss(f)), the rule of the
+    benchmark's ``inverse_is_sound``, and also below precision + gauss(f)."""
+    c = data.draw(st.integers(1, 6))
+    if f.precision is not None:
+        with pytest.raises(ValueError) as info:
+            f.inverse(c)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "unit test requires an exact series"
+        return
+    if not f.is_unit(SubringTag.FULL):
+        with pytest.raises(NotAUnit):
+            f.inverse(c)
+        return
+    r = f.inverse(c)
+    V = None if r.precision is None else r.precision.v
+    g = PSeries(p, r.ordered_terms()) + data.draw(_tail(p, V))
+    rest = (f * g - PSeries.one(p)).gauss_valuation()
+    bound = c if V is None else min(c, V + f.gauss_valuation().v)
+    assert V is None or V >= c
+    assert not rest < Valuation(bound), (f, c, r, g)
+    # g - 1/f = (f * g - 1) / f, so g agrees with 1/f below V exactly when
+    # f * g - 1 lies at or above V + gauss(f): the stated precision itself.
+    assert V is None or not rest < Valuation(V + f.gauss_valuation().v), (f, c, r, g)
 
 
 def _product(p, entries, m):
