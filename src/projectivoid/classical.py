@@ -31,12 +31,12 @@ the determinant and adjugate of B' (the same elimination, packed:
 k_j, and adj(C')_ji = adj(B')_ji * s^(k_j - K), so C' is never built.  Over
 GF(p) every d_j is 1 and U' is reduced, so its dicts are U's entries.  A
 zero column of B' or a det(B') that is not c * s^K, c nonzero, refuses A.
-The certificate check
-(``FactorizationCertificate.verify``) multiplies V * A * U on integer
-kernels with ``determinants.kernel_product``, the loop of every exact
-matrix product, and replaces the two Laurent determinants of the sides by
-scalar rank tests of their s^0 coefficients, which the product identity
-makes enough.  Laurent polynomials are built only for the certificate, and
+The certificate check (``FactorizationCertificate.verify``) multiplies V *
+A * U on flat rows (``determinants._flat_rows``), one row at a time, the
+loop of every exact matrix product.  The same keys give its side tests and
+the s^0 coefficients of the scalar rank tests that replace the two Laurent
+determinants of the sides, which the product identity makes enough.
+Laurent polynomials are built only for the certificate, and
 its V, U and D go through the trusted ``SquareMatrix._new``, not the entry
 checks of ``LMatrix(...)``.
 
@@ -45,22 +45,22 @@ denominator, like ``series.PSeries``: the constructor merges its terms with
 ``series._kernel``, its products run through ``series._convolve``, its sums
 through ``series._add``, and its normal form through ``series._reduce``.
 ``LMatrix`` is the ``determinants.SquareMatrix`` over Laurent polynomials,
-with the polynomial-side predicates that the certificate check uses.  Its
-product and ``LMatrix.det`` lift the entries over one denominator per row
-(and per column of the right factor of a product) with
-``series.scaled_rows``, run ``determinants.kernel_product`` or
-``determinants.det`` on the bare numerator dicts and normalise each result
-once with ``_poly``.
+with the polynomial-side predicates of ``splitting_invariance_check``.
+``LMatrix.det`` lifts the entries over one denominator per row with
+``series.scaled_rows`` and runs ``determinants.det`` on the bare numerator
+dicts; a product runs on flat rows (``SquareMatrix._product``).  Each
+result is normalised once with ``_poly``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm, prod
 from typing import Iterable, Mapping
 
-from .determinants import SquareMatrix, adjugate, det, kernel_product, kernel_vector
+from .determinants import SquareMatrix, _flat_product, _flat_rows, adjugate, det, kernel_vector
 from .errors import (
     DimensionMismatch,
     InvalidAutomorphism,
@@ -310,17 +310,23 @@ class FactorizationCertificate:
         matrix over k.  The same argument over k[1/s] covers V.  (Without
         the product, U = [[1 + s]] has U(0) = 1 and is not unimodular.)
 
-        The product runs on integer kernels (mod p over GF(p)): each matrix
-        over the lcm L of its denominators, so it is L_V * L_A * L_U * D.  A
-        field or size mismatch among V, A and U raises ValueError or
-        DimensionMismatch, as the LMatrix product does, unless a side is not
-        unimodular; a D over another field or of another size is False."""
+        V, A and U are lifted onto flat rows, each over the lcm L of its
+        denominators (``determinants._flat_rows``): term n of entry (i, j)
+        at key m * n + j, so n >= 0 exactly when the key is >= 0, n <= 0
+        exactly when it is < m, and key j of row i is the s^0 coefficient
+        of entry (i, j).  The product runs on those rows (mod p over GF(p));
+        its row i must be {m * d_i + i: L_V * L_A * L_U}.  A field or size
+        mismatch among V, A and U raises ValueError or DimensionMismatch, as
+        the LMatrix product does, unless a side is not unimodular; a D over
+        another field or of another size is False."""
         V, U, D = self.V, self.U, self.D
-        if not (U.is_polynomial() and V.is_inverse_polynomial() and D.is_diagonal_of_powers()):
+        (L_V, v), (L_U, u) = _flat_rows(1, 0, V.rows), _flat_rows(1, 0, U.rows)
+        if (min(chain.from_iterable(u), default=0) < 0 or max(chain.from_iterable(v), default=0) >= V.m
+                or not D.is_diagonal_of_powers()):
             return False
-        (L_V, v), (L_A, a), (L_U, u) = _kernels(V), _kernels(A), _kernels(U)
         for M, rows in ((U, u), (V, v)):
-            at_zero = [[f.get(0, 0) for f in r] for r in rows]
+            cols = range(M.m)
+            at_zero = [[r.get(j, 0) for j in cols] for r in rows]
             if kernel_vector(M.field.characteristic, at_zero) is not None:
                 return False
         if not (V.field == A.field == U.field and V.m == A.m == U.m):
@@ -329,22 +335,12 @@ class FactorizationCertificate:
             if U.constant_det() is not None and V.constant_det() is not None:
                 V * A * U
             return False
-        if D.field != A.field:
+        if D.field != A.field or D.m != A.m:
             return False
-        p, L = A.field.characteristic, L_V * L_A * L_U
-        want = [[_lift(f.ints, 1, L) for f in r] for r in D.rows]
-        return kernel_product(p, kernel_product(p, v, [*zip(*a)]), [*zip(*u)]) == want
-
-
-def _kernels(M: LMatrix) -> tuple[int, list]:
-    """(L, rows): the entries of M as integer kernels over the lcm L of all
-    their denominators."""
-    L = 1
-    for r in M.rows:
-        for f in r:
-            if L % f.D:
-                L = lcm(L, f.D)
-    return L, [[_lift(f.ints, 1, L // f.D) for f in r] for r in M.rows]
+        p, m, (L_A, a) = A.field.characteristic, A.m, _flat_rows(1, 0, A.rows)
+        L = L_V * L_A * L_U
+        want = [{m * next(iter(r[i].ints)) + i: L} for i, r in enumerate(D.rows)]
+        return _flat_product(p, m, _flat_product(p, m, v, a), u) == want
 
 
 def _primitive(p: int, fs: list, d: int = 0) -> tuple[list, int]:

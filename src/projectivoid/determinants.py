@@ -42,9 +42,12 @@ determinants of ``matrices.act``) and ``LMatrix.det`` (so also
 ``classical.split``) each lift their entries with ``series.scaled_rows``,
 call ``det`` and normalise the result once.  Every chain of exact products
 (``A * B``, and V * A * U in ``matrices.act`` and
-``classical.splitting_invariance_check``) is one ``SquareMatrix._product``,
-whose partial products stay integer kernels; it and the certificate check
-of ``classical.split`` run one loop on integer kernels, ``kernel_product``.
+``classical.splitting_invariance_check``) is one ``SquareMatrix._product``.
+It and the certificate check of ``classical.split`` run on flat rows
+(``_flat_rows``): row i is one kernel, term n of entry (i, j) at key m * n
++ j, so the column is folded into the exponent (Kronecker substitution on
+an index, not on a value), and ``_flat_product`` runs one convolution loop
+per row of the product, whose rows are flat rows as they stand.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from itertools import chain, permutations
 from math import lcm
 
 from .errors import DimensionMismatch
-from .series import _convolve, _lift, _reduce, scaled_rows
+from .series import _convolve, _reduce
 
 # The most base-2^B digits the packed rows may take per input term.  On
 # random three-term entries with spread exponents Bareiss breaks even with
@@ -307,23 +310,44 @@ def det(rows) -> dict:
     return berkowitz_det(rows)
 
 
-def kernel_product(char: int, rows, cols) -> list:
-    """The product of two matrices of integer kernels on one grid, the left
-    given by its rows and the right by its columns: entry (i, j) is the sum
-    over k of rows[i][k] * cols[j][k], accumulated by ``_convolve`` into one
-    dict and reduced once (mod char when char is nonzero).  A pair with a
-    zero kernel adds no term."""
-    live = [[(k, g) for k, g in enumerate(c) if g] for c in cols]
-    out = []
+def _flat_rows(q: int, K: int, rows) -> tuple[int, list]:
+    """(L, rows): a matrix of kernels (f.K, f.D, f.ints) on the grid q^K, all
+    over the lcm L of its denominators, each row one dict in which term n of
+    entry (i, j) sits at key m * n + j."""
+    L = 1
     for r in rows:
-        row = []
-        for col in live:
-            acc: dict = {}
-            for k, g in col:
-                if f := r[k]:
-                    _convolve(f, g, acc)
-            row.append(_reduce(char, acc) if acc else acc)
+        for f in r:
+            if L % f.D:
+                L = lcm(L, f.D)
+    m, out = len(rows), []
+    for r in rows:
+        row: dict = {}
+        for j, f in enumerate(r):
+            if f.ints:
+                s, u = m * q ** (K - f.K), L // f.D
+                for n, a in f.ints.items():
+                    row[s * n + j] = a * u
         out.append(row)
+    return L, out
+
+
+def _flat_product(char: int, m: int, rows, right) -> list:
+    """The product of two m x m matrices of flat rows (``_flat_rows``): term
+    (key, a) of a left row, in column k = key % m, meets each term (key2, b)
+    of right row k at key - k + key2.  Each row is accumulated in one dict
+    and reduced once, mod char when char is nonzero."""
+    right = [[*r.items()] for r in right]
+    out = []
+    for row in rows:
+        acc: dict = {}
+        get = acc.get
+        for key, a in row.items():
+            k = key % m
+            s = key - k
+            for key2, b in right[k]:
+                n = s + key2
+                acc[n] = get(n, 0) + a * b
+        out.append(_reduce(char, acc))
     return out
 
 
@@ -336,11 +360,11 @@ class SquareMatrix:
     error that a product over two different ``_BASE``s raises, and
     ``_entry(base, K, D, acc)``, which brings the kernel of one entry of a
     product to the ring's normal form.  ``_product`` multiplies a chain of
-    factors left to right: it lifts the rows of the first and the columns of
-    each later one onto one grid (``series.scaled_rows``), sums every entry
-    with ``kernel_product``, keeps each partial product as kernels and
-    normalises only the entries of the whole product, which share one zero,
-    ``_entry(base, 0, 1, {})``.  It knows nothing of precision, so
+    factors left to right: it lifts each factor once onto flat rows on one
+    grid (``_flat_rows``), multiplies them one row at a time
+    (``_flat_product``) and normalises only the entries of the whole
+    product, which share one zero, ``_entry(base, 0, 1, {})``.  It knows
+    nothing of precision, so
     ``SMatrix`` multiplies factors with a truncated entry itself; ``A * B``
     is the chain of two.  The constructor checks outside entries; ``_new``
     takes rows that the library built in the ring (a product, and the
@@ -407,9 +431,10 @@ class SquareMatrix:
     def _product(cls, factors):
         """The product of exact factors over one base and of one size, left
         to right, its mismatches raised in the order of the pairwise
-        products.  Row i of a partial product is brought to one denominator
-        D_i * L by lifting entry (i, j) by L / E_j, L the lcm of the column
-        denominators E_j, and multiplied on as it stands."""
+        products.  Each factor is lifted once onto flat rows over its own
+        lcm L_k (``_flat_rows``), each partial product stays flat rows over
+        L_0 * L_1 * ..., and only the entries of the whole product are read
+        back, at cells[key % m][key // m]."""
         base, m = factors[0].base, factors[0].m
         for F in factors[1:]:
             if base != F.base:
@@ -419,16 +444,15 @@ class SquareMatrix:
         K = max(f.K for F in factors for r in F.rows for f in r)
         # K is 0 over Laurent polynomials, whose base is a field, not a prime.
         q = base if K else 1
-        Ds, rows = scaled_rows(q, K, factors[0].rows)
-        for k in range(1, len(factors)):
-            if k > 1:
-                L = lcm(*Es)
-                rows = [[_lift(acc, 1, L // E) for E, acc in zip(Es, r)] for r in rows]
-                Ds = [D * L for D in Ds]
-            Es, cols = scaled_rows(q, K, zip(*factors[k].rows))
-            rows = kernel_product(0, rows, cols)
+        L, rows = _flat_rows(q, K, factors[0].rows)
+        for F in factors[1:]:
+            E, right = _flat_rows(q, K, F.rows)
+            rows, L = _flat_product(0, m, rows, right), L * E
         entry, zero = cls._entry, cls._entry(base, 0, 1, {})
-        return cls._new(base, tuple([
-            tuple([entry(base, K, D * E, acc) if acc else zero for E, acc in zip(Es, r)])
-            for D, r in zip(Ds, rows)
-        ]))
+        out = []
+        for acc in rows:
+            cells = [{} for _ in range(m)]
+            for key, a in acc.items():
+                cells[key % m][key // m] = a
+            out.append(tuple([entry(base, K, L, c) if c else zero for c in cells]))
+        return cls._new(base, tuple(out))

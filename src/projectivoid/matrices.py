@@ -14,11 +14,11 @@ the result once.  Rows dense on that grid, at any m, are packed into one
 integer per entry (Kronecker substitution) and eliminated fraction-free in
 integer arithmetic; other rows run the Berkowitz recursion on dicts.
 
-The product of exact factors lifts the rows of the left factor and the
-columns of the right one the same way and sums each entry with
-``determinants.kernel_product``.  ``act`` multiplies V * A * U as one chain
-(``SquareMatrix._product``): V * A stays integer kernels, and only the
-entries of the whole product are normalised, with ``series._series``.
+The product of exact factors lifts each factor once onto the same grid, as
+flat rows in which term n of entry (i, j) sits at key m * n + j, and runs
+one convolution loop per row of the product (``SquareMatrix._product``).
+``act`` multiplies V * A * U as one chain: V * A stays flat rows, and only
+the entries of the whole product are normalised, with ``series._series``.
 ``random_automorphism`` applies each shear as a column operation.  With a
 truncated entry each entry is the sum of the ``PSeries`` products added
 left to right, so the precision rule lives in ``series`` alone.

@@ -512,7 +512,9 @@ class PSeries:
         g_den^(steps - i), and the sum is never rescaled or swept.  A
         coefficient of the sum that reaches the cutoff is dropped at once;
         that per-step truncation decides the representative, and the oracle
-        does the same.
+        does the same.  g^steps has Gauss valuation >= steps * w >= cutoff,
+        so every term of it would be dropped: only powers 1 .. steps - 1
+        are formed.
         """
         if isinstance(target, Valuation):
             if target.is_infinite:
@@ -541,7 +543,7 @@ class PSeries:
         q, den = p ** cutoff, g_den ** steps
         acc, power, scale = {0: den}, {0: 1}, den
         get = acc.get
-        for _ in range(steps):
+        for _ in range(steps - 1):
             scale //= g_den
             product, power = _convolve(g, power, {}), {}
             for n, a in product.items():

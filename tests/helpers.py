@@ -251,6 +251,26 @@ def product_oracle(A, B):
     return type(A)(A.base, out)
 
 
+def kernel_product(char, rows, cols):
+    """The product of two matrices of integer kernels on one grid, entry by
+    entry, the loop that the row-flat product replaced: the left given by its
+    rows and the right by its columns, entry (i, j) the sum over k of
+    rows[i][k] * cols[j][k], accumulated into one dict and reduced once (mod
+    char when char is nonzero).  A pair with a zero kernel adds no term."""
+    live = [[(k, g) for k, g in enumerate(c) if g] for c in cols]
+    out = []
+    for r in rows:
+        row = []
+        for col in live:
+            acc = {}
+            for k, g in col:
+                if f := r[k]:
+                    _convolve(f, g, acc)
+            row.append(_reduce(char, acc) if acc else acc)
+        out.append(row)
+    return out
+
+
 def random_automorphism_oracle(prime, m, side, shears, seed=0):
     """``matrices.random_automorphism`` as the product loop it replaced: the
     diagonal of one-sided units times one m x m ``SMatrix.shear`` per shear,

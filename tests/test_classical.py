@@ -28,15 +28,22 @@ from projectivoid import (
 from projectivoid import classical
 from projectivoid.classical import MAX_SPLIT_PASSES, _inverse, _poly
 from projectivoid.determinants import (
+    _flat_rows,
     _plan,
     adjugate,
     bareiss_det,
     berkowitz_det,
-    kernel_product,
     leibniz_det,
 )
 from projectivoid.series import scaled_rows
-from helpers import euclid_inverse, random_laurent, random_unimodular, split_oracle, verify_oracle
+from helpers import (
+    euclid_inverse,
+    kernel_product,
+    random_laurent,
+    random_unimodular,
+    split_oracle,
+    verify_oracle,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -646,6 +653,44 @@ def test_certificate_verify_mismatches():
         assert not cert.verify(LMatrix.identity(Q, 2))
     with pytest.raises(ValueError, match="different fields"):
         FactorizationCertificate(one, one, one).verify(LMatrix.identity(F3, 1))
+
+
+def _one_term(field, m, i, j, n, c=1):
+    """The identity plus c * s^n at (i, j), i != j; [[c * s^n]] at m = 1."""
+    rows = [list(r) for r in LMatrix.identity(field, m).rows]
+    term = LaurentPoly.monomial(field, n, c)
+    rows[i][j] = term if m == 1 else rows[i][j] + term
+    return LMatrix(field, rows)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("field", [F2, Q], ids=["GF2", "Q"])
+def test_certificate_verify_at_the_flat_key_boundaries(field, m):
+    # verify reads term n of entry (i, j) at key m * n + j: U lies over k[s]
+    # exactly when no key is < 0, V over k[1/s] exactly when no key is >= m.
+    # Each side is T, the identity plus one term, A is T^-1 and D = I, so
+    # the product identity holds and only the side's key decides.  s^-1 in
+    # the last column of U is key -1 and s^1 in column 0 of V is key m, both
+    # refused; s^0 in the last column of V is key m - 1 and s^0 in column 0
+    # of U is key 0, both accepted.
+    c = field.coerce(2) if field.characteristic != 2 else 1
+    eye = LMatrix.identity(field, m)
+    cases = [  # (side, position, n, key, valid)
+        ("U", (0, m - 1), -1, -1, False),
+        ("V", (m - 1, 0), 1, m, False),
+        ("V", (0, m - 1), 0, m - 1, True),
+        ("U", (m - 1, 0), 0, 0, True),
+    ]
+    for side, (i, j), n, key, valid in cases:
+        T = _one_term(field, m, i, j, n, c)
+        inverse = _one_term(field, m, i, j, -n, field.inv(c)) if m == 1 else _one_term(field, m, i, j, n, -c)
+        assert T * inverse == eye
+        keys = [*itertools.chain.from_iterable(_flat_rows(1, 0, T.rows)[1])]
+        assert (min(keys) if side == "U" else max(keys)) == key
+        V, U = (T, eye) if side == "V" else (eye, T)
+        cert = FactorizationCertificate(V, U, eye)
+        assert cert.verify(inverse) is valid
+        assert verify_oracle(cert, inverse) is valid
 
 
 def _corrupt(cert, rng):

@@ -9,16 +9,25 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from projectivoid import LMatrix, LaurentPoly, PSeries, PrimeField, RationalField, SMatrix, canon
 from projectivoid import determinants
-from projectivoid.determinants import _odd, _plan, bareiss_det, berkowitz_det, kernel_vector, leibniz_det
-from projectivoid.series import _convolve, _series, scaled_rows
-from helpers import _oracle_kernel_vector, mono, oracle_det, random_unimodular
+from projectivoid.determinants import (
+    _flat_product,
+    _flat_rows,
+    _odd,
+    _plan,
+    bareiss_det,
+    berkowitz_det,
+    kernel_vector,
+    leibniz_det,
+)
+from projectivoid.series import _convolve, _lift, _series, scaled_rows
+from helpers import _oracle_kernel_vector, kernel_product, mono, oracle_det, random_unimodular
 
 
 def coeffs(p, row_den):
@@ -515,3 +524,66 @@ def test_kernel_vector_mod_p_matches_field_oracle_on_drawn_matrices(p, m, data):
         else:
             assert w[c] == abs(_pivot_product(rows, c)) > 0
             assert w == [w[c] * x for x in want[:c + 1]]
+
+
+# ----------------------------------------------------------------------
+# flat rows: term n of entry (i, j) at key m * n + j
+
+
+class _Entry:
+    """A bare kernel (K, D, ints), as ``_flat_rows`` reads an entry."""
+
+    def __init__(self, ints, D=1, K=0):
+        self.ints, self.D, self.K = ints, D, K
+
+
+def _cells(m, rows):
+    """Flat rows read back into a matrix of kernels."""
+    out = [[{} for _ in range(m)] for _ in rows]
+    for cells, row in zip(out, rows):
+        for key, a in row.items():
+            cells[key % m][key // m] = a
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 6), st.sampled_from([0, 2, 3, 5]))
+def test_flat_product_matches_the_entrywise_product(data, m, char):
+    # Exponents -3..3, with s^-3 and s^3 planted in every column so that the
+    # keys of every column cross 0; a zero row and a zero column when drawn.
+    # The product of three chains with no lift in between.
+    kernel = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4).filter(bool), max_size=3)
+
+    def draw_matrix():
+        X = [[data.draw(kernel) for _ in range(m)] for _ in range(m)]
+        for j in range(m):
+            i = data.draw(st.integers(0, m - 1))
+            X[i][j] = {**X[i][j], -3: data.draw(st.sampled_from([-1, 1])), 3: 2}
+        if data.draw(st.booleans()):
+            X[data.draw(st.integers(0, m - 1))] = [{}] * m
+        if data.draw(st.booleans()):
+            j = data.draw(st.integers(0, m - 1))
+            X = [r[:j] + [{}] + r[j + 1:] for r in X]
+        return X
+
+    X, Y, Z = draw_matrix(), draw_matrix(), draw_matrix()
+    x, y, z = (_flat_rows(1, 0, [[_Entry(f) for f in r] for r in M])[1] for M in (X, Y, Z))
+    assert _cells(m, x) == X
+    XY = kernel_product(char, X, [*zip(*Y)])
+    xy = _flat_product(char, m, x, y)
+    assert _cells(m, xy) == XY
+    assert _cells(m, _flat_product(char, m, xy, z)) == kernel_product(char, XY, [*zip(*Z)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_flat_rows_lift_onto_one_grid_and_one_denominator(data, m):
+    # Entries on the grids 2^0 .. 2^2 over denominators 1 .. 4, read back as
+    # each entry's own kernel on the grid 2^2 over the lcm of them all.
+    kernel = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4).filter(bool), max_size=3)
+    rows = [[_Entry(data.draw(kernel), data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2)))
+             for _ in range(m)] for _ in range(m)]
+    L, flat = _flat_rows(2, 2, rows)
+    assert L == lcm(*(f.D for r in rows for f in r))
+    assert _cells(m, flat) == [[_lift(f.ints, 2 ** (2 - f.K), L // f.D) for f in r] for r in rows]
+

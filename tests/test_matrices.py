@@ -178,7 +178,7 @@ def test_product_mismatches_are_raised_before_lifting(monkeypatch):
     monkeypatch.setattr(PSeries, "__add__", refuse)
     # Exact factors never take the series path.
     assert A * B == want
-    monkeypatch.setattr(determinants, "scaled_rows", refuse)
+    monkeypatch.setattr(determinants, "_flat_rows", refuse)
 
     def cut(p, m):
         return SMatrix.diagonal(p, [PSeries(p, {ZERO: 1}, 1)] * m)
@@ -285,7 +285,7 @@ def test_chain_product_raises_the_pairwise_mismatch_first(monkeypatch):
     def refuse(*args):
         raise AssertionError("lifted")
 
-    monkeypatch.setattr(determinants, "scaled_rows", refuse)
+    monkeypatch.setattr(determinants, "_flat_rows", refuse)
     eye, leye, Q, GF2 = SMatrix.identity, LMatrix.identity, RationalField(), PrimeField(2)
     cases = [
         (SMatrix, (eye(2, 2), eye(3, 2), eye(3, 3)), PrimeMismatch),
