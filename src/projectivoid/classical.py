@@ -30,7 +30,8 @@ the determinant and adjugate of B' (the same elimination, packed:
 ``determinants.adjugate``): det(C') = det(B') * s^-K for K the sum of the
 k_j, and adj(C')_ji = adj(B')_ji * s^(k_j - K), so C' is never built.  Over
 GF(p) every d_j is 1 and U' is reduced, so its dicts are U's entries.  A
-zero column of B' or a det(B') that is not c * s^K, c nonzero, refuses A.
+zero column of B', a pass past the bound P that ``split`` proves, or a
+det(B') that is not c * s^K, c nonzero, refuses A.
 The certificate check (``FactorizationCertificate.verify``) multiplies V *
 A * U on flat rows (``determinants._flat_rows``), one row at a time, the
 loop of every exact matrix product.  The same keys give its side tests and
@@ -61,13 +62,7 @@ from math import lcm, prod
 from typing import Iterable, Mapping
 
 from .determinants import SquareMatrix, _flat_product, _flat_rows, adjugate, det, kernel_vector
-from .errors import (
-    DimensionMismatch,
-    InvalidAutomorphism,
-    IterationLimitExceeded,
-    NotInvertibleOverRing,
-    ParseError,
-)
+from .errors import DimensionMismatch, InvalidAutomorphism, NotInvertibleOverRing, ParseError
 from .series import _add, _convolve, _gcd, _kernel, _lift, _normalise, _reduce, scaled_rows
 
 
@@ -375,11 +370,11 @@ def _inverse(field, R: list, rows: list, k: list, d: list) -> list:
              for x, f in zip([dj * r * u for r in R], row)] for dj, e, row in per_row]
 
 
-# The largest pass bound m * (hi - lo) + 1 that split accepts.  A pass
-# rewrites a column whose terms grow with the passes before it, so the work
-# is about quadratic in the passes: the singular 2 x 2 with both rows
-# (s^N - 1, s^(N-1) - 1) takes about N of them, 0.23 s of CPU at N = 1000
-# and 1.3 s at N = 2047, bound 4095 (CPython 3.11.7, 2-vCPU Xeon).
+# The largest pass bound P of split (see its docstring) that it accepts.  A
+# pass rewrites a column whose terms grow with the passes before it, so the
+# work is about quadratic in the passes: the singular 2 x 2 with both rows
+# (s^N - 1, s^(N-1) - 1), P = 2N - 1, takes about N of them, about 1 s of CPU
+# at N = 2048 (CPython 3.11.7, 2-vCPU Xeon).
 MAX_SPLIT_PASSES = 4095
 
 
@@ -387,16 +382,22 @@ def split(A: LMatrix):
     """Splitting type of A plus an exact factorization certificate.
 
     Raises NotInvertibleOverRing unless det(A) = c * s^n with c nonzero.
-    Each pass lowers one column degree, which stays within the exponents
-    lo..hi of A until the column is zero, so the reduction settles within
-    the pass bound m * (hi - lo) + 1.  An A whose bound exceeds
-    MAX_SPLIT_PASSES is refused with ParseError before the first pass; only
-    a bug reaches IterationLimitExceeded, raised past the bound.
+    Let k_j and lo_j be the largest and least exponents of nonzero column j
+    of A, and P = sum_j (k_j - lo_j).  When det(A) != 0, at most P column
+    passes run.  Proof: det(B') is a nonzero constant times det(A), and a
+    pass multiplies it by another one.  Each pass lowers one column degree,
+    so the sum of the k_j drops by at least 1.  Each Leibniz product of
+    det(B') takes one entry from each column, so deg det(A) <= sum_j k_j
+    at every step, and every term of det(A) has exponent >= sum_j lo_j, so
+    deg det(A) >= sum_j lo_j.  Hence at most (sum_j k_j at the start) -
+    deg det(A) <= P passes run, and a pass past P proves det(A) = 0: it
+    raises NotInvertibleOverRing.  An A whose P exceeds MAX_SPLIT_PASSES is
+    refused with ParseError before split tests anything else.
 
     No determinant of A is taken: the reduction stops only at a nonsingular
     top-degree matrix, so at a nonzero det, and det(A) = 0 leaves a zero
-    column instead; det(C') = unit * det(A) * s^-(sum of the k_j) is a
-    nonzero constant exactly when det(A) = c * s^n.
+    column or a pass past P instead; det(C') = unit * det(A) * s^-(sum of
+    the k_j) is a nonzero constant exactly when det(A) = c * s^n.
     """
     field, m = A.field, A.m
     p = field.characteristic
@@ -406,23 +407,22 @@ def split(A: LMatrix):
     u_rows = [[{0: 1} if i == j else {} for j in range(m)] for i in range(m)]
     d = [1] * m
 
-    exps = [n for r in b_rows for f in r for n in f] or [0]
-    budget = m * (max(exps) - min(exps)) + 1
+    # The column degrees k_j (0 for a zero column), the pass bound P and the
+    # top-degree matrix of B'; a column operation changes one column, so
+    # only that column is read again.
+    cols = [[*filter(None, col)] for col in zip(*b_rows)]
+    degrees = [max(map(max, col), default=0) for col in cols]
+    budget = sum(degrees) - sum(min(map(min, col), default=0) for col in cols)
     if budget > MAX_SPLIT_PASSES:
         raise ParseError(f"split needs up to {budget} column passes, above the cap {MAX_SPLIT_PASSES}")
-
-    # The column degrees k_j and the top-degree matrix of B'; a column
-    # operation changes one column, so only that column is read again.
-    if not all(map(any, zip(*b_rows))):
+    if not all(cols):
         raise NotInvertibleOverRing("determinant is not of the form c * s^n")
-    degrees = [max(max(f) for f in col if f) for col in zip(*b_rows)]
     top = [[r[j].get(k, 0) for j, k in enumerate(degrees)] for r in b_rows]
 
-    iterations = 0
     while (w := kernel_vector(p, top)) is not None:
-        iterations += 1
-        if iterations > budget:
-            raise IterationLimitExceeded(f"column reduction did not settle within {budget} passes")
+        if not budget:  # a pass past P, so det(A) = 0 (see the docstring)
+            raise NotInvertibleOverRing("determinant is not of the form c * s^n")
+        budget -= 1
         c = len(w) - 1
         support = [j for j, x in enumerate(w) if x]
         jstar = max(support, key=lambda j: (degrees[j], j))

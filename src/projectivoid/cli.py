@@ -12,7 +12,8 @@ matrices, a matrix document of more than ``literals.MAX_M`` rows, a series
 literal whose exponent denominators exceed ``literals.MAX_EXP_BITS``, a
 numeral of more than ``literals.MAX_DIGITS`` digits in a literal, a JSON
 document or a result, and a ``split`` or ``verify-split`` document whose pass
-bound exceeds ``classical.MAX_SPLIT_PASSES``.
+bound, the sum over its columns of their exponent spreads, exceeds
+``classical.MAX_SPLIT_PASSES``.
 
 ``main(argv)`` can be called any number of times in one process.  The
 parsers are built on the first call and reused; parsing keeps no state in

@@ -55,10 +55,6 @@ class NotInvertibleOverRing(DomainError):
     pass
 
 
-class IterationLimitExceeded(DomainError):
-    pass
-
-
 class ParseError(Exception):
     """Rejected input text (CLI exit code 2); carries the offending position."""
 

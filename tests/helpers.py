@@ -7,7 +7,6 @@ from fractions import Fraction
 from projectivoid import (
     INFINITY,
     FactorizationCertificate,
-    IterationLimitExceeded,
     LMatrix,
     LaurentPoly,
     NotInvertibleOverRing,
@@ -610,10 +609,17 @@ def euclid_inverse(field, R: list, rows: list, k: list, d: list) -> list:
             for j in range(m)]
 
 
-def split_oracle(A, max_iterations=None):
+def pass_bound(A):
+    """P = sum_j (k_j - lo_j), k_j and lo_j the largest and least exponents
+    of the nonzero column j of A: ``split``'s bound on its column passes."""
+    exps = [[n for r in A.rows for n in r[j].ints] for j in range(A.m)]
+    return sum(max(e) - min(e) for e in exps if e)
+
+
+def split_oracle(A):
     """What ``split(A)`` returns, raising the same errors (but no ParseError
-    for a pass bound above ``classical.MAX_SPLIT_PASSES``); an explicit
-    max_iterations replaces the default budget m * (hi - lo) + 1."""
+    for a pass bound above ``classical.MAX_SPLIT_PASSES``).  det(A) = c * s^n
+    is tested up front, so a pass past the bound P is an internal error."""
     field, m = A.field, A.m
     parts = A.det().unit_parts()
     if parts is None:
@@ -624,9 +630,7 @@ def split_oracle(A, max_iterations=None):
     b_rows = [[LaurentPoly(field, {n + lift: a for n, a in f.coeffs.items()}) for f in r] for r in A.rows]
     u_rows = [list(r) for r in LMatrix.identity(field, m).rows]
 
-    exps = [n for r in A.rows for f in r for n in f.coeffs] or [0]
-    budget = m * (max(exps) - min(exps)) + 1 if max_iterations is None else max_iterations
-
+    budget = pass_bound(A)
     iterations = 0
     while True:
         # det(B) is nonzero, so no column is zero.
@@ -637,7 +641,7 @@ def split_oracle(A, max_iterations=None):
             break
         iterations += 1
         if iterations > budget:
-            raise IterationLimitExceeded(f"column reduction did not settle within {budget} passes")
+            raise RuntimeError(f"internal error: column reduction did not settle within {budget} passes")
         support = [j for j in range(m) if not field.is_zero(w[j])]
         jstar = max(support, key=lambda j: (cdeg[j], j))
         # Column operation col_jstar <- sum_j w_j * s^(k* - k_j) * col_j.

@@ -14,7 +14,6 @@ from projectivoid import (
     DivisionByZero,
     FactorizationCertificate,
     InvalidAutomorphism,
-    IterationLimitExceeded,
     LMatrix,
     LaurentPoly,
     NotInvertibleOverRing,
@@ -36,9 +35,11 @@ from projectivoid.determinants import (
     leibniz_det,
 )
 from projectivoid.series import scaled_rows
+import helpers
 from helpers import (
     euclid_inverse,
     kernel_product,
+    pass_bound,
     random_laurent,
     random_unimodular,
     split_oracle,
@@ -491,32 +492,71 @@ def _count_passes(monkeypatch, settle=True):
 
 
 def test_split_iteration_cap(monkeypatch):
-    # m * (hi - lo) + 1 = 2 * 2 + 1 = 5: a sixth pass is the guard's bug.
+    # P = (0 - (-1)) + (1 - 0) = 2: with every top-degree matrix kept
+    # singular, the third kernel vector is a pass past P, which proves
+    # det(A) = 0 and refuses A.
     A = LMatrix(Q, [[lp(Q, {0: 1}), lp(Q, {1: 1})], [lp(Q, {-1: 1}), lp(Q, {0: 2})]])
     t, cert = split(A)
     assert sum(t.degrees) == 0
     assert cert.verify(A)
+    assert pass_bound(A) == 2
     calls = _count_passes(monkeypatch, settle=False)
-    with pytest.raises(IterationLimitExceeded, match="within 5 passes"):
+    with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
         split(A)
-    assert len(calls) == 6
+    assert len(calls) == 3
+
+
+def _cap_edge(field, n):
+    """[[s^n, 1], [1, 0]]: pass bound P = n + 0, one pass to type (0, 0)."""
+    return LMatrix(field, [[lp(field, {n: 1}), lp(field, {0: 1})], [lp(field, {0: 1}), lp(field, {})]])
+
+
+def _cap_message(P):
+    return f"^split needs up to {P} column passes, above the cap {MAX_SPLIT_PASSES}$"
 
 
 @pytest.mark.parametrize("field", [F3, Q], ids=["GF3", "Q"])
-def test_split_pass_bound_cap_edge(field):
-    # diag(1, s^2047) has bound 2 * 2047 + 1 = MAX_SPLIT_PASSES and needs no
-    # pass; diag(1, 1, s^1365) has bound 3 * 1365 + 1, one more, and is
-    # refused before any work, by verify-split too.
+def test_split_pass_bound_cap_edge(field, monkeypatch):
+    # [[s^4095, 1], [1, 0]] has P = MAX_SPLIT_PASSES: kept from settling, it
+    # is refused as singular by the pass past P, the 4096th kernel vector.
+    # [[s^4096, 1], [1, 0]] has P one more and is refused before any pass,
+    # by verify-split too.
     assert MAX_SPLIT_PASSES == 4095
-    t, cert = split(LMatrix.diagonal_powers(field, [0, 2047]))
-    assert t == SplittingType((0, 2047))
-    A = LMatrix.diagonal_powers(field, [0, 0, 1365])
-    message = f"split needs up to {MAX_SPLIT_PASSES + 1} column passes, above the cap {MAX_SPLIT_PASSES}"
-    with pytest.raises(ParseError, match=message):
+    calls = _count_passes(monkeypatch, settle=False)
+    with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
+        split(_cap_edge(field, MAX_SPLIT_PASSES))
+    assert len(calls) == MAX_SPLIT_PASSES + 1
+    calls.clear()
+    A = _cap_edge(field, MAX_SPLIT_PASSES + 1)
+    with pytest.raises(ParseError, match=_cap_message(4096)):
         split(A)
-    I = LMatrix.identity(field, 3)
-    with pytest.raises(ParseError, match=message):
+    I = LMatrix.identity(field, 2)
+    with pytest.raises(ParseError, match=_cap_message(4096)):
         splitting_invariance_check(A, I, I)
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", [F2, F3, Q], ids=["GF2", "GF3", "Q"])
+def test_split_pass_bound_edges(field, monkeypatch):
+    # The bound is summed over columns: diag(s, s^4095) and diag(1, 1,
+    # s^1365) have P = 0 (the whole-document bound m * (hi - lo) + 1 was
+    # 8189 and 4096), and [[s^4095, 1], [1, 0]], P = 4095, splits in one
+    # pass: its kernel_vector calls are that pass, the settled reduction
+    # and the two rank tests of verify.
+    assert split(LMatrix.diagonal_powers(field, [1, 4095]))[0] == SplittingType((1, 4095))
+    assert split(LMatrix.diagonal_powers(field, [0, 0, 1365]))[0] == SplittingType((0, 0, 1365))
+    A = _cap_edge(field, 4095)
+    calls = _count_passes(monkeypatch)
+    t, cert = split(A)
+    assert len(calls) == 1 + 3
+    assert t == SplittingType((0, 0)) and cert.verify(A)
+    with pytest.raises(ParseError, match=_cap_message(4096)):
+        split(_cap_edge(field, 4096))
+    # A zero column adds nothing to P, and the cap is checked before the
+    # zero column refuses A.
+    for n, error in ((4095, NotInvertibleOverRing), (4096, ParseError)):
+        with pytest.raises(error):
+            split(LMatrix(field, [[lp(field, {n: 1}), lp(field, {})], [lp(field, {0: 1}), lp(field, {})]]))
 
 
 def test_upper_triangular_type_by_exhaustive_search():
@@ -828,12 +868,18 @@ def test_split_matches_object_oracle_with_pivot_swaps(field, m):
 
 
 def test_split_iteration_cap_on_both(monkeypatch):
+    # Both kept from settling: split refuses the planted A as singular at
+    # the pass past P, and the oracle, which has seen det(A) = c * s^n up
+    # front, calls that pass an internal error.
     A = planted_split_input(Q, 4, 7)
-    with pytest.raises(IterationLimitExceeded):
-        split_oracle(A, max_iterations=0)
-    _count_passes(monkeypatch, settle=False)
-    with pytest.raises(IterationLimitExceeded):
+    P = pass_bound(A)
+    calls = _count_passes(monkeypatch, settle=False)
+    with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
         split(A)
+    assert len(calls) == P + 1
+    monkeypatch.setattr(helpers, "_oracle_kernel_vector", lambda rows, field: [field.one] * len(rows))
+    with pytest.raises(RuntimeError, match=f"^internal error: column reduction did not settle within {P} passes$"):
+        split_oracle(A)
 
 
 UNPLANTED = ("rank", "zero row", "zero column", "bent", "monomial entries", "spread")
@@ -876,7 +922,7 @@ def _outcome(split_fn, A):
     message."""
     try:
         t, cert = split_fn(A)
-    except (NotInvertibleOverRing, IterationLimitExceeded, RuntimeError) as exc:
+    except (NotInvertibleOverRing, RuntimeError) as exc:
         return type(exc), str(exc)
     return t, (cert.V, cert.U, cert.D)
 
@@ -891,19 +937,59 @@ def test_split_matches_object_oracle_off_the_planted_family(field, m, kind, seed
     assert _outcome(split, A) == _outcome(split_oracle, A)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([F2, F3, F5, Q]), st.integers(1, 5),
+       st.one_of(st.integers(0, 8), st.sampled_from(UNPLANTED)), st.integers(0, 2**32))
+def test_split_passes_stay_within_the_column_bound(field, m, kind, seed):
+    # A planted input of spread 0..8 or an unplanted one of each kind.  A
+    # pass is a kernel_vector call that finds a vector; split succeeds
+    # exactly when det(A) = c * s^n, and then makes one call more to settle
+    # and two for the rank tests of verify.  When det(A) != 0 at most P
+    # passes run, which is the proof in split's docstring; when det(A) = 0
+    # the pass past P refuses A, so one more is found.  P is never above
+    # the whole-document bound m * (hi - lo) + 1.
+    if isinstance(kind, int):
+        A = planted_split_input(field, m, seed, spread=kind)
+    else:
+        A = unplanted_split_input(field, m, kind, seed)
+    P = pass_bound(A)
+    exps = [n for r in A.rows for f in r for n in f.ints] or [0]
+    assert P <= m * (max(exps) - min(exps)) + 1
+    found = []
+    real = classical.kernel_vector
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classical, "kernel_vector", lambda p, rows: found.append(w := real(p, rows)) or w)
+        try:
+            split(A)
+        except NotInvertibleOverRing:
+            settled = False
+        else:
+            settled = True
+    passes, det = sum(w is not None for w in found), A.det()
+    assert settled == (det.unit_parts() is not None)
+    if settled:
+        assert len(found) == passes + 3
+    assert passes <= (P + 1 if det.is_zero() else P)
+
+
 def test_split_iteration_cap_comes_before_the_determinant_error(monkeypatch):
     # det(A) = 1 + s is not a monomial, but the top-degree matrix
-    # [[1, 1], [0, 0]] is singular, so the reduction needs a pass first:
-    # split, which takes no determinant of A, meets the pass guard before
-    # the determinant error, and the oracle, which takes det(A) first, not.
+    # [[1, 1], [0, 0]] is singular, so the reduction needs a pass first.
+    # Kept from settling, split, which takes no determinant of A, meets the
+    # pass past P = 1 + 2 before the determinant of C', and refuses A there
+    # with the same error; the oracle takes det(A) first, before any pass.
     A = LMatrix(Q, [[lp(Q, {1: 1}), lp(Q, {1: 1})], [lp(Q, {0: 1}), lp(Q, {-1: 1, 0: 2})]])
     with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
-        split_oracle(A, max_iterations=0)
+        split(A)
+    oracle_calls = []
+    monkeypatch.setattr(helpers, "_oracle_kernel_vector", lambda rows, field: oracle_calls.append(rows))
+    with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
+        split_oracle(A)
+    assert oracle_calls == []
+    calls = _count_passes(monkeypatch, settle=False)
     with pytest.raises(NotInvertibleOverRing, match=NOT_MONOMIAL):
         split(A)
-    _count_passes(monkeypatch, settle=False)
-    with pytest.raises(IterationLimitExceeded):
-        split(A)
+    assert len(calls) == pass_bound(A) + 1 == 4
 
 
 @pytest.mark.parametrize("field", [Q, F3], ids=["Q", "GF3"])
@@ -989,11 +1075,11 @@ def test_is_diagonal_of_powers_matches_the_unit_parts_rule(field, m, data):
             assert not LMatrix.diagonal(Q, [LaurentPoly.monomial(Q, 1, c)] * m).is_diagonal_of_powers()
 
 
-def test_split_default_budget_bounds_the_passes():
-    # det(A) = s^-114, and the reduction takes between 61 and 70 passes
-    # (the oracle, which runs the same column operations, stops at 60): more
-    # than the old default budget 10 * m * (sum of entry spans + 1) = 50
-    # allowed, within the budget m * (hi - lo) + 1 = 5 * 108 + 1.
+def test_split_default_budget_bounds_the_passes(monkeypatch):
+    # det(A) = s^-114, and the reduction takes 69 passes: more than the old
+    # default budget 10 * m * (sum of entry spans + 1) = 50 allowed, within
+    # the pass bound P = 277 (the whole-document bound m * (hi - lo) + 1 was
+    # 5 * 108 + 1).
     monos = [[None, None, None, (2, -45), None],
              [None, (2, -36), (2, 42), (1, 35), (2, -19)],
              [(2, 49), (2, -55), (2, 6), (2, 41), (2, 36)],
@@ -1001,9 +1087,10 @@ def test_split_default_budget_bounds_the_passes():
              [None, None, (1, -18), (2, 53), (2, -39)]]
     A = LMatrix(F3, [[LaurentPoly.zero(F3) if e is None else LaurentPoly.monomial(F3, e[1], e[0]) for e in r]
                      for r in monos])
-    with pytest.raises(IterationLimitExceeded):
-        split_oracle(A, max_iterations=60)
+    assert pass_bound(A) == 277
     assert _outcome(split, A) == _outcome(split_oracle, A)
+    calls = _count_passes(monkeypatch)
     t, cert = split(A)
+    assert len(calls) == 69 + 3
     assert t == SplittingType((-36, -25, -25, -18, -10))
     assert cert.verify(A)

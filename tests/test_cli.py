@@ -536,11 +536,12 @@ def test_matrix_size_cap(capsys):
     assert (code, out) == (2, "") and err.startswith("ParseError: matrices larger than")
 
 
-# Short 2 x 2 documents whose pass bound m * (hi - lo) + 1 is far above
-# classical.MAX_SPLIT_PASSES: the rows (s^N - 1, s^(N-1) - 1) take about N
-# column passes, each longer than the one before, and [[1 + s^-2N, s^-N],
-# [s^-N, 1]] takes none but packs its adjugate into integers of about N
-# digits.  Both are refused before the reduction starts.
+# Short 2 x 2 documents whose pass bound P, the sum over the columns of
+# their exponent spreads, is far above classical.MAX_SPLIT_PASSES: the rows
+# (s^N - 1, s^(N-1) - 1), P = 2N - 1, take about N column passes, each
+# longer than the one before, and [[1 + s^-2N, s^-N], [s^-N, 1]], P = 3N,
+# takes none but packs its adjugate into integers of about N digits.  Both
+# are refused before the reduction starts.
 SPLIT_PAST_THE_CAP = [
     {"p": 3, "m": 2, "entries": [["s^100000 - 1", "s^99999 - 1"], ["s^100000 - 1", "s^99999 - 1"]]},
     {"p": 3, "m": 2, "entries": [["1 + s^-200000", "s^-100000"], ["s^-100000", "1"]]},
@@ -557,6 +558,19 @@ def test_split_pass_bound_cap(capsys, doc):
         assert time.process_time() - start < 1.0
         assert (code, out) == (2, "")
         assert err.startswith("ParseError: split needs up to") and err.count("\n") == 1
+
+
+def test_split_singular_rows_at_the_pass_bound(capsys):
+    # The rows (s^N - 1, s^(N-1) - 1) at N = 2048 have P = 4095, the cap:
+    # the reduction runs and refuses the singular matrix (exit 1, one
+    # stderr line); one degree more, P = 4097, is refused before it.
+    for n, code_want, name in ((2048, 1, "NotInvertibleOverRing"), (2049, 2, "ParseError")):
+        row = [f"s^{n} - 1", f"s^{n - 1} - 1"]
+        start = time.process_time()
+        code, out, err = run(capsys, "split", json.dumps({"p": 3, "m": 2, "entries": [row, row]}))
+        assert time.process_time() - start < 10.0
+        assert (code, out) == (code_want, "")
+        assert err.startswith(name + ": ") and err.count("\n") == 1
 
 
 def test_invert_prec_at_cap_is_accepted(capsys):

@@ -1,8 +1,9 @@
 """Series-matrix determinants on the integer kernel against the per-entry
 Leibniz oracle, packed (Kronecker) Bareiss against Berkowitz on dicts, the
 series side against the Laurent side on integer exponents, and the dispatch
-between packed Bareiss and Berkowitz for both matrix types.  The tests named
-"packed_laplace" check ``bareiss_det``, the packed routine."""
+between packed Bareiss and Berkowitz for both matrix types.  The digit-bound
+test still named "packed_laplace" checks ``bareiss_det``, the packed Bareiss
+routine; there is no Laplace routine."""
 
 import copy
 import itertools
@@ -159,7 +160,7 @@ def kernel_rows(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(kernel_rows())
-def test_packed_laplace_matches_dict_routines(case):
+def test_packed_bareiss_matches_dict_routines(case):
     rows, degenerate = case
     before = copy.deepcopy(rows)
     want = berkowitz_det(rows)
