@@ -31,26 +31,18 @@ the determinant and adjugate of B' (the same elimination, packed:
 k_j, and adj(C')_ji = adj(B')_ji * s^(k_j - K), so C' is never built.  Over
 GF(p) every d_j is 1 and U' is reduced, so its dicts are U's entries.  A
 zero column of B', a pass past the bound P that ``split`` proves, or a
-det(B') that is not c * s^K, c nonzero, refuses A.
-The certificate check (``FactorizationCertificate.verify``) multiplies V *
-A * U on flat rows (``determinants._flat_rows``), one row at a time, the
-loop of every exact matrix product.  The same keys give its side tests and
-the s^0 coefficients of the scalar rank tests that replace the two Laurent
-determinants of the sides, which the product identity makes enough.
-Laurent polynomials are built only for the certificate, and
-its V, U and D go through the trusted ``SquareMatrix._new``, not the entry
-checks of ``LMatrix(...)``.
+det(B') that is not c * s^K, c nonzero, refuses A.  The certificate check
+(``FactorizationCertificate.verify``) multiplies V * A * U on the flat rows
+of ``matrices`` and takes no Laurent determinant.  Laurent polynomials are
+built only for the certificate, and its V, U and D go through the trusted
+``SquareMatrix._new``, not the entry checks of ``LMatrix(...)``.
 
 ``LaurentPoly`` is stored as an integer kernel, numerators over one common
-denominator, like ``series.PSeries``: the constructor merges its terms with
-``series._kernel``, its products run through ``series._convolve``, its sums
-through ``series._add``, and its normal form through ``series._reduce``.
-``LMatrix`` is the ``determinants.SquareMatrix`` over Laurent polynomials,
-with the polynomial-side predicates of ``splitting_invariance_check``.
-``LMatrix.det`` lifts the entries over one denominator per row with
-``series.scaled_rows`` and runs ``determinants.det`` on the bare numerator
-dicts; a product runs on flat rows (``SquareMatrix._product``).  Each
-result is normalised once with ``_poly``.
+denominator, like ``series.PSeries``, and runs on the kernel loops of
+``series``.  ``LMatrix`` is the ``matrices.SquareMatrix`` over Laurent
+polynomials, with the polynomial-side predicates of
+``splitting_invariance_check``; each of its results is normalised once with
+``_poly``.
 """
 
 from __future__ import annotations
@@ -61,9 +53,10 @@ from itertools import chain
 from math import lcm, prod
 from typing import Iterable, Mapping
 
-from .determinants import SquareMatrix, _flat_product, _flat_rows, adjugate, det, kernel_vector
+from .determinants import adjugate, det, kernel_vector
 from .errors import DimensionMismatch, InvalidAutomorphism, NotInvertibleOverRing, ParseError
-from .series import _add, _convolve, _gcd, _kernel, _lift, _normalise, _reduce, scaled_rows
+from .matrices import SquareMatrix, _flat_product, _flat_rows, scaled_rows
+from .series import _add, _convolve, _gcd, _kernel, _lift, _normalise, _reduce
 
 
 class LaurentPoly:
@@ -77,7 +70,7 @@ class LaurentPoly:
     from exponent to field element on each access."""
 
     __slots__ = ("field", "D", "ints")
-    K = 0  # integer exponents: the grid p^0 of the kernel series.scaled_rows reads
+    K = 0  # integer exponents: the grid p^0 that the lifts of matrices read
 
     def __init__(self, field, coeffs: Mapping | Iterable = ()):
         """Validate and merge outside input: the sum of the monomials c * s^n
@@ -235,7 +228,7 @@ class LMatrix(SquareMatrix):
 
     def det(self) -> LaurentPoly:
         """Division-free determinant through ``determinants.det``, run on the
-        numerator dicts of the rows (``series.scaled_rows``) and reduced mod p
+        numerator dicts of the rows (``scaled_rows``) and reduced mod p
         once, at the end, over GF(p).  The entries are not changed."""
         Ds, scaled = scaled_rows(1, 0, self.rows)
         return _poly(self.field, prod(Ds), det(scaled))
@@ -306,10 +299,10 @@ class FactorizationCertificate:
         the product, U = [[1 + s]] has U(0) = 1 and is not unimodular.)
 
         V, A and U are lifted onto flat rows, each over the lcm L of its
-        denominators (``determinants._flat_rows``): term n of entry (i, j)
-        at key m * n + j, so n >= 0 exactly when the key is >= 0, n <= 0
-        exactly when it is < m, and key j of row i is the s^0 coefficient
-        of entry (i, j).  The product runs on those rows (mod p over GF(p));
+        denominators (``_flat_rows``): term n of entry (i, j) at key m * n +
+        j, so n >= 0 exactly when the key is >= 0, n <= 0 exactly when it is
+        < m, and key j of row i is the s^0 coefficient of entry (i, j).  The
+        product runs on those rows (``_flat_product``, mod p over GF(p));
         its row i must be {m * d_i + i: L_V * L_A * L_U}.  A field or size
         mismatch among V, A and U raises ValueError or DimensionMismatch, as
         the LMatrix product does, unless a side is not unimodular; a D over

@@ -127,9 +127,9 @@ def _cmd_bundle_degree(args):
     return _result(args, "exponent", literals.format_exponent(M.bundle_degree().value, M.prime))
 
 
-def _triple_input(args, keys=("V", "A", "U")):
+def _triple_input(args):
     obj = literals.load_doc(_input_text(args))
-    missing = [k for k in keys if k not in obj]
+    missing = [k for k in ("V", "A", "U") if k not in obj]
     if missing:
         raise ParseError("missing keys: " + ", ".join(missing))
     return obj
@@ -319,12 +319,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, sub.choices
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    return _parsers()[0]
-
-
 def _parse_args(argv) -> argparse.Namespace:
-    """What ``_build_parser().parse_args(argv)`` returns, prints and exits
+    """What ``_parsers()[0].parse_args(argv)`` returns, prints and exits
     with.  When argv[0] names a command, its own parser reads argv[1:] alone:
     the top-level parser would only hand that tail on to it."""
     parser, commands = _parsers()

@@ -1,9 +1,10 @@
-"""Division-free determinants and square matrices over any commutative ring.
+"""Division-free determinants of square matrices of integer kernels.
 
-The fast routines run on integer kernels: every entry is a dict ``{n: a}``
-standing for the sum of the terms a * x^n, all on one exponent grid that the
-caller fixes (``series.scaled_rows``), with no zero numerator.  ``{}`` is the
-zero determinant, and the routines never change their inputs.
+Every routine but ``leibniz_det`` reads a matrix as rows of kernels: dicts
+``{n: a}`` standing for the sum of the terms a * x^n, all on one exponent
+grid that the caller fixes (``matrices.scaled_rows``), with no zero
+numerator.  ``{}`` is the zero determinant, and the routines never change
+their inputs.
 
 Only this module packs rows into integers (Kronecker substitution): row i
 is shifted down by its lowest exponent lo_i and each entry evaluated at x =
@@ -35,27 +36,12 @@ term, so that the packed work stays bounded by the input), else
 ``berkowitz_det``.  A series grid can spread a few terms over up to
 2^MAX_EXP_BITS slots, and such rows go to Berkowitz.  The rule costs one
 pass over the entries (``_plan``), which the packing reuses.
-
-``SquareMatrix`` is the matrix type of both rings, series (``SMatrix``) and
-Laurent polynomials (``LMatrix``).  ``SMatrix.det`` (so also the three
-determinants of ``matrices.act``) and ``LMatrix.det`` (so also
-``classical.split``) each lift their entries with ``series.scaled_rows``,
-call ``det`` and normalise the result once.  Every chain of exact products
-(``A * B``, and V * A * U in ``matrices.act`` and
-``classical.splitting_invariance_check``) is one ``SquareMatrix._product``.
-It and the certificate check of ``classical.split`` run on flat rows
-(``_flat_rows``): row i is one kernel, term n of entry (i, j) at key m * n
-+ j, so the column is folded into the exponent (Kronecker substitution on
-an index, not on a value), and ``_flat_product`` runs one convolution loop
-per row of the product, whose rows are flat rows as they stand.
 """
 
 from __future__ import annotations
 
 from itertools import chain, permutations
-from math import lcm
 
-from .errors import DimensionMismatch
 from .series import _convolve, _reduce
 
 # The most base-2^B digits the packed rows may take per input term.  On
@@ -308,151 +294,3 @@ def det(rows) -> dict:
     if plan is None or plan[2] <= PACK_MAX_SLOTS * plan[3]:
         return bareiss_det(rows, plan)
     return berkowitz_det(rows)
-
-
-def _flat_rows(q: int, K: int, rows) -> tuple[int, list]:
-    """(L, rows): a matrix of kernels (f.K, f.D, f.ints) on the grid q^K, all
-    over the lcm L of its denominators, each row one dict in which term n of
-    entry (i, j) sits at key m * n + j."""
-    L = 1
-    for r in rows:
-        for f in r:
-            if L % f.D:
-                L = lcm(L, f.D)
-    m, out = len(rows), []
-    for r in rows:
-        row: dict = {}
-        for j, f in enumerate(r):
-            if f.ints:
-                s, u = m * q ** (K - f.K), L // f.D
-                for n, a in f.ints.items():
-                    row[s * n + j] = a * u
-        out.append(row)
-    return L, out
-
-
-def _flat_product(char: int, m: int, rows, right) -> list:
-    """The product of two m x m matrices of flat rows (``_flat_rows``): term
-    (key, a) of a left row, in column k = key % m, meets each term (key2, b)
-    of right row k at key - k + key2.  Each row is accumulated in one dict
-    and reduced once, mod char when char is nonzero."""
-    right = [[*r.items()] for r in right]
-    out = []
-    for row in rows:
-        acc: dict = {}
-        get = acc.get
-        for key, a in row.items():
-            k = key % m
-            s = key - k
-            for key2, b in right[k]:
-                n = s + key2
-                acc[n] = get(n, 0) + a * b
-        out.append(_reduce(char, acc))
-    return out
-
-
-class SquareMatrix:
-    """An m x m matrix over one ring, fixed by ``base``: the prime of series
-    entries or the field of Laurent polynomial entries.
-
-    A subclass supplies ``_check(base, rows)``, which rejects entries outside
-    the ring, the ring's ``_one(base)`` and ``_zero(base)``, the ``_Mismatch``
-    error that a product over two different ``_BASE``s raises, and
-    ``_entry(base, K, D, acc)``, which brings the kernel of one entry of a
-    product to the ring's normal form.  ``_product`` multiplies a chain of
-    factors left to right: it lifts each factor once onto flat rows on one
-    grid (``_flat_rows``), multiplies them one row at a time
-    (``_flat_product``) and normalises only the entries of the whole
-    product, which share one zero, ``_entry(base, 0, 1, {})``.  It knows
-    nothing of precision, so
-    ``SMatrix`` multiplies factors with a truncated entry itself; ``A * B``
-    is the chain of two.  The constructor checks outside entries; ``_new``
-    takes rows that the library built in the ring (a product, and the
-    diagonals and certificates of ``classical``) and checks nothing."""
-
-    __slots__ = ("base", "rows")
-
-    def __init__(self, base, rows):
-        rows = tuple(tuple(r) for r in rows)
-        m = len(rows)
-        if m == 0 or any(len(r) != m for r in rows):
-            raise DimensionMismatch("matrix must be square and non-empty")
-        self._check(base, rows)
-        self.base = base
-        self.rows = rows
-
-    @classmethod
-    def _new(cls, base, rows):
-        """The matrix of rows, a tuple of m tuples of length m whose entries
-        the caller has built in the ring over base: nothing is checked."""
-        out = object.__new__(cls)
-        out.base, out.rows = base, rows
-        return out
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def diagonal(cls, base, entries):
-        zero = cls._zero(base)
-        m = len(entries)
-        return cls(base, [[entries[i] if i == j else zero for j in range(m)] for i in range(m)])
-
-    @classmethod
-    def identity(cls, base, m: int):
-        return cls.diagonal(base, [cls._one(base)] * m)
-
-    @classmethod
-    def shear(cls, base, m: int, i: int, j: int, f):
-        """Elementary matrix: identity plus f in position (i, j), i != j."""
-        if i == j:
-            raise ValueError("shear position must be off the diagonal")
-        rows = [list(r) for r in cls.identity(base, m).rows]
-        rows[i][j] = f
-        return cls(base, rows)
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.base == other.base and self.rows == other.rows
-
-    __hash__ = None
-
-    def __mul__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self._product((self, other))
-
-    @classmethod
-    def _product(cls, factors):
-        """The product of exact factors over one base and of one size, left
-        to right, its mismatches raised in the order of the pairwise
-        products.  Each factor is lifted once onto flat rows over its own
-        lcm L_k (``_flat_rows``), each partial product stays flat rows over
-        L_0 * L_1 * ..., and only the entries of the whole product are read
-        back, at cells[key % m][key // m]."""
-        base, m = factors[0].base, factors[0].m
-        for F in factors[1:]:
-            if base != F.base:
-                raise cls._Mismatch(f"matrix product over different {cls._BASE}s")
-            if m != F.m:
-                raise DimensionMismatch(f"cannot multiply {m}x{m} by {F.m}x{F.m}")
-        K = max(f.K for F in factors for r in F.rows for f in r)
-        # K is 0 over Laurent polynomials, whose base is a field, not a prime.
-        q = base if K else 1
-        L, rows = _flat_rows(q, K, factors[0].rows)
-        for F in factors[1:]:
-            E, right = _flat_rows(q, K, F.rows)
-            rows, L = _flat_product(0, m, rows, right), L * E
-        entry, zero = cls._entry, cls._entry(base, 0, 1, {})
-        out = []
-        for acc in rows:
-            cells = [{} for _ in range(m)]
-            for key, a in acc.items():
-                cells[key % m][key // m] = a
-            out.append(tuple([entry(base, K, L, c) if c else zero for c in cells]))
-        return cls._new(base, tuple(out))

@@ -35,13 +35,12 @@ The reduction to the residue field, ``ResiduePoly``, is the same kernel with
 no denominator, ``(K, {n: a})`` with each a in 1..p-1, built by one
 constructor, ``_residue``; its ``coeffs`` is a view like ``terms``.  Each
 kernel loop is written once: ``_convolve`` for every product and sum of
-products (those of ``classical.LaurentPoly`` and of the determinants too),
+products of kernels (those of ``classical.LaurentPoly`` and of
+``determinants`` too; a matrix product runs ``matrices._flat_product``),
 ``_add`` for sums, ``_reduce`` to drop zero numerators or take them mod p
 (for every kernel type and the determinant sums), ``_kernel`` to read
 outside terms (for the constructor and the literal parser), and
-``exponents.canon`` to read an n / p^K back as a ``PExp``.  ``scaled_rows``
-lifts the entries of a matrix onto one grid, each row over its own
-denominator, for the determinants and ``classical.split``.
+``exponents.canon`` to read an n / p^K back as a ``PExp``.
 """
 
 from __future__ import annotations
@@ -240,23 +239,6 @@ def _add(f: dict, g: dict) -> dict:
         else:
             del out[n]
     return out
-
-
-def scaled_rows(p: int, K: int, rows) -> tuple[list, list]:
-    """([D_i], rows): row i of a matrix of kernels (f.K, f.D, f.ints) times
-    the lcm D_i of its denominators, as integer kernels on the grid p^K.  An
-    entry already on the grid and over D_i is handed over as its own
-    ``ints``, which the caller must only read."""
-    Ds, scaled = [], []
-    for r in rows:
-        D_i = 1
-        for f in r:
-            if D_i % f.D:
-                D_i = lcm(D_i, f.D)
-        Ds.append(D_i)
-        scaled.append([f.ints if f.K == K and f.D == D_i else
-                       _lift(f.ints, p ** (K - f.K), D_i // f.D) for f in r])
-    return Ds, scaled
 
 
 class PSeries:

@@ -27,14 +27,13 @@ from projectivoid import (
 from projectivoid import classical
 from projectivoid.classical import MAX_SPLIT_PASSES, _inverse, _poly
 from projectivoid.determinants import (
-    _flat_rows,
     _plan,
     adjugate,
     bareiss_det,
     berkowitz_det,
     leibniz_det,
 )
-from projectivoid.series import scaled_rows
+from projectivoid.matrices import _flat_rows, scaled_rows
 import helpers
 from helpers import (
     euclid_inverse,

@@ -27,8 +27,8 @@ from projectivoid.cli import (
     MAX_PREC,
     MAX_RANK,
     MAX_SHEARS,
-    _build_parser,
     _parse_args,
+    _parsers,
     main,
 )
 from helpers import (
@@ -303,7 +303,7 @@ OPTION_TABLE = {
 def test_option_table():
     # Every settable value of every command, in the order the parser adds
     # them: options by their one option string, the positional by name.
-    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (sub,) = [a for a in _parsers()[0]._actions if isinstance(a, argparse._SubParsersAction)]
     table = {}
     for name, sp in sub.choices.items():
         values = []
@@ -398,7 +398,7 @@ def test_dispatch_parses_like_the_top_level_parser(argv):
     # names; the namespace, or the exit code and every byte printed, must be
     # what the top-level parser gives.
     ours = _parse_outcome(_parse_args, argv)
-    assert ours == _parse_outcome(_build_parser().parse_args, argv)
+    assert ours == _parse_outcome(_parsers()[0].parse_args, argv)
     if isinstance(ours[0], dict):
         assert ours[0]["command"] == argv[0]
 

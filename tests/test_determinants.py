@@ -18,8 +18,6 @@ from hypothesis import given, settings, strategies as st
 from projectivoid import LMatrix, LaurentPoly, PSeries, PrimeField, RationalField, SMatrix, canon
 from projectivoid import determinants
 from projectivoid.determinants import (
-    _flat_product,
-    _flat_rows,
     _odd,
     _plan,
     bareiss_det,
@@ -27,7 +25,8 @@ from projectivoid.determinants import (
     kernel_vector,
     leibniz_det,
 )
-from projectivoid.series import _convolve, _lift, _series, scaled_rows
+from projectivoid.matrices import _flat_product, _flat_rows, scaled_rows
+from projectivoid.series import _convolve, _lift, _series
 from helpers import _oracle_kernel_vector, kernel_product, mono, oracle_det, random_unimodular
 
 

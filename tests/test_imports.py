@@ -30,3 +30,14 @@ def test_no_unused_module_level_import(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = {name: line for name, line in module_imports(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+# The determinants run on bare integer kernels ({n: a} dicts); reading a
+# ring's or a matrix's fields to lift entries onto them is the job of
+# matrices (scaled_rows, _flat_rows).
+def test_determinants_read_no_ring_or_matrix_attribute():
+    tree = ast.parse((SRC / "determinants.py").read_text())
+    fields = {"K", "D", "ints", "precision", "rows", "base"}
+    read = sorted({(n.attr, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in fields})
+    assert not read, f"determinants.py reads {read}"
+    assert not [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]

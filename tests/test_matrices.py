@@ -29,7 +29,7 @@ from projectivoid import (
     degree_one_family,
     random_automorphism,
 )
-from projectivoid import determinants
+from projectivoid import matrices
 from projectivoid.cli import MAX_FAMILY
 from helpers import (
     mono,
@@ -178,7 +178,7 @@ def test_product_mismatches_are_raised_before_lifting(monkeypatch):
     monkeypatch.setattr(PSeries, "__add__", refuse)
     # Exact factors never take the series path.
     assert A * B == want
-    monkeypatch.setattr(determinants, "_flat_rows", refuse)
+    monkeypatch.setattr(matrices, "_flat_rows", refuse)
 
     def cut(p, m):
         return SMatrix.diagonal(p, [PSeries(p, {ZERO: 1}, 1)] * m)
@@ -285,7 +285,7 @@ def test_chain_product_raises_the_pairwise_mismatch_first(monkeypatch):
     def refuse(*args):
         raise AssertionError("lifted")
 
-    monkeypatch.setattr(determinants, "_flat_rows", refuse)
+    monkeypatch.setattr(matrices, "_flat_rows", refuse)
     eye, leye, Q, GF2 = SMatrix.identity, LMatrix.identity, RationalField(), PrimeField(2)
     cases = [
         (SMatrix, (eye(2, 2), eye(3, 2), eye(3, 3)), PrimeMismatch),
@@ -301,6 +301,39 @@ def test_chain_product_raises_the_pairwise_mismatch_first(monkeypatch):
             assert type(info.value) is error
     with pytest.raises(PrimeMismatch):
         act(eye(2, 2), eye(3, 2), eye(3, 3))
+
+
+@st.composite
+def integer_exponent_triples(draw):
+    """(p, [X, Y, Z]): three m x m matrices of {n: c}, integer n and rational
+    c, with m = 1..4."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 4))
+    coeff = st.fractions(-4, 4, max_denominator=12).filter(bool)
+    entry = st.dictionaries(st.integers(-3, 3), coeff, max_size=3)
+    return p, [[[draw(entry) for _ in range(m)] for _ in range(m)] for _ in range(3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_exponent_triples())
+def test_series_products_match_laurent_products_over_q(case):
+    # On integer exponents a series over any p and a Laurent polynomial over
+    # Q are the same element in the same normal form (K = 0, D > 0 prime to
+    # the numerators), so A * B and the three-factor chain must agree on
+    # every entry's kernel.
+    p, mats = case
+    Q = RationalField()
+    S = [SMatrix(p, [[PSeries(p, {canon(n, 0, p): c for n, c in f.items()}) for f in r] for r in M])
+         for M in mats]
+    L = [LMatrix(Q, [[LaurentPoly(Q, f) for f in r] for r in M]) for M in mats]
+
+    def kernels(M):
+        return [[(f.D, f.ints) for f in r] for r in M.rows]
+
+    assert kernels(S[0] * S[1]) == kernels(L[0] * L[1])
+    chain = SMatrix._product(S)
+    assert all(f.K == 0 for r in chain.rows for f in r)
+    assert kernels(chain) == kernels(LMatrix._product(L))
 
 
 RING_ONES = [PSeries.one(2), PSeries.one(2).reduce(), LaurentPoly.one(RationalField())]
