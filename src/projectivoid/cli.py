@@ -16,13 +16,16 @@ bound, the sum over its columns of their exponent spreads, exceeds
 ``classical.MAX_SPLIT_PASSES``.
 
 ``main(argv)`` can be called any number of times in one process.  The
-parsers are built on the first call and reused; parsing keeps no state in
-them, so one call cannot change the next.  When the first argument names a
-command, only that command's parser reads the rest of the argv, and what it
-leaves over is refused with the top-level parser's "unrecognized arguments"
-message; every other argv (none, ``-h``, an unknown command, an option before
-the command) goes through the top-level parser.  Both routes give the same
-namespace, output and exit code.
+parsers, and a table of each command's argparse actions, are built on the
+first call and reused; parsing keeps no state in them, so one call cannot
+change the next.  After a command name, a plain argv (exact option strings,
+each once, values not led by "-", and the one input) is read from the table
+with the actions' own types, choices and defaults; any other goes to that
+command's parser, and what it leaves over is refused with the top-level
+parser's "unrecognized arguments" message.  Any other argv (none, ``-h``, an
+unknown command, an option first) goes to the top-level parser.  argparse
+alone prints help and usage errors and reads abbreviations, ``--opt=value``
+and "-"-led values; all routes give one namespace, output and exit code.
 """
 
 from __future__ import annotations
@@ -263,70 +266,112 @@ def _bounded_int(low=None, high=None):
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser, by command name."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, tuple]]:
+    """The top-level parser, and each command's own parser and table by name."""
     parser = argparse.ArgumentParser(
         prog="projectivoid",
         description="computations with finite series over p-power exponents",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    tables = {}
 
     def command(name, handler, help_text, input_help=None):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--prime", type=int, help="session prime p")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+        tables[name] = name, handler, (actions := [])
+        add = lambda *names, **kw: actions.append(sp.add_argument(*names, **kw))
+        add("--prime", type=int, help="session prime p")
+        add("--format", choices=("text", "json"), default="text")
         if input_help is not None:
-            sp.add_argument("--file", help="read the input from a file instead")
-            sp.add_argument("input", nargs="?", help=input_help)
+            add("--file", help="read the input from a file instead")
+            add("input", nargs="?", help=input_help)
         sp.set_defaults(handler=handler)
-        return sp
+        return add
 
     command("norm", _cmd_norm, "Gauss valuation of a series", "series literal")
-    sp = command("unit", _cmd_unit, "test whether a series is a unit", "series literal")
-    sp.add_argument("--ring", choices=("nonneg", "nonpos", "full"), default="full")
-    sp = command("invert", _cmd_invert, "invert a unit to a valuation cutoff", "series literal")
-    sp.add_argument(
-        "--prec", type=_bounded_int(high=MAX_PREC), required=True, help="target valuation cutoff"
-    )
+    add = command("unit", _cmd_unit, "test whether a series is a unit", "series literal")
+    add("--ring", choices=("nonneg", "nonpos", "full"), default="full")
+    add = command("invert", _cmd_invert, "invert a unit to a valuation cutoff", "series literal")
+    add("--prec", type=_bounded_int(high=MAX_PREC), required=True, help="target valuation cutoff")
     command("degree", _cmd_degree, "largest dominant exponent", "series literal")
     command("reduce", _cmd_reduce, "residue of a norm-one series", "series literal")
     command("det", _cmd_det, "determinant of a matrix document", "matrix JSON")
     command("transition", _cmd_transition, "test the transition-matrix property", "matrix JSON")
     command("bundle-degree", _cmd_bundle_degree, "degree of the determinant line", "matrix JSON")
     command("act", _cmd_act, "apply the two-sided action V*A*U", 'JSON {"V":..,"A":..,"U":..}')
-    sp = command("rand-auto", _cmd_rand_auto, "sample a random one-sided automorphism")
-    sp.add_argument("--rank", type=_bounded_int(1, MAX_RANK), default=2, help="matrix size")
-    sp.add_argument("--side", choices=("nonneg", "nonpos"), required=True)
-    sp.add_argument(
-        "--shears", type=_bounded_int(0, MAX_SHEARS), default=3, help="number of shear factors"
-    )
-    sp.add_argument("--seed", type=int, default=0, help="randomness seed")
-    sp = command("family", _cmd_family, "degree-one diagonal family at a p-power scale")
-    sp.add_argument("--max-pow", type=_bounded_int(low=0), required=True, help="exponent denominator power")
-    sp = command("enumerate", _cmd_enumerate, "enumerate nonnegative p-power exponents")
-    sp.add_argument("--count", type=_bounded_int(1, MAX_COUNT), default=10, help="how many values")
-    sp.add_argument("--order", choices=("antidiagonal", "calkin-wilf"), default="antidiagonal")
-    sp.add_argument("--filter", action="store_true", help="keep only p-power denominators")
-    sp = command("split", _cmd_split, "factor a classical Laurent matrix", "matrix JSON")
-    sp.add_argument("--field", choices=("fp", "rational"), default="fp")
-    sp = command(
+    add = command("rand-auto", _cmd_rand_auto, "sample a random one-sided automorphism")
+    add("--rank", type=_bounded_int(1, MAX_RANK), default=2, help="matrix size")
+    add("--side", choices=("nonneg", "nonpos"), required=True)
+    add("--shears", type=_bounded_int(0, MAX_SHEARS), default=3, help="number of shear factors")
+    add("--seed", type=int, default=0, help="randomness seed")
+    add = command("family", _cmd_family, "degree-one diagonal family at a p-power scale")
+    add("--max-pow", type=_bounded_int(low=0), required=True, help="exponent denominator power")
+    add = command("enumerate", _cmd_enumerate, "enumerate nonnegative p-power exponents")
+    add("--count", type=_bounded_int(1, MAX_COUNT), default=10, help="how many values")
+    add("--order", choices=("antidiagonal", "calkin-wilf"), default="antidiagonal")
+    add("--filter", action="store_true", help="keep only p-power denominators")
+    add = command("split", _cmd_split, "factor a classical Laurent matrix", "matrix JSON")
+    add("--field", choices=("fp", "rational"), default="fp")
+    add = command(
         "verify-split",
         _cmd_verify_split,
         "check splitting-type invariance under V, U",
         'JSON {"V":..,"A":..,"U":..}',
     )
-    sp.add_argument("--field", choices=("fp", "rational"), default="fp")
-    return parser, sub.choices
+    add("--field", choices=("fp", "rational"), default="fp")
+    return parser, sub.choices, {name: _table(*t) for name, t in tables.items()}
+
+
+def _table(name, handler, actions) -> tuple:
+    """A command's actions by option string, positional, required dests,
+    defaults, and the option strings that may not lead its positional."""
+    options = {s: a for a in actions for s in a.option_strings}
+    positional = next((a for a in actions if not a.option_strings), None)
+    defaults = {"command": name, **{a.dest: a.default for a in actions}, "handler": handler}
+    required = {a.dest for a in actions if a.required}
+    return options, positional, required, defaults, ("-h", "--help", *options)
+
+
+def _read_plain(table, argv) -> argparse.Namespace | None:
+    """argparse's namespace for a plain argv (module docstring), read with the
+    table of the command argv[0]; else None.  It never raises."""
+    options, positional, required, defaults, prefixes = table
+    values, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            action, value = positional, token
+            # The input is led by "-" only where argparse surely reads it as
+            # an argument: it holds a space, and no "=" or option splits it.
+            if action is None or token[:1] == "-" and (
+                    " " not in token or "=" in token or token.startswith(prefixes)):
+                return None
+        elif action.nargs == 0:
+            value = action.const
+        elif (token := next(tokens, "-"))[:1] == "-":
+            return None
+        else:
+            try:
+                value = token if action.type is None else action.type(token)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        if action.dest in values:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**{**defaults, **values}) if required <= values.keys() else None
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """What ``_parsers()[0].parse_args(argv)`` returns, prints and exits
-    with.  When argv[0] names a command, its own parser reads argv[1:] alone:
-    the top-level parser would only hand that tail on to it."""
-    parser, commands = _parsers()
-    if argv is None:
-        argv = sys.argv[1:]
+    """What ``_parsers()[0].parse_args(argv)`` returns, prints and exits with.
+    ``_read_plain`` reads a plain argv.  argparse keeps every other form (help,
+    usage errors, abbreviations, ``--opt=value``, values led by "-"); there the
+    command's own parser reads argv[1:], the tail the top-level one hands on."""
+    parser, commands, tables = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in commands:
+        if args := _read_plain(tables[argv[0]], argv):
+            return args
         args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if extras:
             parser.error("unrecognized arguments: " + " ".join(extras))

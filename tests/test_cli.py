@@ -7,9 +7,10 @@ import io
 import json
 import re
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from projectivoid import (
     SubringTag,
@@ -319,6 +320,29 @@ def test_option_table():
     assert table == OPTION_TABLE
 
 
+def test_every_action_is_of_a_kind_the_plain_reader_reads():
+    # The plain reader handles store options of one value, store_true, one
+    # nargs='?' positional and argparse's own -h/--help; an action of any
+    # other kind, or one missing from the table, would send every call of
+    # its command back to argparse without a failing test.
+    (sub,) = [a for a in _parsers()[0]._actions if isinstance(a, argparse._SubParsersAction)]
+    tables = _parsers()[2]
+    assert sub.choices.keys() == tables.keys() and len(tables) == 14
+    for name, sp in sub.choices.items():
+        options, positional, _, _, _ = tables[name]
+        helps = [a for a in sp._actions if type(a) is argparse._HelpAction]
+        assert [a.option_strings for a in helps] == [["-h", "--help"]]
+        others = [a for a in sp._actions if a not in helps]
+        assert set(others) == {*options.values(), positional} - {None}
+        for a in others:
+            if a is positional:
+                assert type(a) is argparse._StoreAction and a.nargs == "?"
+                assert a.type is None and a.choices is None
+            else:
+                assert (type(a), a.nargs) in ((argparse._StoreAction, None), (argparse._StoreTrueAction, 0))
+            assert not (isinstance(a.default, str) and a.type is not None), (name, a.dest)
+
+
 DISPATCH_CORPUS = [
     # every command with its options
     ["norm", "--prime", "2", "--format", "json", "1 + v"],
@@ -379,6 +403,26 @@ DISPATCH_CORPUS = [
     ["norm", "--prime", "2", "-1"],
     ["norm", "--prime", "2", "-v"],
     ["norm", "--", "--prime", "2"],
+    # forms at the edge of the plain reader: inputs led by "-" (the reader
+    # takes one only with a space and no "=" or option string at its start),
+    # a lone "-" and an empty input, options given twice, option values led
+    # by "-", and a --file name led by "-"
+    ["norm", "--prime", "2", "-1 + v"],
+    ["norm", "-1 + v", "--prime", "2"],
+    ["norm", "--prime", "2", "-h x"],
+    ["norm", "--prime", "2", "--x y"],
+    ["norm", "--prime", "2", "-1 = v"],
+    ["norm", "--prime", "2", "-"],
+    ["norm", "--prime", "2", ""],
+    ["norm", "--prime", "2", "--prime", "3", "1 + v"],
+    ["enumerate", "--filter", "--filter"],
+    ["rand-auto", "--prime", "2", "--side", "nonneg", "--seed", "-4"],
+    ["invert", "--prime", "2", "--prec", "-1", "1 + 2*v"],
+    ["norm", "--prime", "2", "--file", "-x y"],
+    # an abbreviation before "=" splits a token with a space; an option
+    # string is never a value
+    ["norm", "--prime", "2", "--form=json x"],
+    ["norm", "--prime", "2", "--file", "-h"],
 ]
 
 
@@ -865,6 +909,27 @@ def _grammar_argv(draw):
 @given(_grammar_argv())
 def test_grammar_drawn_calls_exit_cleanly(argv):
     _assert_exits_cleanly(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grammar_argv(), st.data())
+def test_plain_reader_answers_shuffled_grammar_calls(argv, data):
+    # The option/value pairs in any order and the input anywhere among them:
+    # _parse_args gives the top-level parser's namespace without calling a
+    # command parser.  A token led by "-" is plain only as an input holding
+    # a space and no "="; the others are argparse's forms (DISPATCH_CORPUS).
+    units, tokens = [], iter(argv[1:])
+    for token in tokens:
+        units.append((token, next(tokens)) if token.startswith("--") and token != "--filter" else (token,))
+    values = [unit[-1] for unit in units if unit != ("--filter",)]
+    assume(all(not v.startswith("-") or " " in v and "=" not in v for v in values))
+    argv = [argv[0]] + [token for unit in data.draw(st.permutations(units)) for token in unit]
+    expected = _parse_outcome(_parsers()[0].parse_args, argv)
+    assert isinstance(expected[0], dict)
+    with contextlib.ExitStack() as stack:
+        for sp in _parsers()[1].values():
+            stack.enter_context(mock.patch.object(sp, "parse_known_args", side_effect=AssertionError(argv)))
+        assert _parse_outcome(_parse_args, argv) == expected
 
 
 @pytest.mark.parametrize(
