@@ -20,12 +20,11 @@ parsers, and a table of each command's argparse actions, are built on the
 first call and reused; parsing keeps no state in them, so one call cannot
 change the next.  After a command name, a plain argv (exact option strings,
 each once, values not led by "-", and the one input) is read from the table
-with the actions' own types, choices and defaults; any other goes to that
-command's parser, and what it leaves over is refused with the top-level
-parser's "unrecognized arguments" message.  Any other argv (none, ``-h``, an
-unknown command, an option first) goes to the top-level parser.  argparse
-alone prints help and usage errors and reads abbreviations, ``--opt=value``
-and "-"-led values; all routes give one namespace, output and exit code.
+with the actions' own types, choices and defaults.  Every other argv (none,
+``-h``, an unknown command, an option first, or a command's argv that is not
+plain) goes to the top-level parser.  argparse alone prints help and usage
+errors and reads abbreviations, ``--opt=value`` and "-"-led values; both
+routes give one namespace, output and exit code.
 """
 
 from __future__ import annotations
@@ -214,10 +213,9 @@ def _cmd_split(args):
 
 def _cmd_verify_split(args):
     obj = _triple_input(args)
-    field = _laurent_field(args, literals.load_doc(obj["A"]))
-    A = literals.doc_to_laurent_matrix(obj["A"], field)
-    U = literals.doc_to_laurent_matrix(obj["U"], field)
-    V = literals.doc_to_laurent_matrix(obj["V"], field)
+    doc = literals.load_doc(obj["A"])
+    field = _laurent_field(args, doc)
+    A, U, V = (literals.doc_to_laurent_matrix(d, field) for d in (doc, obj["U"], obj["V"]))
     return _bool_lines(args, splitting_invariance_check(A, U, V))
 
 
@@ -266,8 +264,8 @@ def _bounded_int(low=None, high=None):
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict[str, tuple]]:
-    """The top-level parser, and each command's own parser and table by name."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The top-level parser, and each command's table (``_table``) by name."""
     parser = argparse.ArgumentParser(
         prog="projectivoid",
         description="computations with finite series over p-power exponents",
@@ -318,7 +316,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         'JSON {"V":..,"A":..,"U":..}',
     )
     add("--field", choices=("fp", "rational"), default="fp")
-    return parser, sub.choices, {name: _table(*t) for name, t in tables.items()}
+    return parser, {name: _table(*t) for name, t in tables.items()}
 
 
 def _table(name, handler, actions) -> tuple:
@@ -363,18 +361,13 @@ def _read_plain(table, argv) -> argparse.Namespace | None:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """What ``_parsers()[0].parse_args(argv)`` returns, prints and exits with.
-    ``_read_plain`` reads a plain argv.  argparse keeps every other form (help,
-    usage errors, abbreviations, ``--opt=value``, values led by "-"); there the
-    command's own parser reads argv[1:], the tail the top-level one hands on."""
-    parser, commands, tables = _parsers()
+    """What ``_parsers()[0].parse_args(argv)`` returns, prints and exits with:
+    ``_read_plain``'s namespace for a plain argv, else that call itself, which
+    keeps every other form (help, usage errors, abbreviations, ``--opt=value``,
+    values led by "-")."""
+    parser, tables = _parsers()
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in commands:
-        if args := _read_plain(tables[argv[0]], argv):
-            return args
-        args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if extras:
-            parser.error("unrecognized arguments: " + " ".join(extras))
+    if argv and argv[0] in tables and (args := _read_plain(tables[argv[0]], argv)):
         return args
     return parser.parse_args(argv)
 

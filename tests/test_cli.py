@@ -30,6 +30,7 @@ from projectivoid.cli import (
     MAX_SHEARS,
     _parse_args,
     _parsers,
+    _read_plain,
     main,
 )
 from helpers import (
@@ -326,7 +327,7 @@ def test_every_action_is_of_a_kind_the_plain_reader_reads():
     # other kind, or one missing from the table, would send every call of
     # its command back to argparse without a failing test.
     (sub,) = [a for a in _parsers()[0]._actions if isinstance(a, argparse._SubParsersAction)]
-    tables = _parsers()[2]
+    tables = _parsers()[1]
     assert sub.choices.keys() == tables.keys() and len(tables) == 14
     for name, sp in sub.choices.items():
         options, positional, _, _, _ = tables[name]
@@ -438,9 +439,9 @@ def _parse_outcome(parse, argv):
 
 @pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=lambda argv: " ".join(argv)[:40] or "[]")
 def test_dispatch_parses_like_the_top_level_parser(argv):
-    # main hands argv[1:] straight to the parser of the command argv[0]
-    # names; the namespace, or the exit code and every byte printed, must be
-    # what the top-level parser gives.
+    # main reads a plain argv from the table of the command argv[0] names
+    # and hands every other argv to the top-level parser; the namespace, or
+    # the exit code and every byte printed, must be what that parser gives.
     ours = _parse_outcome(_parse_args, argv)
     assert ours == _parse_outcome(_parsers()[0].parse_args, argv)
     if isinstance(ours[0], dict):
@@ -926,10 +927,26 @@ def test_plain_reader_answers_shuffled_grammar_calls(argv, data):
     argv = [argv[0]] + [token for unit in data.draw(st.permutations(units)) for token in unit]
     expected = _parse_outcome(_parsers()[0].parse_args, argv)
     assert isinstance(expected[0], dict)
+    (sub,) = [a for a in _parsers()[0]._actions if isinstance(a, argparse._SubParsersAction)]
     with contextlib.ExitStack() as stack:
-        for sp in _parsers()[1].values():
+        for sp in sub.choices.values():
             stack.enter_context(mock.patch.object(sp, "parse_known_args", side_effect=AssertionError(argv)))
         assert _parse_outcome(_parse_args, argv) == expected
+
+
+def test_argv_the_plain_reader_declines_goes_to_parse_args_once():
+    # The top-level parser's parse_args is the one route besides the plain
+    # reader: it runs once, on the argv as given, exactly when the reader
+    # declines (or argv[0] names no command).
+    parser, tables = _parsers()
+    declined = 0
+    for argv in DISPATCH_CORPUS:
+        plain = bool(argv) and argv[0] in tables and _read_plain(tables[argv[0]], argv) is not None
+        with mock.patch.object(parser, "parse_args", wraps=parser.parse_args) as spy:
+            _parse_outcome(_parse_args, argv)
+        assert spy.call_args_list == ([] if plain else [mock.call(argv)]), argv
+        declined += not plain
+    assert 0 < declined < len(DISPATCH_CORPUS)
 
 
 @pytest.mark.parametrize(
@@ -944,3 +961,20 @@ def test_plain_reader_answers_shuffled_grammar_calls(argv, data):
 def test_laurent_commands_refuse_a_non_prime(capsys, argv, message):
     # --prime is checked in main, a document's 'p' by the document reader.
     assert run(capsys, *argv) == (2, "", f"ParseError: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        VERIFY_TRIPLE,
+        VERIFY_TRIPLE.replace('"v^-1"', '"v"'),
+        VERIFY_TRIPLE.replace('"p": 2, "m": 2, "entries": [["s", "1"]', '"p": 3, "m": 2, "entries": [["s", "1"]'),
+    ],
+    ids=["kept", "refused", "prime-mismatch"],
+)
+def test_verify_split_reads_a_given_as_a_string_like_an_object(capsys, triple):
+    # verify-split decodes the A document once, for its field and its
+    # matrix; A as a JSON string inside the triple reads as A as an object.
+    obj = json.loads(triple)
+    as_string = json.dumps(dict(obj, A=json.dumps(obj["A"])))
+    assert run(capsys, "verify-split", as_string) == run(capsys, "verify-split", triple)
