@@ -21,22 +21,23 @@ One reader, ``_read``, takes every literal apart, in two steps.  First,
 ``_read_printed`` reads the form the printer writes, so every literal that
 one command's output hands to another: ASCII, one space on each side of a
 sign between terms, no '+' before an exponent or a value, and a fractional
-exponent only inside parentheses.  It uses string splits and digit tests
-only, and gives up (None) at the first character off that form.  Only then
-does the second step run: one regular expression match per term, then one
-for the suffix.  That step defines the grammar.  Each piece of a match is
-optional and tried once, so the match stops where the text leaves the
-grammar, and ``_read`` raises a ``ParseError`` that names the first missing
-piece at the token where it should stand; every error comes from this step.
-A lexical fault (a character that starts no token, an unknown word, or a
-numeral past MAX_DIGITS) wins over any other fault, wherever it stands in
-the text.  Each term comes out as integers, the coefficient's numerator and
-denominator as written and the exponent's numerator and power of p, and
-``series._kernel`` merges them into the kernel of the series with no
-Fraction built.  The tests compare the reader with a tokenizer and a
-recursive-descent parser over the same grammar, kept in ``tests/helpers.py``
-as the oracle: value, error class, message and position all agree, and the
-first step agrees with the second wherever it reads a text.
+exponent only inside parentheses.  It matches one strict pattern per term
+and one for the suffix, and gives up (None) at the first character off that
+form.  Only then does the second step run: one regular expression match per
+term, then one for the suffix.  That step defines the grammar.  Each piece
+of a match is optional and tried once, so the match stops where the text
+leaves the grammar, and ``_read`` raises a ``ParseError`` that names the
+first missing piece at the token where it should stand; every error comes
+from this step.  A lexical fault (a character that starts no token, an
+unknown word, or a numeral past MAX_DIGITS) wins over any other fault,
+wherever it stands in the text.  Each term comes out as integers, the
+coefficient's numerator and denominator as written and the exponent's
+numerator and power of p, and ``series._kernel`` merges them into the
+kernel of the series with no Fraction built.  The tests compare the reader
+with a tokenizer and a recursive-descent parser over the same grammar, kept
+in ``tests/helpers.py`` as the oracle: value, error class, message and
+position all agree, and the first step agrees with the second wherever it
+reads a text.
 """
 
 from __future__ import annotations
@@ -114,9 +115,17 @@ def _expected(text: str, m, group: int, what: str):
     _fail(text, f"expected {what}", _SPACE_RE.match(text, end).end())
 
 
-def _signed(text: str) -> bool:
-    """text is a numeral with an optional leading '-'."""
-    return (text[1:] if text[:1] == "-" else text).isdecimal()
+# One term of the printed form: its sign (1), '-' or nothing at the start of
+# the text ('^' matches there only, also under match(text, pos)) and ' + ' or
+# ' - ' before every later term, the coefficient's numerator (2) and
+# denominator (3), the variable (4), and its exponent: an integer (5), or in
+# parentheses a numerator (6) and a denominator's base (7) and power (8).
+_PRINTED_TERM_RE = re.compile(
+    r"(^-?| [-+] )(?:([0-9]+)(?:/([0-9]+))?(?:\*(?=[vs])|(?![vs])))?"
+    r"(?:([vs])(?:\^(?:(-?[0-9]+)|\((-?[0-9]+)(?:/([0-9]+)\^([0-9]+))?\)))?)?"
+)
+# The printed precision suffix, if any, with its value (1).
+_PRINTED_SUFFIX_RE = re.compile(r"(?: \(mod val >= (-?[0-9]+)\))?")
 
 
 def _read_printed(text: str, prime: int | None):
@@ -124,68 +133,31 @@ def _read_printed(text: str, prime: int | None):
     first deviation from it; never raises.  The form is ASCII, terms joined
     by ' + ' / ' - ' with an optional '-' before the first, each term a,
     a/d, a*mono, a/d*mono or mono, with mono v (or s), v^n, v^(n) or
-    v^(n/p^k), then an optional ' (mod val >= V)'.  All of it lies inside
-    the grammar, so wherever this returns terms the regular expressions
-    read the same ones.  ``_read`` has refused numerals past MAX_DIGITS
-    before it calls this."""
-    if not text.isascii():
-        return None
-    body, mod, value = text.partition(" (mod val >= ")
-    precision = None
-    if mod:
-        value, close = value[:-1], value[-1:]
-        if close != ")" or not _signed(value):
-            return None
-        precision = int(value)
-    parts = body.split(" ")
-    if not len(parts) % 2:
-        return None
-    first = parts[0]
-    negative = first[:1] == "-"
-    parts[0] = first[1:] if negative else first
+    v^(n/p^k), then an optional ' (mod val >= V)'.  A pattern match reads
+    each term, and one more the suffix; checked here are what the patterns
+    leave out: a term is not empty (so each match moves on), a denominator
+    is not zero, and a fractional exponent's base is the prime (never in
+    Laurent mode).  The form lies inside the grammar, so wherever this
+    returns terms the grammar's patterns read the same ones.  ``_read`` has
+    refused numerals past MAX_DIGITS before it calls this."""
     terms = []
-    for i in range(0, len(parts), 2):
-        if i:
-            sign = parts[i - 1]
-            if sign != "+" and sign != "-":
-                return None
-            negative = sign == "-"
-        coeff, star, mono = parts[i].partition("*")
-        if not star and coeff[:1] in ("v", "s"):
-            mono, a, d = coeff, 1, 1
-        else:
-            n, slash, d = coeff.partition("/")
-            if not n.isdecimal() or star and not mono:
-                return None
-            a = int(n)
-            if slash:
-                if not d.isdecimal() or not (d := int(d)):
-                    return None
-            else:
-                d = 1
-        num = pw = 0
-        if mono:
-            if mono[0] not in "vs":
-                return None
-            if len(mono) == 1:
-                num = 1
-            elif mono[1] != "^":
-                return None
-            else:
-                e = mono[2:]
-                if e[:1] == "(" and e[-1:] == ")":
-                    e, slash, den = e[1:-1].partition("/")
-                    if slash:
-                        base, caret, k = den.partition("^")
-                        if (prime is None or not caret or not base.isdecimal()
-                                or not k.isdecimal() or int(base) != prime):
-                            return None
-                        pw = int(k)
-                if not _signed(e):
-                    return None
-                num = int(e)
-        terms.append((-a if negative else a, d, num, pw))
-    return terms, precision
+    pos = 0
+    while m := _PRINTED_TERM_RE.match(text, pos):
+        sign, a, d, var, e, pe, base, k = m.groups()
+        d = 1 if d is None else int(d)
+        if a is None and var is None or not d:
+            return None
+        if base is not None and (prime is None or int(base) != prime):
+            return None
+        a = 1 if a is None else int(a)
+        e = e or pe
+        num = 0 if var is None else 1 if e is None else int(e)
+        terms.append((-a if "-" in sign else a, d, num, 0 if k is None else int(k)))
+        pos = m.end()
+    m = _PRINTED_SUFFIX_RE.fullmatch(text, pos)
+    if m is None:
+        return None
+    return terms, None if m[1] is None else int(m[1])
 
 
 def _read(text: str, prime: int | None):

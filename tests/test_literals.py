@@ -1,11 +1,12 @@
 """The text layer: series literal grammar, canonical printing, and the JSON
 matrix documents."""
 
+import re
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from projectivoid import literals
 from projectivoid import (
@@ -525,6 +526,44 @@ def test_printed_literal_makes_no_term_regex_match():
         # A text off the printed form still runs the term loop.
         assert parse_series(text.replace(" + ", "  + ", 1), 2) == f
     assert len(calls) == 201
+
+
+def _printed_spacing(text):
+    """text with its whitespace where the printer puts it: one space on each
+    side of a sign between terms and between the words of the suffix."""
+    text = re.sub(r"(?<=[0-9vs)])([-+])", r" \1 ", re.sub(r"\s+", "", text))
+    return text.replace("(mod", " (mod ").replace("val>=", "val >= ")
+
+
+@st.composite
+def _near_printed(draw):
+    """(text, prime): grammar text with mutations at p = 2, 3 or 5 or in
+    Laurent mode (prime None), as drawn or respaced as the printer spaces,
+    or printer output with one mutation, read at its own prime or another."""
+    source = draw(st.sampled_from(["grammar", "respaced", "printed"]))
+    if source != "printed":
+        prime = draw(st.sampled_from([2, 3, 5, None]))
+        text = draw(_literal_text(prime or 2))
+        return (_printed_spacing(text) if source == "respaced" else text), prime
+    text, prime = draw(_printed())
+    i = draw(st.integers(0, len(text)))
+    op = draw(st.sampled_from(["insert", "delete", "replace"]))
+    text = mutate(text, i, op, draw(st.sampled_from(_MUTATION_CHARS)))
+    return text, draw(st.sampled_from([prime, prime, 2, 3, 5, None]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_printed())
+@example(("2* + v", 2))
+@example(("1 + 2*", 3))
+@example(("v^(1/2^1)", None))
+def test_printed_form_reader_is_sound_off_the_printed_form(case):
+    # Wherever the printed-form step answers, the grammar loop reads the same
+    # terms and precision, and raises nothing.
+    text, prime = case
+    got = literals._read_printed(text, prime)
+    if got is not None:
+        assert got == _regex_read(text, prime), text
 
 
 @pytest.mark.parametrize("p", [2, 3, 1000003])
