@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .coefficients import _strip
 from .errors import ParseError
@@ -94,28 +93,22 @@ def exp_neg(x: PExp) -> PExp:
     return PExp(-x.num, x.pow)
 
 
-def antidiagonal_stream(p: int) -> Iterator[PExp]:
-    """Yield a/p**b walking antidiagonals of the (a, b) grid.
-
-    The walk visits a + b = k for k = 0, 1, 2, ... and runs each antidiagonal
-    from (0, k) to (k, 0).  It yields the pairs in lowest terms, b = 0 or
-    p not dividing a; any other pair has the value of (a/p, b - 1), met on an
-    earlier antidiagonal.  So the stream enumerates Z[1/p] cap [0, oo)
-    without repetition.
-    """
-    k = 0
-    while True:
-        for a in range(k + 1):
-            if a % p or a == k:
-                yield PExp(a, k - a)
-        k += 1
-
-
 def enumerate_antidiagonal(p: int, count: int) -> list[PExp]:
+    """The first `count` values a/p**b on the antidiagonals a + b = k of the
+    (a, b) grid, k = 0, 1, 2, ..., each run from (0, k) to (k, 0).
+
+    Only pairs in lowest terms are kept, b = 0 or p not dividing a; any other
+    pair has the value of (a/p, b - 1), met on an earlier antidiagonal.  So
+    the walk enumerates Z[1/p] cap [0, oo) without repetition.
+    """
     if count < 1:
         raise ValueError("count must be positive")
-    stream = antidiagonal_stream(p)
-    return [next(stream) for _ in range(count)]
+    out: list[PExp] = []
+    k = 0
+    while len(out) < count:
+        out += [PExp(a, k - a) for a in range(k + 1) if a % p or a == k]
+        k += 1
+    return out[:count]
 
 
 def _power_of(n: int, p: int) -> int | None:

@@ -1,4 +1,10 @@
-"""Coefficient fields for the classical Laurent-polynomial side."""
+"""Coefficient fields for the classical Laurent-polynomial side.
+
+Laurent polynomials run on integer numerators, so the library calls no
+field operation but ``coerce``.  ``add`` and ``mul`` stay only because the
+benchmark's tracer (``perfbench/tracer.py``) counts their calls
+(``fields.add.calls``, ``fields.mul.calls``); they go when it no longer does.
+"""
 
 from __future__ import annotations
 
@@ -13,18 +19,12 @@ class PrimeField:
     """GF(p) with elements kept as canonical integers 0..p-1."""
 
     p: int
+    zero = 0
+    one = 1
 
     @property
     def characteristic(self) -> int:
         return self.p
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def coerce(self, x) -> int:
         if isinstance(x, Fraction):
@@ -39,28 +39,14 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise DivisionByZero(f"0 has no inverse in GF({self.p})")
-        return pow(a, -1, self.p)
-
-    def is_zero(self, a: int) -> bool:
-        return a % self.p == 0
-
 
 @dataclass(frozen=True)
 class RationalField:
     """The rationals, with exact Fraction arithmetic."""
 
     characteristic = 0
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, x) -> Fraction:
         return Fraction(x)
@@ -70,11 +56,3 @@ class RationalField:
 
     def mul(self, a: Fraction, b: Fraction) -> Fraction:
         return a * b
-
-    def inv(self, a: Fraction) -> Fraction:
-        if a == 0:
-            raise DivisionByZero("0 has no inverse")
-        return 1 / a
-
-    def is_zero(self, a: Fraction) -> bool:
-        return a == 0

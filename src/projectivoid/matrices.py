@@ -165,9 +165,6 @@ class SquareMatrix:
         rows[i][j] = f
         return cls(base, rows)
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -255,13 +252,6 @@ class SMatrix(SquareMatrix):
     @property
     def prime(self) -> int:
         return self.base
-
-    @classmethod
-    def diagonal(cls, prime: int, entries) -> "SMatrix":
-        """Diagonal matrix from PSeries entries or bare exponents (monomials)."""
-        return super().diagonal(
-            prime, [e if isinstance(e, PSeries) else PSeries.monomial(prime, e) for e in entries]
-        )
 
     def __repr__(self) -> str:
         return f"SMatrix(p={self.prime}, m={self.m})"

@@ -303,9 +303,6 @@ class PSeries:
     def is_zero(self) -> bool:
         return not self.ints
 
-    def is_exact(self) -> bool:
-        return self.precision is None
-
     def ordered_terms(self) -> list[tuple[PExp, Fraction]]:
         """(exponent, coefficient) pairs by ascending exponent."""
         p, K, D = self.prime, self.K, self.D
@@ -604,9 +601,6 @@ class ResiduePoly:
 
     def is_zero(self) -> bool:
         return not self.ints
-
-    def is_monomial(self) -> bool:
-        return len(self.ints) == 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ResiduePoly):

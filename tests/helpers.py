@@ -93,7 +93,7 @@ def random_multidominant(rng, p):
 
 def random_transition(rng, p, m, max_shears=3):
     """Monomial diagonal times unimodular shears: a transition matrix."""
-    A = SMatrix.diagonal(p, [random_exponent(rng, p, -4, 5) for _ in range(m)])
+    A = SMatrix.diagonal(p, [PSeries.monomial(p, random_exponent(rng, p, -4, 5)) for _ in range(m)])
     if m >= 2:
         for _ in range(rng.randrange(0, max_shears + 1)):
             i, j = rng.sample(range(m), 2)
@@ -474,8 +474,8 @@ class _Parser:
 # ----------------------------------------------------------------------
 # Slow oracle for classical.split: the column reduction and the inverse on
 # LaurentPoly objects, with the kernel vector in field elements, which the
-# integer working state of split replaced.  The field's subtraction and
-# negation are spelled through ``coerce``.
+# integer working state of split replaced.  The field's subtraction,
+# negation, inverse and zero test are spelled through ``coerce``.
 
 
 def _oracle_kernel_vector(rows, field):
@@ -486,14 +486,14 @@ def _oracle_kernel_vector(rows, field):
     m = len(rows)
     a = [list(r) for r in rows]
     for c in range(m):
-        pr = next((i for i in range(c, m) if not field.is_zero(a[i][c])), None)
+        pr = next((i for i in range(c, m) if field.coerce(a[i][c]) != 0), None)
         if pr is None:
             return [field.coerce(-a[k][c]) for k in range(c)] + [field.one] + [field.zero] * (m - c - 1)
         a[c], a[pr] = a[pr], a[c]
-        inv = field.inv(a[c][c])
+        inv = field.coerce(Fraction(1, a[c][c]))
         a[c] = [field.mul(inv, x) for x in a[c]]
         for i in range(m):
-            if i != c and not field.is_zero(a[i][c]):
+            if i != c and field.coerce(a[i][c]) != 0:
                 fac = a[i][c]
                 a[i] = [field.coerce(x - field.mul(fac, y)) for x, y in zip(a[i], a[c])]
     return None
@@ -528,7 +528,7 @@ def _oracle_inverse(field, rows) -> list:
             if len(live) < 2:
                 break
             low = a[j][j].min_exp()
-            inv = field.inv(a[j][j].coeffs[low])
+            inv = field.coerce(Fraction(1, a[j][j].coeffs[low]))
             for i in range(j + 1, m):
                 while not a[i][j].is_zero() and (n := a[i][j].min_exp()) <= low:
                     c = field.mul(a[i][j].coeffs[n], inv)
@@ -536,7 +536,7 @@ def _oracle_inverse(field, rows) -> list:
         parts = a[j][j].unit_parts()
         if parts is None or parts[1] != 0:
             raise RuntimeError("internal error: reduced matrix is not constant-determinant")
-        c = field.inv(parts[0])
+        c = field.coerce(Fraction(1, parts[0]))
         a[j] = [LaurentPoly(field, {n: x * c for n, x in f.coeffs.items()}) for f in a[j]]
     for j in reversed(range(m)):
         for i in range(j):
@@ -642,7 +642,7 @@ def split_oracle(A):
         iterations += 1
         if iterations > budget:
             raise RuntimeError(f"internal error: column reduction did not settle within {budget} passes")
-        support = [j for j in range(m) if not field.is_zero(w[j])]
+        support = [j for j in range(m) if field.coerce(w[j]) != 0]
         jstar = max(support, key=lambda j: (cdeg[j], j))
         # Column operation col_jstar <- sum_j w_j * s^(k* - k_j) * col_j.
         # The top-degree coefficients cancel, so the degree of that column

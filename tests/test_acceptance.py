@@ -83,7 +83,7 @@ def test_multidominant_series_are_not_units(criterion):
             p = (2, 3)[i % 2]
             f = random_multidominant(rng, p)
             assert not f.is_unit(SubringTag.FULL)
-            assert not f.normalize_gauss().reduce().is_monomial()
+            assert len(f.normalize_gauss().reduce().coeffs) != 1
 
 
 def test_degree_invariance_under_automorphisms(criterion):
@@ -121,8 +121,8 @@ def test_degree_one_family(criterion):
         multisets = set()
         for M in fam:
             assert M.bundle_degree() == BundleDegree(PExp(1, 0))
-            a = M.entry(0, 0).degree().as_fraction(2)
-            b = M.entry(1, 1).degree().as_fraction(2)
+            a = M.rows[0][0].degree().as_fraction(2)
+            b = M.rows[1][1].degree().as_fraction(2)
             assert a + b == 1
             ordered.add((a, b))
             if a <= Fraction(1, 2):

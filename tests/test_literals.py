@@ -238,7 +238,7 @@ def test_matrix_doc_round_trip():
 
 def test_matrix_doc_accepts_json_text():
     M = doc_to_matrix('{"p": 2, "m": 1, "entries": [["1 + v"]]}')
-    assert M.entry(0, 0) == srs(2, [(0, 0, 1), (1, 0, 1)])
+    assert M.rows[0][0] == srs(2, [(0, 0, 1), (1, 0, 1)])
 
 
 def test_matrix_doc_prime_agreement():

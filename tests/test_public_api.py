@@ -1,5 +1,6 @@
-"""The public surface: the names the package exports, and the library names
-that the benchmark's tracer (perfbench/tracer.py) wraps by name."""
+"""The public surface: the names the package exports, the library names that
+the benchmark's tracer (perfbench/tracer.py) wraps by name, and the library
+calls its workloads (perfbench/workloads.py, perfbench/reference.py) make."""
 
 import importlib
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import projectivoid
+import pytest
 from helpers import OFFDIAG
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -27,19 +29,27 @@ PUBLIC_NAMES = [
     "parse_series", "random_automorphism", "split", "splitting_invariance_check",
 ]
 
-# Names that only restated another public call, or that nothing raises any
-# more, as (module, dotted name).
+# Names that only restated another public call, that only tests called, or
+# that nothing raises any more, as (module, dotted name).
 REMOVED = [
     ("exponents", "PExp.sign"),
     ("exponents", "exp_sub"),
     ("exponents", "exp_cmp"),
+    ("exponents", "antidiagonal_stream"),
     ("coefficients", "Valuation.finite"),
     ("coefficients", "PadicCoeff.of"),
     ("coefficients", "PadicCoeff.abs_cmp"),
     ("fields", "PrimeField.elements"),
+    ("fields", "PrimeField.inv"),
+    ("fields", "PrimeField.is_zero"),
+    ("fields", "RationalField.inv"),
+    ("fields", "RationalField.is_zero"),
+    ("matrices", "SquareMatrix.entry"),
     ("series", "PSeries.constant"),
     ("series", "PSeries.coefficient"),
     ("series", "PSeries.support"),
+    ("series", "PSeries.is_exact"),
+    ("series", "ResiduePoly.is_monomial"),
     ("series", "ResiduePoly.support"),
     ("series", "PSeries.monomial_factor"),
     ("series", "UnitDecomposition"),
@@ -65,6 +75,8 @@ def test_public_names():
     for module, dotted in REMOVED:
         assert not _resolves(importlib.import_module("projectivoid." + module), dotted), dotted
         assert not _resolves(projectivoid, dotted), dotted
+    # SMatrix.diagonal is SquareMatrix.diagonal: it takes series, not bare exponents.
+    assert "diagonal" not in vars(projectivoid.SMatrix)
 
 
 def test_tracer_finds_every_name_it_wraps(capsys):
@@ -92,3 +104,29 @@ def test_tracer_finds_every_name_it_wraps(capsys):
     assert lib.cli.main is main
     assert capsys.readouterr().out == "1 - v^2\n"
     assert any(span[0] == "cli.main" for span in tracer.spans)
+
+
+@pytest.mark.parametrize("workload", ["series", "matrix", "split", "cli"])
+def test_benchmark_workloads_run_on_the_library(workload):
+    """One block of each perfbench workload at seed 7, built on the namespace
+    perfbench/run.py builds, and one operation of each kind run, as the
+    benchmark's self-test picks them: each result passes its own check, and
+    its corrupted result fails it."""
+    saved_path = list(sys.path)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        run = importlib.import_module("run")
+    finally:
+        sys.path[:] = saved_path
+    lib = SimpleNamespace(
+        pkg=projectivoid,
+        **{m: importlib.import_module("projectivoid." + m) for m in run.MODULES},
+    )
+    ops, _ = run.workloads.WORKLOADS[workload][0](lib, 7, 1)
+    chosen = {}
+    for op in ops:
+        chosen.setdefault((op.kind, op.props.get("command"), op.props.get("malformed")), op)
+    for key, op in chosen.items():
+        result = op.run()
+        assert run.passes(op, result, None), key
+        assert not run.passes(op, op.corrupt(result), None), key
