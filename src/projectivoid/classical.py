@@ -40,9 +40,9 @@ built only for the certificate, and its V, U and D go through the trusted
 ``LaurentPoly`` is stored as an integer kernel, numerators over one common
 denominator, like ``series.PSeries``, and runs on the kernel loops of
 ``series``.  ``LMatrix`` is the ``matrices.SquareMatrix`` over Laurent
-polynomials, with the polynomial-side predicates of
-``splitting_invariance_check``; each of its results is normalised once with
-``_poly``.
+polynomials; each of its results is normalised once with ``_poly``.
+``SquareMatrix.validate_automorphism`` serves both matrix types, since
+``LaurentPoly`` answers ``in_subring`` and ``is_unit`` as ``PSeries`` does.
 """
 
 from __future__ import annotations
@@ -54,9 +54,10 @@ from math import lcm, prod
 from typing import Iterable, Mapping
 
 from .determinants import adjugate, det, kernel_vector
-from .errors import DimensionMismatch, InvalidAutomorphism, NotInvertibleOverRing, ParseError
+from .errors import (DimensionMismatch, InvalidAutomorphism, NotInvertibleOverRing, ParseError,
+                     SubringViolation)
 from .matrices import SquareMatrix, _flat_product, _flat_rows, scaled_rows
-from .series import _add, _convolve, _gcd, _kernel, _lift, _normalise, _reduce
+from .series import PSeries, SubringTag, _add, _convolve, _gcd, _kernel, _lift, _normalise, _reduce
 
 
 class LaurentPoly:
@@ -126,11 +127,15 @@ class LaurentPoly:
         ((n, a),) = self.ints.items()
         return self._value(a), n
 
-    def in_poly_ring(self) -> bool:
-        return not self.ints or min(self.ints) >= 0
+    in_subring = PSeries.in_subring  # which reads only ``ints``
 
-    def in_inverse_ring(self) -> bool:
-        return not self.ints or max(self.ints) <= 0
+    def is_unit(self, ring: SubringTag) -> bool:
+        """``PSeries.is_unit`` over a field, where every nonzero coefficient
+        dominates: a unit of k[s] or k[1/s] is a nonzero constant, one of
+        k[s, 1/s] a monomial.  Outside the ring, SubringViolation."""
+        if not self.in_subring(ring):
+            raise SubringViolation(f"polynomial does not lie in the {ring.value} subring")
+        return len(self.ints) == 1 and (ring is SubringTag.FULL or 0 in self.ints)
 
     def _check(self, other: "LaurentPoly") -> None:
         if self.field is not other.field and self.field != other.field:
@@ -233,19 +238,6 @@ class LMatrix(SquareMatrix):
         Ds, scaled = scaled_rows(1, 0, self.rows)
         return _poly(self.field, prod(Ds), det(scaled))
 
-    def is_polynomial(self) -> bool:
-        return all(f.in_poly_ring() for r in self.rows for f in r)
-
-    def is_inverse_polynomial(self) -> bool:
-        return all(f.in_inverse_ring() for r in self.rows for f in r)
-
-    def constant_det(self):
-        """The determinant when it is a nonzero constant, else None."""
-        parts = self.det().unit_parts()
-        if parts is None or parts[1] != 0:
-            return None
-        return parts[0]
-
     def is_diagonal_of_powers(self) -> bool:
         """Whether this is diag(s^d_i): in normal form, D = 1 and one numerator 1."""
         for i, row in enumerate(self.rows):
@@ -259,12 +251,6 @@ class LMatrix(SquareMatrix):
 
     def __repr__(self) -> str:
         return f"LMatrix(field={self.field!r}, m={self.m})"
-
-
-def _unimodular(M: LMatrix, on_side) -> bool:
-    """Whether M lies over the one-sided ring that on_side tests for (k[s] or
-    k[1/s]) and has a nonzero constant determinant, so is invertible there."""
-    return on_side(M) and M.constant_det() is not None
 
 
 @dataclass(frozen=True)
@@ -320,7 +306,7 @@ class FactorizationCertificate:
         if not (V.field == A.field == U.field and V.m == A.m == U.m):
             # The LMatrix product raises the mismatch; a side whose
             # determinant is not a nonzero constant is False before that.
-            if U.constant_det() is not None and V.constant_det() is not None:
+            if U.validate_automorphism(SubringTag.NONNEG) and V.validate_automorphism(SubringTag.NONPOS):
                 V * A * U
             return False
         if D.field != A.field or D.m != A.m:
@@ -468,9 +454,9 @@ def splitting_invariance_check(A: LMatrix, U: LMatrix, V: LMatrix) -> bool:
     U must be unimodular over k[s] and V over k[1/s], both with constant
     nonzero determinant; anything else raises InvalidAutomorphism.
     """
-    if not _unimodular(U, LMatrix.is_polynomial):
+    if not U.validate_automorphism(SubringTag.NONNEG):
         raise InvalidAutomorphism("k[s]", "right factor is not unimodular over k[s]")
-    if not _unimodular(V, LMatrix.is_inverse_polynomial):
+    if not V.validate_automorphism(SubringTag.NONPOS):
         raise InvalidAutomorphism("k[1/s]", "left factor is not unimodular over k[1/s]")
     base, _ = split(A)
     moved, _ = split(LMatrix._product((V, A, U)))

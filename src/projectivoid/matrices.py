@@ -22,9 +22,11 @@ A transition matrix is a square matrix over the full ring whose determinant
 is a unit there.  Its bundle degree is the exponent of the monomial factor of
 the determinant, an invariant of the equivalence A -> V * A * U by one-sided
 automorphisms: U over the non-negative subring, V over the non-positive one,
-each with a determinant dominated by its constant term.  ``act`` validates
-the three factors by their determinants and multiplies V * A * U as one
-chain; ``random_automorphism`` applies each shear as a column operation.
+each with a determinant dominated by its constant term.  That test,
+``SquareMatrix.validate_automorphism``, serves both matrix types; over a
+field, for ``LMatrix``, it asks for a nonzero constant determinant.  ``act``
+validates the three factors by their determinants and multiplies V * A * U as
+one chain; ``random_automorphism`` applies each shear as a column operation.
 With a truncated entry a product adds the ``PSeries`` products of each entry
 left to right, so the precision rule lives in ``series`` alone.
 """
@@ -207,6 +209,15 @@ class SquareMatrix:
             out.append(tuple([entry(base, K, L, c) if c else zero for c in cells]))
         return cls._new(base, tuple(out))
 
+    def validate_automorphism(self, side: SubringTag) -> bool:
+        """Entry-wise membership in the one-sided subring plus a unit determinant
+        dominated by its constant term."""
+        if side not in (SubringTag.NONNEG, SubringTag.NONPOS):
+            raise ValueError("automorphism side must be NONNEG or NONPOS")
+        if not all(f.in_subring(side) for r in self.rows for f in r):
+            return False
+        return self.det().is_unit(side)
+
 
 @dataclass(frozen=True)
 class BundleDegree:
@@ -283,15 +294,6 @@ class SMatrix(SquareMatrix):
         if len(dom) != 1:
             raise NotATransitionMatrix("determinant is not a unit of the full ring")
         return BundleDegree(canon(dom[0], d.K, d.prime))
-
-    def validate_automorphism(self, side: SubringTag) -> bool:
-        """Entry-wise membership in the one-sided subring plus a unit determinant
-        dominated by its constant term."""
-        if side not in (SubringTag.NONNEG, SubringTag.NONPOS):
-            raise ValueError("automorphism side must be NONNEG or NONPOS")
-        if not all(f.in_subring(side) for r in self.rows for f in r):
-            return False
-        return self.det().is_unit(side)
 
 
 def act(V: SMatrix, A: SMatrix, U: SMatrix) -> SMatrix:

@@ -493,7 +493,8 @@ class PSeries:
         that per-step truncation decides the representative, and the oracle
         does the same.  g^steps has Gauss valuation >= steps * w >= cutoff,
         so every term of it would be dropped: only powers 1 .. steps - 1
-        are formed.
+        are formed.  None of them is empty: power i agrees with g^i below
+        the cutoff, and g^i has Gauss valuation i * w < cutoff (Gauss's lemma).
         """
         if isinstance(target, Valuation):
             if target.is_infinite:
@@ -533,8 +534,6 @@ class PSeries:
                         acc[n] = s
                     else:
                         del acc[n]
-            if not power:
-                break
         acc = {n - n_e: a * lead for n, a in acc.items()}
         return _series(p, K, den * abs(a_e), acc, Valuation(target))
 

@@ -14,13 +14,14 @@ from projectivoid import (
     PrimeField,
     SMatrix,
     SplittingType,
+    SubringTag,
     Valuation,
     ZERO,
     canon,
     exp_add,
     exp_neg,
 )
-from projectivoid.classical import _poly, _primitive, _unimodular
+from projectivoid.classical import _poly, _primitive
 from projectivoid.determinants import leibniz_det
 from projectivoid.errors import ParseError, WrongPrimeDenominator
 from projectivoid.literals import _LONG_NUMERAL, MAX_DIGITS
@@ -549,9 +550,9 @@ def verify_oracle(cert, A) -> bool:
     """What ``cert.verify(A)`` returns, by the four checks it replaced: U
     unimodular over k[s] and V over k[1/s], each by its Laurent determinant,
     D a diagonal of powers, and the LMatrix product V * A * U == D."""
-    if not _unimodular(cert.U, LMatrix.is_polynomial):
+    if not cert.U.validate_automorphism(SubringTag.NONNEG):
         return False
-    if not _unimodular(cert.V, LMatrix.is_inverse_polynomial):
+    if not cert.V.validate_automorphism(SubringTag.NONPOS):
         return False
     if not cert.D.is_diagonal_of_powers():
         return False

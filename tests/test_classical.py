@@ -18,9 +18,14 @@ from projectivoid import (
     LaurentPoly,
     NotInvertibleOverRing,
     ParseError,
+    PSeries,
     PrimeField,
     RationalField,
+    SMatrix,
     SplittingType,
+    SubringTag,
+    SubringViolation,
+    canon,
     split,
     splitting_invariance_check,
 )
@@ -99,9 +104,9 @@ def test_laurent_shape_queries():
     f = lp(Q, {-2: 1, 3: 2})
     assert f.min_exp() == -2
     assert f.max_exp() == 3
-    assert not f.in_poly_ring()
-    assert lp(Q, {0: 1, 2: 1}).in_poly_ring()
-    assert lp(Q, {-1: 1}).in_inverse_ring()
+    assert not f.in_subring(SubringTag.NONNEG)
+    assert lp(Q, {0: 1, 2: 1}).in_subring(SubringTag.NONNEG)
+    assert lp(Q, {-1: 1}).in_subring(SubringTag.NONPOS)
     with pytest.raises(ValueError):
         lp(Q, {}).min_exp()
 
@@ -110,6 +115,35 @@ def test_unit_parts():
     assert lp(Q, {-2: 3}).unit_parts() == (Fraction(3), -2)
     assert lp(Q, {0: 1, 1: 1}).unit_parts() is None
     assert lp(Q, {}).unit_parts() is None
+
+
+def _unit_or_violation(f, ring):
+    try:
+        return f.is_unit(ring)
+    except SubringViolation:
+        return SubringViolation
+
+
+@pytest.mark.parametrize("field", [F2, F3, Q], ids=["GF2", "GF3", "Q"])
+def test_laurent_unit_test_keeps_the_series_contract(field):
+    """in_subring and is_unit of random polynomials against PSeries's on the
+    same exponents, each coefficient 1: over a field every nonzero
+    coefficient dominates, as every coefficient of such a series does."""
+    rng = random.Random(11)
+    for _ in range(200):
+        f = random_laurent(rng, field, lo=-3, hi=4, max_terms=3)
+        g = PSeries(2, {canon(n, 0, 2): 1 for n in f.ints})
+        assert f.is_unit(SubringTag.FULL) == (f.unit_parts() is not None)
+        for ring in SubringTag:
+            assert f.in_subring(ring) == g.in_subring(ring)
+            assert _unit_or_violation(f, ring) == _unit_or_violation(g, ring)
+        for ring, sign in ((SubringTag.NONNEG, 1), (SubringTag.NONPOS, -1)):
+            if all(sign * n >= 0 for n in f.ints):
+                assert f.is_unit(ring) == (f.ints.keys() == {0})
+            else:
+                message = f"^polynomial does not lie in the {ring.value} subring$"
+                with pytest.raises(SubringViolation, match=message):
+                    f.is_unit(ring)
 
 
 def field_elements(field):
@@ -206,8 +240,9 @@ def test_lmatrix_det_examples():
 
 
 def test_lmatrix_constant_det():
-    assert LMatrix.identity(F2, 3).constant_det() == 1
-    assert LMatrix.diagonal_powers(Q, [1, 0]).constant_det() is None
+    d = LMatrix.identity(F2, 3).det()
+    assert d.is_unit(SubringTag.NONNEG) and d.unit_parts() == (1, 0)
+    assert not LMatrix.diagonal_powers(Q, [1, 0]).det().is_unit(SubringTag.NONNEG)
 
 
 def sparse_lmatrices(field):
@@ -432,12 +467,43 @@ def test_determinant_strategies_agree(M):
         assert _poly(M.field, prod(Ds), got) == d
 
 
+def test_lmatrix_validate_automorphism_is_the_rule_it_replaced():
+    """validate_automorphism on LMatrix is the rule the Laurent-only
+    predicates spelled: every entry on the side and a determinant that is a
+    nonzero constant.  The draws are unimodular shear products, the same
+    times diag(s) or diag(s^-1), and the same times a shear by s^-20 (s^20
+    over k[1/s]), which moves an entry off the side and keeps the
+    determinant."""
+    rng = random.Random(5)
+    seen = set()
+    for field in (F2, F3, Q):
+        for m in (1, 2, 3):
+            for side, sign in ((SubringTag.NONNEG, 1), (SubringTag.NONPOS, -1)):
+                M = random_unimodular(rng, field, m, side=sign, factors=rng.randrange(0, 4))
+                drawn = [M] + [M * LMatrix.diagonal_powers(field, [e] + [0] * (m - 1)) for e in (1, -1)]
+                if m > 1:
+                    drawn.append(M * LMatrix.shear(field, m, 1, 0, lp(field, {-20 * sign: 1})))
+                for N in drawn:
+                    parts = N.det().unit_parts()
+                    rule = (all(sign * n >= 0 for r in N.rows for f in r for n in f.ints)
+                            and parts is not None and parts[1] == 0)
+                    assert N.validate_automorphism(side) == rule
+                    seen.add(rule)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("M", [SMatrix.identity(2, 2), LMatrix.identity(F3, 2)], ids=["SMatrix", "LMatrix"])
+def test_validate_automorphism_refuses_the_full_ring(M):
+    with pytest.raises(ValueError, match="^automorphism side must be NONNEG or NONPOS$"):
+        M.validate_automorphism(SubringTag.FULL)
+
+
 def test_lmatrix_side_predicates():
     U = LMatrix.shear(Q, 2, 0, 1, lp(Q, {0: 1, 2: 1}))
-    assert U.is_polynomial()
-    assert not U.is_inverse_polynomial()
+    assert U.validate_automorphism(SubringTag.NONNEG)
+    assert not U.validate_automorphism(SubringTag.NONPOS)
     V = LMatrix.shear(Q, 2, 1, 0, lp(Q, {-1: 1}))
-    assert V.is_inverse_polynomial()
+    assert V.validate_automorphism(SubringTag.NONPOS)
     assert LMatrix.diagonal_powers(Q, [0, 2]).is_diagonal_of_powers()
     assert not U.is_diagonal_of_powers()
 
@@ -564,19 +630,19 @@ def test_upper_triangular_type_by_exhaustive_search():
     the only reachable diagonal is (s, s)."""
     A = LMatrix(F2, [[lp(F2, {1: 1}), lp(F2, {0: 1})], [lp(F2, {}), lp(F2, {1: 1})]])
 
-    def all_side_matrices(exponents):
+    def all_side_matrices(exponents, side):
         cells = [
             lp(F2, dict(zip(exponents, combo)))
             for combo in itertools.product([0, 1], repeat=len(exponents))
         ]
         for a, b, c, d in itertools.product(cells, repeat=4):
             M = LMatrix(F2, [[a, b], [c, d]])
-            if M.constant_det() is not None:
+            if M.validate_automorphism(side):
                 yield M
 
     reachable = set()
-    rights = list(all_side_matrices((0, 1)))
-    lefts = list(all_side_matrices((-1, 0)))
+    rights = list(all_side_matrices((0, 1), SubringTag.NONNEG))
+    lefts = list(all_side_matrices((-1, 0), SubringTag.NONPOS))
     for V in lefts:
         VA = V * A
         for U in rights:

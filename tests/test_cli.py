@@ -6,7 +6,9 @@ import contextlib
 import io
 import json
 import re
+import shlex
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -65,6 +67,33 @@ def test_golden_invocations_are_deterministic(capsys, argv, expected):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_command_line_examples(capsys):
+    """Each example of the README "Command line" block that shows its output
+    in a comment, run through main: the output lines joined by spaces equal
+    the comment, except for family, whose comment starts with the number of
+    output lines.  Examples with {...} placeholders are skipped."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    checked = 0
+    for line in block.splitlines():
+        command, _, comment = line.partition(" # ")
+        if not comment or "{...}" in command:
+            continue
+        argv = shlex.split(command)[1:]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), line
+        lines = out.splitlines()
+        if argv[0] == "family":
+            assert comment.split()[0] == str(len(lines)), line
+        else:
+            assert " ".join(lines) == comment.strip(), line
+        checked += 1
+    assert checked == 14
 
 
 def test_rand_auto_is_deterministic_and_valid(capsys):

@@ -3,6 +3,7 @@ the benchmark's tracer (perfbench/tracer.py) wraps by name, and the library
 calls its workloads (perfbench/workloads.py, perfbench/reference.py) make."""
 
 import importlib
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,6 +11,22 @@ from types import SimpleNamespace
 import projectivoid
 import pytest
 from helpers import OFFDIAG
+from projectivoid import (
+    INFINITY,
+    LMatrix,
+    LaurentPoly,
+    PExp,
+    PSeries,
+    ParseError,
+    PrimeField,
+    SMatrix,
+    SubringTag,
+    Valuation,
+    degree_one_family,
+    enumerate_calkin_wilf,
+    parse_series,
+    random_automorphism,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -57,6 +74,11 @@ REMOVED = [
     ("classical", "LaurentPoly.coeff"),
     ("classical", "LaurentPoly.shift"),
     ("classical", "LaurentPoly.scale"),
+    ("classical", "LaurentPoly.in_poly_ring"),
+    ("classical", "LaurentPoly.in_inverse_ring"),
+    ("classical", "LMatrix.is_polynomial"),
+    ("classical", "LMatrix.is_inverse_polynomial"),
+    ("classical", "LMatrix.constant_det"),
     ("errors", "IterationLimitExceeded"),
 ]
 
@@ -77,6 +99,44 @@ def test_public_names():
         assert not _resolves(projectivoid, dotted), dotted
     # SMatrix.diagonal is SquareMatrix.diagonal: it takes series, not bare exponents.
     assert "diagonal" not in vars(projectivoid.SMatrix)
+    # One automorphism test serves SMatrix and LMatrix: SquareMatrix's.
+    assert "validate_automorphism" not in vars(projectivoid.SMatrix)
+
+
+UNIT = parse_series("1 - 2*v", 2)
+
+# Input checks of the library that no other test reaches: (call, class, message).
+INPUT_CHECKS = {
+    "laurent-fields": (lambda: LaurentPoly.one(PrimeField(2)) + LaurentPoly.one(PrimeField(3)),
+                       ValueError, "polynomials over different fields"),
+    "lmatrix-entry": (lambda: LMatrix(PrimeField(2), [[1]]),
+                      ValueError, "entries must be Laurent polynomials over the matrix field"),
+    "smatrix-entry": (lambda: SMatrix(2, [[1]]), TypeError, "matrix entries must be PSeries"),
+    "shear-diagonal": (lambda: SMatrix.shear(2, 2, 1, 1, PSeries.one(2)),
+                       ValueError, "shear position must be off the diagonal"),
+    "automorphism-side": (lambda: random_automorphism(2, 2, SubringTag.FULL, 0),
+                          ValueError, "automorphism side must be NONNEG or NONPOS"),
+    "automorphism-shears": (lambda: random_automorphism(2, 2, SubringTag.NONNEG, -1),
+                            ValueError, "shear count must be non-negative"),
+    "family-max-pow": (lambda: degree_one_family(2, -1), ValueError, "max_pow must be non-negative"),
+    "series-prime": (lambda: parse_series("1", 4), ParseError, "4 is not a prime"),
+    "calkin-wilf-count": (lambda: enumerate_calkin_wilf(0), ValueError, "count must be positive"),
+    "exponent-denominator": (lambda: PSeries(2, {PExp(1, -1): 1}),
+                             ValueError, "denominator exponent must be non-negative"),
+    "inverse-infinity": (lambda: UNIT.inverse(INFINITY), ValueError, "precision target must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_CHECKS)
+def test_library_input_checks(case):
+    call, error, message = INPUT_CHECKS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+        call()
+    assert type(raised.value) is error
+
+
+def test_inverse_reads_a_finite_valuation_target_as_its_integer():
+    assert UNIT.inverse(Valuation(3)) == UNIT.inverse(3)
 
 
 def test_tracer_finds_every_name_it_wraps(capsys):
