@@ -224,12 +224,13 @@ def _cmd_verify_split(args):
 
 
 # Largest --prec that invert accepts.  Inverting 1 - 2*v + 4*v^(1/2^1) takes
-# 0.08 s of CPU at precision 500 and 0.7 s at 1000 (CPython 3.11.7, 2-vCPU
-# Xeon), but the work grows faster than the square of the precision and with
-# the number of terms: at p = 2 the five-term unit 1 + 2*v^(1/2^1) -
-# 2*v^(-1/2^2) + 2*v^(1/2^3) + 2*v^3 takes 1.2 s at 200, 6.2 s at 400 and
-# 12.9 s at the cap (cli.main in-process).  The cap bounds the precision, not
-# the work.
+# 0.06-0.09 s of CPU at precision 500 and 0.34-0.41 s at 1000 (CPython
+# 3.11.7, 2-vCPU Xeon, best of 3 in each of three processes), but the work
+# grows faster than the square of the precision and with the number of
+# terms: at p = 2 the five-term unit 1 + 2*v^(1/2^1) - 2*v^(-1/2^2) +
+# 2*v^(1/2^3) + 2*v^3 takes 0.55-0.60 s at 200, 3.3-3.4 s at 400 and
+# 6.5-7.1 s at the cap (cli.main in-process).  The cap bounds the precision,
+# not the work.
 MAX_PREC = 500
 
 # The other caps, timed the same way at doubling sizes (CPU seconds, worst of

@@ -791,4 +791,6 @@ GOLDEN_CLI = [
     (["split", SPLIT_DIAG], "(-1, 3)\n"),
     (["split", "--field", "rational", '{"m": 1, "entries": [["v^2"]]}'], "(2)\n"),
     (["verify-split", VERIFY_TRIPLE], "true\n"),
+    (["invert", "--prime", "2", "--prec", "6", "1 + 2*v + 2*v^2"],
+     "1 - 2*v + 2*v^2 - 4*v^4 - 56*v^5 + 56*v^6 + 16*v^8 - 32*v^9 - 32*v^10 (mod val >= 6)\n"),
 ]

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import projectivoid
 import pytest
-from helpers import OFFDIAG
+from helpers import OFFDIAG, oracle_inverse
 from projectivoid import (
     INFINITY,
     LMatrix,
@@ -139,10 +139,9 @@ def test_inverse_reads_a_finite_valuation_target_as_its_integer():
     assert UNIT.inverse(Valuation(3)) == UNIT.inverse(3)
 
 
-def test_tracer_finds_every_name_it_wraps(capsys):
-    """The namespace perfbench/run.py builds in ``load_library`` (without its
-    fresh import), handed to the tracer, which must find every library name
-    it wraps, and put each back."""
+def _perfbench():
+    """perfbench/run.py as a module, and the library namespace it builds in
+    ``load_library`` (without its fresh import)."""
     saved_path = list(sys.path)
     sys.path.insert(0, str(PERFBENCH))
     try:
@@ -153,6 +152,13 @@ def test_tracer_finds_every_name_it_wraps(capsys):
         pkg=projectivoid,
         **{m: importlib.import_module("projectivoid." + m) for m in run.MODULES},
     )
+    return run, lib
+
+
+def test_tracer_finds_every_name_it_wraps(capsys):
+    """The namespace perfbench/run.py builds, handed to the tracer, which must
+    find every library name it wraps, and put each back."""
+    run, lib = _perfbench()
     main = lib.cli.main
     tracer = run.tracer.Tracer(lib)
     try:
@@ -172,16 +178,7 @@ def test_benchmark_workloads_run_on_the_library(workload):
     perfbench/run.py builds, and one operation of each kind run, as the
     benchmark's self-test picks them: each result passes its own check, and
     its corrupted result fails it."""
-    saved_path = list(sys.path)
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        run = importlib.import_module("run")
-    finally:
-        sys.path[:] = saved_path
-    lib = SimpleNamespace(
-        pkg=projectivoid,
-        **{m: importlib.import_module("projectivoid." + m) for m in run.MODULES},
-    )
+    run, lib = _perfbench()
     ops, _ = run.workloads.WORKLOADS[workload][0](lib, 7, 1)
     chosen = {}
     for op in ops:
@@ -190,3 +187,26 @@ def test_benchmark_workloads_run_on_the_library(workload):
         result = op.run()
         assert run.passes(op, result, None), key
         assert not run.passes(op, op.corrupt(result), None), key
+
+
+def test_series_pool_inversions_equal_oracle(monkeypatch):
+    """The nine inversions of one block of the seed-7 ``series`` pool, cutoffs
+    10, 25 and 50 on the three unit shapes, equal the oracle's geometric sum
+    (the whole kernel, at cutoffs past the Hypothesis oracle tests), and f * r
+    is 1 below r's precision plus the Gauss valuation of f: a sharper rule
+    than the benchmark's own check, which stops at the cutoff."""
+    run, lib = _perfbench()
+    ops, _ = run.workloads.build_series(lib, 7, 1)
+    inversions = [op for op in ops if op.kind == "inverse"]
+    assert sorted((op.props["cutoff"], op.props["shape"]) for op in inversions) == [
+        (c, s) for c in (10, 25, 50) for s in range(3)
+    ]
+    assert {op.props["p"] for op in inversions} == {2, 3, 5}
+    inverse, units = PSeries.inverse, []
+    monkeypatch.setattr(PSeries, "inverse", lambda f, c: units.append(f) or inverse(f, c))
+    results = [op.run() for op in inversions]
+    monkeypatch.undo()
+    for op, f, r in zip(inversions, units, results, strict=True):
+        assert r == oracle_inverse(f, op.props["cutoff"]), op.props
+        bound = r.precision.v + f.gauss_valuation().v
+        assert (f * r).equals_mod(PSeries.one(f.prime), bound), op.props
